@@ -1,0 +1,235 @@
+"""Golden traces of the commons game.
+
+Each digest is the sha256 of ``repr`` of an episode's welfare, total
+utility, retained rounds, inspection charge, events and per-round rows.
+They were taken before the episode loop was rewritten for speed and must
+never change: any change to the engine that moves a single draw, sum or
+row shows up here.  The matrix covers seeds x policy families x agent
+orders x excession events, and `test_matrix_exercises_every_branch`
+keeps it from silently losing exits, penalties or influx agents.
+"""
+
+import hashlib
+from functools import lru_cache
+
+import pytest
+
+from grovekit.regsim import (
+    Excession,
+    GameConfig,
+    PolicySpec,
+    default_agents,
+    run_episode,
+)
+
+SEEDS = (1, 2, 7)
+POLICIES = {
+    "none": PolicySpec("none"),
+    "fixed": PolicySpec("fixed", (0.45, 0.2, 0.9, 1.0)),
+    "slack1d": PolicySpec("slack1d", (0.2,)),
+}
+ORDERS = (0, 1, 2)
+EVENTS = {
+    "none": (),
+    "influx": (Excession(150, "agent_influx", 2),),
+    "shock": (Excession(200, "capacity_drop", 0.5),
+              Excession(300, "regrowth_change", 0.1)),
+}
+MATRIX = [(seed, family, order, events)
+          for seed in SEEDS for family in POLICIES
+          for order in ORDERS for events in EVENTS]
+
+
+@lru_cache(maxsize=None)
+def episode(seed, family, order, events):
+    config = GameConfig(seed=seed, inspection_cost=0.05)
+    return run_episode(config, POLICIES[family],
+                       default_agents(config, order), EVENTS[events])
+
+
+def digest(trace) -> str:
+    record = (trace.welfare, trace.total_utility, trace.retained_rounds,
+              trace.inspection_charge, trace.events, trace.rows)
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+GOLDEN = {
+    (1, 'none', 0, 'none'):
+        "8d15233fb047a166184bdf1e6c55f4cbb4040269b830b7ccd36f5f4ee941131c",
+    (1, 'none', 0, 'influx'):
+        "76c060db1722405aca22ec06aff127c6db5f8895a511d9f6e58de71710920c01",
+    (1, 'none', 0, 'shock'):
+        "b663215df0f641895508c7a326933e29ed8aac5ac4b914897fb933242953aef4",
+    (1, 'none', 1, 'none'):
+        "f0d4eb4d4345a0d0c636291a641b590d2c90dcae76ce37c1eb0b3e26f149ee76",
+    (1, 'none', 1, 'influx'):
+        "58b53cbf74b6f8837ceb7c8ee0c2d4bd10498f52692585cbc70d9f617881401e",
+    (1, 'none', 1, 'shock'):
+        "324bc85ea02a5c832c7bf88fa68c2a565081034f6aab6a19475033d5f2fe7bd5",
+    (1, 'none', 2, 'none'):
+        "f0d4eb4d4345a0d0c636291a641b590d2c90dcae76ce37c1eb0b3e26f149ee76",
+    (1, 'none', 2, 'influx'):
+        "58b53cbf74b6f8837ceb7c8ee0c2d4bd10498f52692585cbc70d9f617881401e",
+    (1, 'none', 2, 'shock'):
+        "324bc85ea02a5c832c7bf88fa68c2a565081034f6aab6a19475033d5f2fe7bd5",
+    (1, 'fixed', 0, 'none'):
+        "02238871c76e3f5d218e814349849e982ffe84562b0cf645321ce98660a5d3a4",
+    (1, 'fixed', 0, 'influx'):
+        "043f4e76cc9dde4fd92629b395fcabbac3373d89c1a2ccd09b89eeefc8212ac5",
+    (1, 'fixed', 0, 'shock'):
+        "20029e254f5e079221503304db48e0914be1292f41f70464662ec2b531409c3c",
+    (1, 'fixed', 1, 'none'):
+        "2e3a3545f9b6247dc2b55219a4dc318c1bda14f0ea6146f338b290c4bdc6c873",
+    (1, 'fixed', 1, 'influx'):
+        "8c4944158bdcc406fc308c5f5c47d867ca617dbbe90c7a9d3c0854995804bcd3",
+    (1, 'fixed', 1, 'shock'):
+        "ca245d460907c956e93614f32003180811bc20b259d68ebc4262d3e90ec60a61",
+    (1, 'fixed', 2, 'none'):
+        "f665ba2fb493fa916462bd884acf07ad7d04ed696983ab18f64762d2f73d69da",
+    (1, 'fixed', 2, 'influx'):
+        "01652c25e334db8dc452429bec5e1018abd62f9a08e2b6cb0d6adc11975bc66d",
+    (1, 'fixed', 2, 'shock'):
+        "5b0e3ecd1191ce06d5b6218e43c763eca9e3633779e13fd072329f3b263ed388",
+    (1, 'slack1d', 0, 'none'):
+        "2f91dcb96d6451d6b80e6c1ceee5f647045f7b2e67e00dedb741d8998fc8aafc",
+    (1, 'slack1d', 0, 'influx'):
+        "500f68aca4811ec4a52eaa903c504b3e1c9d75fa48e2ecd4d79cf0b597586e01",
+    (1, 'slack1d', 0, 'shock'):
+        "86db9f49d272cd5718b224f16e06ea37e0508afced96514d380e8f8b992ba888",
+    (1, 'slack1d', 1, 'none'):
+        "2281e3b4dfa1545d633ae009860c79a97a1a2f16bb47a8b5ca9cc40e5b0377ed",
+    (1, 'slack1d', 1, 'influx'):
+        "9c5f8ed031f09898aa66e0910248776f8492fba4df9aff1708e8aebdb8d7a6ae",
+    (1, 'slack1d', 1, 'shock'):
+        "88836f6e2321ac1197e92e76bab341581303872ebad9e3267d0bfe0dfcb1ee32",
+    (1, 'slack1d', 2, 'none'):
+        "dc08e4c5247ace6edd58ab59ecabddfe251bc90c4d6eabd436ef7225df16c796",
+    (1, 'slack1d', 2, 'influx'):
+        "888ef437d830fedfcd51ac8eb1d8d06ecd60fed2bfc24303999a61ba531daa16",
+    (1, 'slack1d', 2, 'shock'):
+        "40e243ff76714083a9bc0a962f416231fa3e9d402ae0520ad430badda439e387",
+    (2, 'none', 0, 'none'):
+        "f3a62907d5f09037eafe87c2c5571ac30d7bc491ed9a5d4bde750a6ef62d0cd3",
+    (2, 'none', 0, 'influx'):
+        "9a14666c1c34d4b72b617bdb38fd7f9d82642730652f9679a8c2e655550a6285",
+    (2, 'none', 0, 'shock'):
+        "e85010e59fee7397199ee178ec7e66b5a42bf9276255d750ef5a732521645ff9",
+    (2, 'none', 1, 'none'):
+        "92b4879bef02f5d5b4512f08e305c86a4ac598d8a4b59eea4edaa94f92ee4526",
+    (2, 'none', 1, 'influx'):
+        "5774149f0732aebdd5c356f1d6006ca34484dc44efda6f78ea4d3c120c894471",
+    (2, 'none', 1, 'shock'):
+        "eb4103ba5dd6018d6b5935c1e13c54e5b606f9e803326cf626496a2711ef83e6",
+    (2, 'none', 2, 'none'):
+        "92b4879bef02f5d5b4512f08e305c86a4ac598d8a4b59eea4edaa94f92ee4526",
+    (2, 'none', 2, 'influx'):
+        "5774149f0732aebdd5c356f1d6006ca34484dc44efda6f78ea4d3c120c894471",
+    (2, 'none', 2, 'shock'):
+        "eb4103ba5dd6018d6b5935c1e13c54e5b606f9e803326cf626496a2711ef83e6",
+    (2, 'fixed', 0, 'none'):
+        "9126f694468b116267b8a6f8e1c7e84b603920b87570af9d1c4d14db3556f90d",
+    (2, 'fixed', 0, 'influx'):
+        "56381e7c7411320e91df096185d963533802c3c78fda662835189dbcdb33bcf2",
+    (2, 'fixed', 0, 'shock'):
+        "ead3f8e3ca5a1f955e32a607cb9432d4def12247dda75089dbf72f3717924459",
+    (2, 'fixed', 1, 'none'):
+        "b7e967b690ab1831af864b294d268d6f2d289c52e80e213db7ca5f8e25b015a9",
+    (2, 'fixed', 1, 'influx'):
+        "600943b331999ae3ac69592ca5d2d53ebbf53df0fb701d36a6aba6555c119406",
+    (2, 'fixed', 1, 'shock'):
+        "0841df5d9267f51715f3e2abc1cb9afad41b5668373f336a55f5d0afc764740a",
+    (2, 'fixed', 2, 'none'):
+        "f665ba2fb493fa916462bd884acf07ad7d04ed696983ab18f64762d2f73d69da",
+    (2, 'fixed', 2, 'influx'):
+        "ebc2cce08bfd9c3549c8072365be2e75b23c7820bb6767011e3f3fed46326046",
+    (2, 'fixed', 2, 'shock'):
+        "5b0e3ecd1191ce06d5b6218e43c763eca9e3633779e13fd072329f3b263ed388",
+    (2, 'slack1d', 0, 'none'):
+        "33ba30552e963d7376428c8aa0f6b064df7da41eed7ece0190dc40247686db35",
+    (2, 'slack1d', 0, 'influx'):
+        "9eafffa1ad59bfcde25139c6d9343392177efe42f7536fff2540924d57ebed5a",
+    (2, 'slack1d', 0, 'shock'):
+        "cd2da3c1040d2d59beab1f43b61c1618c29210bc63137c921ebdc90223bd7ca6",
+    (2, 'slack1d', 1, 'none'):
+        "e713037a2e423f2469fbd12db525aad5c610497e1dcf93c5846fec46c009cda2",
+    (2, 'slack1d', 1, 'influx'):
+        "cf86aa693cf83a35bdb686303de1c617755ce02c30cbcdb466055f958761602c",
+    (2, 'slack1d', 1, 'shock'):
+        "98aef6168b5136de18bf8f32cb3846c74267271081accee75d8c2a6dd45d1ae8",
+    (2, 'slack1d', 2, 'none'):
+        "dc08e4c5247ace6edd58ab59ecabddfe251bc90c4d6eabd436ef7225df16c796",
+    (2, 'slack1d', 2, 'influx'):
+        "c248e7dc688eb4b018fb70dcd0ec6e25c5cd639d7998578e1e43c62694cff92f",
+    (2, 'slack1d', 2, 'shock'):
+        "5482efa69ff6715b13de5ec46cc8add42faa63f64f04dae1e6e3b1fc7ec138ed",
+    (7, 'none', 0, 'none'):
+        "4e3a1aa61cccd1082f6f746b1c23110900b8f311e1dc995a97acda8bdab50a4c",
+    (7, 'none', 0, 'influx'):
+        "7e452b97a8313f4bdd51c978bc3df7992861171cd11c9af8aac345e98bc1df3e",
+    (7, 'none', 0, 'shock'):
+        "34a7fdec8bd30a970a1e92450a56ef7d9adcb1b6b2fafde2a10a8a2fff2aea6d",
+    (7, 'none', 1, 'none'):
+        "ebe250ba55ae7951c477bc8d80cb706bae6ff4c2fcfbe8ccafa6415d2439ae1f",
+    (7, 'none', 1, 'influx'):
+        "a65dcf06c326601396ce73593c6654f3a1e40841c465bca36b0cb6ce49ff75ad",
+    (7, 'none', 1, 'shock'):
+        "7187a7b47f2436764eac2d8c0fb39467a439dd1ad32673d12faf3d0bd094071d",
+    (7, 'none', 2, 'none'):
+        "ebe250ba55ae7951c477bc8d80cb706bae6ff4c2fcfbe8ccafa6415d2439ae1f",
+    (7, 'none', 2, 'influx'):
+        "a65dcf06c326601396ce73593c6654f3a1e40841c465bca36b0cb6ce49ff75ad",
+    (7, 'none', 2, 'shock'):
+        "7187a7b47f2436764eac2d8c0fb39467a439dd1ad32673d12faf3d0bd094071d",
+    (7, 'fixed', 0, 'none'):
+        "da711a5e782153dc6c3f3396a43470876a482baceaf8fd1c143cd544b3b4182b",
+    (7, 'fixed', 0, 'influx'):
+        "bc702af7a481d7c421378c38b02bf6f2c58b072e5cc6923c614c0e7afdd2c54d",
+    (7, 'fixed', 0, 'shock'):
+        "d74a758af74624ad7346f49c649aaed0fd002979f81203701794323895ae0887",
+    (7, 'fixed', 1, 'none'):
+        "71e01a21eb003ece453a71c5facafa518d113afb202b2b650f23cf7fb7d2cc99",
+    (7, 'fixed', 1, 'influx'):
+        "a98d7b23a2077b7552cc6b37713301e7b6bfead0affdad3eb954ceece5d1fc52",
+    (7, 'fixed', 1, 'shock'):
+        "ea7b58567e9fa9b4da32548e042b1c625730864fd5106c382e5c147339869903",
+    (7, 'fixed', 2, 'none'):
+        "f665ba2fb493fa916462bd884acf07ad7d04ed696983ab18f64762d2f73d69da",
+    (7, 'fixed', 2, 'influx'):
+        "01c5a903a95e52bc23361314ef0b4f573b828030e67784e9d4b0841c36d84f37",
+    (7, 'fixed', 2, 'shock'):
+        "5b0e3ecd1191ce06d5b6218e43c763eca9e3633779e13fd072329f3b263ed388",
+    (7, 'slack1d', 0, 'none'):
+        "b0cb8f76a677f65e5579eb05183d168d90e8197550526d94e4b59b4f8feba0e6",
+    (7, 'slack1d', 0, 'influx'):
+        "81b7189e938547286e6bdcbc11cacd32c6fa161204fd358e1d8305cba7bfa785",
+    (7, 'slack1d', 0, 'shock'):
+        "1dfec6b2f06de98b6b9403167eaddd3b795e33ff08a99e2f25a1550b9aa6b2da",
+    (7, 'slack1d', 1, 'none'):
+        "b11604ac41b9999453dc18380c2b7a7d97a39a84f3f2beeb84629df1c6c453bd",
+    (7, 'slack1d', 1, 'influx'):
+        "1680fb074ece35fdd188c9a5ad702e0f948001d3bd39413d82c4b1443a7bb24a",
+    (7, 'slack1d', 1, 'shock'):
+        "4c34f479002b637e2096a7ab93a5549cba4f1f12714bbba9a0dfd02af321111d",
+    (7, 'slack1d', 2, 'none'):
+        "dc08e4c5247ace6edd58ab59ecabddfe251bc90c4d6eabd436ef7225df16c796",
+    (7, 'slack1d', 2, 'influx'):
+        "723dac833c1ab347a2b91311a88af48d4bb9ff7e45ef4e6dca68072e89c6fb53",
+    (7, 'slack1d', 2, 'shock'):
+        "ead0568dfae784c2e718e61fbb08876ae828be591c7ffa5196edb1ce816369a1",
+
+}
+
+
+@pytest.mark.parametrize("case", MATRIX,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_golden_trace(case):
+    assert digest(episode(*case)) == GOLDEN[case]
+
+
+def test_matrix_exercises_every_branch():
+    traces = [episode(*case) for case in MATRIX]
+    assert any(":exit:" in ev for t in traces for ev in t.events)
+    assert any(p > 0 for t in traces for row in t.rows
+               for p in row["penalty"])
+    assert any(":agent_influx:" in ev for t in traces for ev in t.events)
+    assert any(t.inspection_charge > 0 for t in traces)
