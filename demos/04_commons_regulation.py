@@ -1,6 +1,6 @@
 """The commons game: tragedy, permits with slack, shocks, optimization.
 
-Run as: python3 demos/04_commons_regulation.py  (takes ~1 minute)
+Run as: python3 demos/04_commons_regulation.py  (takes several seconds)
 """
 
 from grovekit import (

@@ -5,7 +5,9 @@ record with stable field order, written atomically next to any CSV
 payloads.  Reports embed the seed and the digests of the shipped table
 files but never wall-clock data, so repeated runs with the same flags
 produce byte-identical files.  Exit codes: 0 success, 1 computation
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error, which includes any path that
+cannot be read or written (every OSError); errors print one
+``grovekit: ...`` line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -440,7 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, CliConfigError, KeyError, ValueError,
+    except (OSError, CliConfigError, KeyError, ValueError,
             RegsimError, GroveError) as exc:
         sys.stderr.write(f"grovekit: {exc}\n")
         return EXIT_USAGE

@@ -6,6 +6,21 @@ a policy maps round statistics to a law.  Everything is deterministic
 given the seed: each agent owns two numpy substreams (decisions and
 enforcement draws), so changing the law never shifts anyone's decision
 noise and a q = 0 law reproduces the lawless trace bit for bit.
+
+Block substreams and byte identity.  `run_episode` does not draw one
+scalar at a time.  It draws each agent's substreams in blocks of
+`SUBSTREAM_CHUNK` values: ``default_rng([seed, i]).normal(desire_mean,
+desire_sd, size=k)`` for decisions and ``default_rng([seed, i, 1])
+.random(k)`` for enforcement, each with the agent's own parameters.
+numpy returns exactly the values of k sequential scalar draws, so a
+per-agent cursor (`_Substream`) reading the blocks in order replays the
+scalar Generator draw for draw.  An active agent makes one decision draw
+per round; it makes an enforcement draw only when its request exceeds
+the law's tolerance, so that cursor advances with the data.  Agents that
+join by `agent_influx` get cursors of their own from the round they
+join.  Sums over agents run left to right, as Python's ``sum`` does.
+Together these keep every trace, welfare and CSV byte-identical to the
+scalar-draw engine; tests/test_regsim_golden.py holds the digests.
 """
 
 from __future__ import annotations
@@ -13,6 +28,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,6 +90,8 @@ class Law:
     slack: float = 0.0
     enforcement: float = 1.0
     penalty: float = 1.0
+    #: cap x (1 + slack): requests up to it pass without an enforcement draw
+    tolerance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.cap < 0:
@@ -84,10 +102,7 @@ class Law:
             raise RegsimError("enforcement probability must lie in [0, 1]")
         if self.penalty < 0:
             raise RegsimError("penalty multiplier must be nonnegative")
-
-    @property
-    def tolerance(self) -> float:
-        return self.cap * (1.0 + self.slack)
+        object.__setattr__(self, "tolerance", self.cap * (1.0 + self.slack))
 
 
 @dataclass
@@ -120,13 +135,6 @@ class AgentModel:
         if self.greed < 0:
             raise RegsimError("greed must be nonnegative")
 
-    def decline_estimate(self) -> float:
-        # posterior mean of the fractional per-round decline, prior at 0
-        return self._decline_sum / (self.prior_precision + self._decline_count)
-
-    def enforcement_estimate(self) -> float:
-        return self._enforced / (self._enforced + self._unenforced)
-
     def observe(self, fractional_decline: float) -> None:
         if self.order >= 1:
             self._decline_sum += fractional_decline
@@ -143,19 +151,23 @@ class AgentModel:
 def agent_decide(agent: AgentModel, law: Law | None,
                  rng: np.random.Generator) -> float:
     """Desired extraction for this round; always >= 0."""
-    desire = agent.greed * max(
-        0.0, float(rng.normal(agent.desire_mean, agent.desire_sd)))
+    draw = rng.normal(agent.desire_mean, agent.desire_sd)
+    desire = agent.greed * (draw if draw > 0.0 else 0.0)
     if agent.order >= 1:
-        damp = 1.0 - agent.decline_sensitivity * max(0.0, agent.decline_estimate())
-        desire *= max(0.0, damp)
-    if agent.order >= 2 and law is not None and desire > law.tolerance:
-        qhat = agent.enforcement_estimate()
-        # expected utility of pressing the violation vs staying compliant
-        violate = desire * (1.0 - qhat) + qhat * (
-            law.cap - law.penalty * (desire - law.cap))
-        comply = law.tolerance
-        if comply >= violate:
-            desire = comply
+        # posterior mean of the fractional per-round decline, prior at 0
+        decline = agent._decline_sum / (agent.prior_precision
+                                        + agent._decline_count)
+        damp = 1.0 - agent.decline_sensitivity * (
+            decline if decline > 0.0 else 0.0)
+        desire *= damp if damp > 0.0 else 0.0
+        if agent.order >= 2 and law is not None and desire > law.tolerance:
+            # posterior mean of the enforcement probability
+            qhat = agent._enforced / (agent._enforced + agent._unenforced)
+            # expected utility of pressing the violation vs staying compliant
+            violate = desire * (1.0 - qhat) + qhat * (
+                law.cap - law.penalty * (desire - law.cap))
+            if law.tolerance >= violate:
+                desire = law.tolerance
     return desire
 
 
@@ -263,10 +275,6 @@ class GameState:
                    utilities=[0.0] * n, active=[True] * n,
                    recent=[[] for _ in range(n)])
 
-    @property
-    def n_active(self) -> int:
-        return sum(self.active)
-
 
 def inject_excession(state: GameState, event: Excession) -> GameState:
     cfg = state.config
@@ -294,53 +302,88 @@ def inject_excession(state: GameState, event: Excession) -> GameState:
     return state
 
 
+#: draws taken from a substream's Generator at a time
+SUBSTREAM_CHUNK = 256
+
+
+def _chunked(key: list[int], method: str, *args: float):
+    """Endless draws of ``default_rng(key).<method>(*args)``, in chunks.
+
+    The Generator is made at the first draw, so a substream that is never
+    read costs nothing.
+    """
+    draw = getattr(np.random.default_rng(key), method)
+    while True:
+        yield from draw(*args, size=SUBSTREAM_CHUNK).tolist()
+
+
+class _Substream:
+    """Per-agent cursor standing in for the agent's numpy Generator.
+
+    ``_Substream(key, method, *args)`` reads the chunks of `_chunked`.
+    Each call to `normal` or `random` returns the next pre-drawn value,
+    which is the value the next scalar draw would have returned.  `normal`
+    ignores its arguments: the chunks are drawn with the agent's own mean
+    and sd.
+    """
+
+    __slots__ = ("_next",)
+
+    def __init__(self, key: list[int], method: str, *args: float):
+        self._next = _chunked(key, method, *args).__next__
+
+    def normal(self, loc: float, scale: float) -> float:
+        return self._next()
+
+    def random(self) -> float:
+        return self._next()
+
+
 def step(state: GameState, decisions: Sequence[float], law: Law | None,
          enforcement_rngs: Sequence[np.random.Generator],
          agents: Sequence[AgentModel] | None = None) -> dict:
     """Advance one round; returns the per-round record for the trace."""
     cfg = state.config
-    n = len(state.active)
+    active = state.active
+    n = len(active)
     allowed = [0.0] * n
     penalties = [0.0] * n
-    for i in range(n):
-        if not state.active[i]:
-            continue
-        a, p = apply_law(law, float(decisions[i]), enforcement_rngs[i])
-        if agents is not None and law is not None \
-                and decisions[i] > law.tolerance:
-            agents[i].observe_enforcement(a < decisions[i])
-        allowed[i] = a
-        penalties[i] = p
+    tolerance = math.inf if law is None else law.tolerance
+    for i in compress(range(n), active):
+        allowed[i] = request = float(decisions[i])
+        if request > tolerance:  # only these requests draw
+            allowed[i], penalties[i] = apply_law(law, request,
+                                                 enforcement_rngs[i])
+            if agents is not None:
+                agents[i].observe_enforcement(allowed[i] < request)
     demand = sum(allowed)
-    if demand > state.resource and demand > 0:
-        scale = state.resource / demand
-        allowed = [a * scale for a in allowed]
-        demand = state.resource
     r_before = state.resource
-    resource = state.resource - demand
+    if demand > r_before and demand > 0:
+        scale = r_before / demand
+        allowed = [a * scale for a in allowed]
+        demand = r_before
+    resource = r_before - demand
     resource += cfg.regrowth * resource * (1.0 - resource / cfg.capacity)
     state.resource = min(cfg.capacity, max(0.0, resource))
-    if agents is not None:
-        drop = (r_before - state.resource) / cfg.capacity
-        for i in range(n):
-            if state.active[i]:
-                agents[i].observe(drop)
+    drop = (r_before - state.resource) / cfg.capacity
 
     window = cfg.exit_window
-    for i in range(n):
-        if not state.active[i]:
-            continue
+    turn = state.round % n
+    utilities, recent = state.utilities, state.recent
+    for i in compress(range(n), active):
+        if agents is not None:
+            agents[i].observe(drop)
         gain = allowed[i] - penalties[i]
-        state.utilities[i] += gain
-        state.recent[i].append(gain)
-        if len(state.recent[i]) > window:
-            state.recent[i].pop(0)
+        utilities[i] += gain
+        history = recent[i]
+        history.append(gain)
+        if len(history) > window:
+            del history[0]
         # exit checks are staggered round-robin so one departure can lift
         # the survivors' shares before the next agent reconsiders
-        if (len(state.recent[i]) >= window
-                and state.round % n == i
-                and sum(state.recent[i]) / window < cfg.outside_option):
-            state.active[i] = False
+        if (i == turn and len(history) >= window
+                and sum(history) / window < cfg.outside_option):
+            active[i] = False
             state.events.append(f"{state.round}:exit:{i}")
     state.round += 1
     return {
@@ -348,7 +391,7 @@ def step(state: GameState, decisions: Sequence[float], law: Law | None,
         "resource": state.resource,
         "extraction": tuple(allowed),
         "penalty": tuple(penalties),
-        "active": tuple(state.active),
+        "active": tuple(active),
         "law": law,
     }
 
@@ -370,8 +413,11 @@ class Trace:
         return min(r["resource"] for r in rows)
 
     def to_csv(self) -> str:
+        """One line per round.  The agent columns cover every agent that
+        ever played; rounds before an influx leave the newcomers' cells
+        empty, so every line has the header's cell count."""
         buf = io.StringIO()
-        n = len(self.rows[0]["extraction"]) if self.rows else 0
+        n = max((len(row["extraction"]) for row in self.rows), default=0)
         cols = ["round", "resource"]
         cols += [f"extraction{i}" for i in range(n)]
         cols += [f"penalty{i}" for i in range(n)]
@@ -388,10 +434,11 @@ class Trace:
                 repr(law.cap), repr(law.slack),
                 repr(law.enforcement), repr(law.penalty))
             evs = ";".join(per_round_events.get(row["round"] - 1, []))
+            absent = [""] * (n - len(row["extraction"]))
             cells = [str(row["round"]), repr(row["resource"])]
-            cells += [repr(x) for x in row["extraction"]]
-            cells += [repr(x) for x in row["penalty"]]
-            cells += ["1" if a else "0" for a in row["active"]]
+            cells += [repr(x) for x in row["extraction"]] + absent
+            cells += [repr(x) for x in row["penalty"]] + absent
+            cells += ["1" if a else "0" for a in row["active"]] + absent
             cells += list(law_cols) + [evs]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
@@ -416,38 +463,38 @@ def run_episode(config: GameConfig, policy: PolicySpec,
         raise RegsimError("one agent model per configured agent")
     agents = [replace(a) for a in agents]
     state = GameState.initial(config)
-    decision_rngs = [np.random.default_rng([config.seed, i])
-                     for i in range(config.n_agents)]
-    enforcement_rngs = [np.random.default_rng([config.seed, i, 1])
-                        for i in range(config.n_agents)]
     by_round = {}
     for ev in events:
         if ev.round > config.rounds:
             raise RegsimError(f"event at round {ev.round} beyond horizon")
         by_round.setdefault(ev.round, []).append(ev)
 
+    decision_rngs: list[_Substream] = []
+    enforcement_rngs: list[_Substream] = []
     rows = []
     retained = 0
     inspection = 0.0
     for t in range(config.rounds):
         for ev in by_round.get(t, ()):
             inject_excession(state, ev)
-        n = len(state.active)
-        if n > len(decision_rngs):  # influx agents get fresh substreams
-            for i in range(len(decision_rngs), n):
-                decision_rngs.append(np.random.default_rng([state.config.seed, i]))
-                enforcement_rngs.append(
-                    np.random.default_rng([state.config.seed, i, 1]))
-                agents = list(agents) + [AgentModel()]
-        law = policy.law_for(state.config, state.resource, state.n_active)
-        decisions = [
-            agent_decide(agents[i], law, decision_rngs[i])
-            if state.active[i] else 0.0
-            for i in range(n)]
-        retained += state.n_active
+        active = state.active
+        # the configured agents join at round 0, influx agents on arrival
+        for i in range(len(decision_rngs), len(active)):
+            if i == len(agents):
+                agents.append(AgentModel())
+            decision_rngs.append(_Substream([config.seed, i], "normal",
+                                            agents[i].desire_mean,
+                                            agents[i].desire_sd))
+            enforcement_rngs.append(_Substream([config.seed, i, 1], "random"))
+        n_active = sum(active)
+        law = policy.law_for(state.config, state.resource, n_active)
+        decisions = [0.0] * len(active)
+        for i in compress(range(len(active)), active):
+            decisions[i] = agent_decide(agents[i], law, decision_rngs[i])
+        retained += n_active
         if law is not None and state.config.inspection_cost > 0:
             inspection += (state.config.inspection_cost
-                           * law.enforcement * state.n_active)
+                           * law.enforcement * n_active)
         rows.append(step(state, decisions, law, enforcement_rngs, agents))
     total_utility = float(sum(state.utilities))
     welfare = (total_utility

@@ -133,3 +133,11 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
 def test_no_stray_temp_files(capsys, tmp_path):
     run(capsys, "enumerate", "--depth", "0", "--out", str(tmp_path))
     assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
+
+
+def test_directory_config_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "simulate", "--config", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("grovekit: ")
+    assert err.count("\n") == 1

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from grovekit.regsim import (
+    EVENT_KINDS,
     NO_LAW,
     REGULATORY_MODES,
     AgentModel,
@@ -13,6 +15,7 @@ from grovekit.regsim import (
     RegsimError,
     agent_decide,
     apply_law,
+    _Substream,
     default_agents,
     dump_scenario,
     inject_excession,
@@ -266,3 +269,67 @@ def test_trace_csv_shape():
     lines = trace.to_csv().splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("round,resource,extraction0")
+
+
+def test_trace_csv_is_rectangular_after_influx():
+    trace = run_episode(GameConfig(rounds=40), NO_LAW,
+                        events=[Excession(20, "agent_influx", 2)])
+    lines = trace.to_csv().splitlines()
+    width = lines[0].count(",")
+    assert all(line.count(",") == width for line in lines)
+    header = lines[0].split(",")
+    assert "extraction9" in header and "active9" in header
+    before, after = lines[20].split(","), lines[21].split(",")
+    for name in ("extraction8", "penalty9", "active9"):
+        assert before[header.index(name)] == ""
+        assert after[header.index(name)] != ""
+
+
+def test_substreams_replay_scalar_draws():
+    # chunked blocks must equal the scalar draws they stand in for,
+    # across chunk boundaries
+    draws = 600
+    for seed in range(1, 6):
+        for i in range(4):
+            mean, sd = 3.0 + i, 0.5 * (i + 1)
+            scalar = np.random.default_rng([seed, i])
+            cursor = _Substream([seed, i], "normal", mean, sd)
+            assert [cursor.normal(mean, sd) for _ in range(draws)] == [
+                scalar.normal(mean, sd) for _ in range(draws)]
+            scalar = np.random.default_rng([seed, i, 1])
+            cursor = _Substream([seed, i, 1], "random")
+            assert [cursor.random() for _ in range(draws)] == [
+                scalar.random() for _ in range(draws)]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+_configs = st.builds(
+    GameConfig,
+    n_agents=st.integers(2, 500),
+    capacity=st.floats(0.0, 1e9, exclude_min=True),
+    regrowth=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    rounds=st.integers(0, 100_000),
+    outside_option=_finite,
+    retention_weight=_finite,
+    inspection_cost=_finite,
+    exit_window=st.integers(1, 1000),
+    seed=st.integers(0, 2**63),
+    mode=st.sampled_from(REGULATORY_MODES),
+)
+
+_policies = st.one_of(
+    st.just(NO_LAW),
+    st.builds(PolicySpec, st.just("fixed"), st.tuples(*[_finite] * 4)),
+    st.builds(PolicySpec, st.just("slack1d"), st.tuples(_finite)),
+)
+
+_events = st.lists(st.builds(
+    Excession, st.integers(0, 100_000), st.sampled_from(EVENT_KINDS),
+    _finite), max_size=4)
+
+
+@given(_configs, _policies, st.sampled_from((0, 1, 2)), _events)
+def test_scenario_round_trip_property(config, policy, order, events):
+    loaded = load_scenario(dump_scenario(config, policy, order, events))
+    assert loaded == (config, policy, order, events)
