@@ -342,7 +342,11 @@ class _Substream:
 def step(state: GameState, decisions: Sequence[float], law: Law | None,
          enforcement_rngs: Sequence[np.random.Generator],
          agents: Sequence[AgentModel] | None = None) -> dict:
-    """Advance one round; returns the per-round record for the trace."""
+    """Advance one round; returns the per-round record for the trace.
+
+    An enforcement stream is read (through its ``random()`` method) only
+    for a request above the law's tolerance.
+    """
     cfg = state.config
     active = state.active
     n = len(active)
@@ -488,9 +492,8 @@ def run_episode(config: GameConfig, policy: PolicySpec,
             enforcement_rngs.append(_Substream([config.seed, i, 1], "random"))
         n_active = sum(active)
         law = policy.law_for(state.config, state.resource, n_active)
-        decisions = [0.0] * len(active)
-        for i in compress(range(len(active)), active):
-            decisions[i] = agent_decide(agents[i], law, decision_rngs[i])
+        decisions = [agent_decide(agent, law, rng) if on else 0.0
+                     for agent, rng, on in zip(agents, decision_rngs, active)]
         retained += n_active
         if law is not None and state.config.inspection_cost > 0:
             inspection += (state.config.inspection_cost
