@@ -100,15 +100,12 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def _emit(report: RunReport, out_dir: str | None, stem: str,
-          extras: dict[str, str] | None = None,
-          elapsed: float | None = None) -> None:
+          extras: dict[str, str] | None = None) -> None:
     if out_dir:
         write_atomic(os.path.join(out_dir, f"{stem}.txt"), report.text())
         for name, text in (extras or {}).items():
             write_atomic(os.path.join(out_dir, name), text)
     sys.stdout.write(report.text())
-    if elapsed is not None:
-        sys.stdout.write(f"elapsed_ms = {elapsed * 1000:.1f}\n")
 
 
 def _load_model(path: str | None) -> CostModel:
@@ -431,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="optimize the permit slack lever")
     common(p)
     p.add_argument("--family", default=None,
-                   choices=regsim.POLICY_FAMILIES)
+                   choices=regsim.OPTIMIZABLE_FAMILIES)
     p.set_defaults(func=cmd_optimize)
 
     return parser

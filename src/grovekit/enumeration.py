@@ -183,7 +183,7 @@ def _excluded(plan: _Plan, model: CostModel) -> bool:
     return False
 
 
-def _ground_variants(budget: int, model: CostModel, depth: int) -> Iterator[dict]:
+def _ground_variants(budget: int, model: CostModel) -> Iterator[dict]:
     """Ways to spend exactly ``budget`` on the argument tuple."""
     if budget % model.map_subst_cost == 0 and budget // model.map_subst_cost == 1:
         yield {"map_subst": True, "arg_lifts": ()}
@@ -202,14 +202,12 @@ def _plans(depth: int, budget: int, model: CostModel) -> Iterator[_Plan]:
     for sigma_lift in range(0, budget // m.lift_cost + 1):
         tau_variants: list[dict] = [{}]
         if depth == 1:
-            tau_variants = [{}]
             tau_variants += [{"tau_lift": t}
                              for t in range(1, budget // m.lift_cost + 1)]
             for ins_lift in range(0, budget // m.lift_cost + 1):
                 tau_variants.append(
                     {"tau_phi_insert": True, "tau_phi_lift": ins_lift})
         elif depth == 2:
-            tau_variants = [{}]
             tau_variants += [{"tau_lift": t}
                              for t in range(1, budget // m.lift_cost + 1)]
             tau_variants += [{"tau_inserted": k}
@@ -238,7 +236,7 @@ def _plans(depth: int, budget: int, model: CostModel) -> Iterator[_Plan]:
                 ground = budget - spent
                 if ground < 0:
                     continue
-                for gv in _ground_variants(ground, m, depth):
+                for gv in _ground_variants(ground, m):
                     yield _Plan(depth=depth, sigma_lift=sigma_lift,
                                 **tv, **pv, **gv)
 
@@ -285,8 +283,6 @@ def enumerate_topologies(
     budget = partition.parts[0]
     produced = set()
     for plan in _plans(depth, budget, model):
-        if plan.cost(model) != budget:
-            continue
         if not _caps_ok(plan, model):
             continue
         if _excluded(plan, model):
@@ -365,8 +361,8 @@ def total_multiplicity(
 # reference tables and verification
 # ---------------------------------------------------------------------------
 
+#: reference table files; table d lists the allowed chains of depth d
 TABLE_FILES = {0: "table0.txt", 1: "table1.txt", 2: "table2.txt"}
-TABLE_DEPTH = {0: 0, 1: 1, 2: 2}
 
 
 def _table_path(name: str) -> Path:
@@ -416,24 +412,11 @@ class EnumerationReport:
     def acceptable(self) -> bool:
         return self.exact or (self.table == 2 and self.entry27_exception_only)
 
-    def lines(self) -> list[str]:
-        out = [f"table = {self.table}",
-               f"produced = {len(self.produced)}",
-               f"expected = {len(self.expected)}",
-               f"exact = {str(self.exact).lower()}"]
-        for e in sorted(self.missing, key=lambda x: x.render()):
-            out.append(f"missing = {e.render()}")
-        for e in sorted(self.extra, key=lambda x: x.render()):
-            out.append(f"extra = {e.render()}")
-        return out
-
 
 def verify_against_table(table: int, model: CostModel | None = None) -> EnumerationReport:
-    depth = TABLE_DEPTH[table] if table in TABLE_DEPTH else None
-    if depth is None:
-        raise GroveError(f"unknown table {table!r}")
-    produced = enumerate_topologies(depth, PartitionSpec((depth + 1,)), model)
-    return EnumerationReport(table, produced, load_table(table))
+    expected = load_table(table)
+    produced = enumerate_topologies(table, PartitionSpec((table + 1,)), model)
+    return EnumerationReport(table, produced, expected)
 
 
 # ---------------------------------------------------------------------------

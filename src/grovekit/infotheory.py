@@ -25,6 +25,10 @@ class InfoError(Exception):
 #: producing -inf while perturbing integrals below test tolerances.
 LOG_FLOOR_RATIO = 1e-12
 
+#: Mass tolerance within which `GridDistribution.loads` takes stored values
+#: as normalised; it covers the rounding of a normalised grid's sum.
+NORMALISED_REL_TOL = 1e-9
+
 
 def smoothed_delta(x, center, eps: float):
     """Gaussian kernel of width eps centred at ``center``; integrates to 1."""
@@ -160,7 +164,14 @@ class GridDistribution:
         spec = GridSpec(tuple(axes))
         eps = float(header[-1])
         values = np.array([float(v) for v in lines[1:]]).reshape(spec.shape)
-        return cls(spec, values, eps)
+        dist = cls(spec, values, eps)
+        # Dumped values are normalised already, and dividing them by their
+        # mass once more would move their last bits: keep them as stored.
+        if math.isclose(float(values.sum()) * spec.cell_volume, 1.0,
+                        rel_tol=NORMALISED_REL_TOL):
+            values.setflags(write=False)
+            dist.values = values
+        return dist
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +190,6 @@ class MetricBinding:
     sigma: Callable[..., np.ndarray] | None = None
     tau: Callable[[np.ndarray], np.ndarray] | None = None
     phi: Callable[[np.ndarray], np.ndarray] | None = None
-    parameters: tuple[float, ...] = ()
 
 
 def build_nested_distribution(expr: TopologyExpr, binding: MetricBinding,
@@ -233,16 +243,6 @@ def build_nested_distribution(expr: TopologyExpr, binding: MetricBinding,
     return GridDistribution(grid, value, eps)
 
 
-def default_offset_window(inner_lo: float, inner_hi: float, eps: float,
-                          count: int = 64, name: str = "a") -> Axis:
-    """Offset axis covering the observed range of the inner functional.
-
-    The window is the inner value range padded by 3 eps; results depend on
-    this choice, which the caller may override.
-    """
-    return Axis(name, inner_lo - 3 * eps, inner_hi + 3 * eps, count)
-
-
 # ---------------------------------------------------------------------------
 # information functionals
 # ---------------------------------------------------------------------------
@@ -255,8 +255,6 @@ def _log_with_floor(values: np.ndarray) -> np.ndarray:
 def fisher_information(dist: GridDistribution, axis: int | str) -> float:
     """Quadrature of f * (d ln f / dx)^2 along the given axis; >= 0."""
     i = dist.grid.axis_index(axis)
-    if dist.grid.axes[i].count < 2:
-        raise InfoError("cannot differentiate along a single-sample axis")
     logf = _log_with_floor(dist.values)
     dlogf = np.gradient(logf, dist.grid.axes[i].spacing, axis=i)
     return float(np.sum(dist.values * dlogf * dlogf) * dist.grid.cell_volume)

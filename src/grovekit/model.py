@@ -31,16 +31,14 @@ DEFAULT_EXCLUSIONS: frozenset[str] = frozenset({
     "depth2-no-bare-phi-lift-with-double-ground",
 })
 
-KNOWN_EXCLUSIONS = DEFAULT_EXCLUSIONS
-
 
 @dataclass(frozen=True)
 class CostModel:
     """Costs and caps driving enumeration; all costs >= 1.
 
-    ``caps[d]`` has d + 2 entries ordered ground-to-head: the ground
-    (argument) budget first, then one entry per operator level from the
-    innermost up to ``sig``.
+    ``caps`` covers every depth of DEFAULT_CAPS.  ``caps[d]`` has d + 2
+    entries ordered ground-to-head: the ground (argument) budget first,
+    then one entry per operator level from the innermost up to ``sig``.
     """
 
     lift_cost: int = 1
@@ -56,12 +54,15 @@ class CostModel:
         for name in ("lift_cost", "extra_arg_cost", "insert_cost", "map_subst_cost"):
             if getattr(self, name) < 1:
                 raise GroveError(f"{name} must be >= 1")
+        missing = DEFAULT_CAPS.keys() - self.caps.keys()
+        if missing:
+            raise GroveError(f"caps missing for depths {sorted(missing)}")
         for depth, caps in self.caps.items():
             if len(caps) != depth + 2:
                 raise GroveError(
                     f"caps for depth {depth} must have {depth + 2} entries, "
                     f"got {len(caps)}")
-        unknown = self.exclusions - KNOWN_EXCLUSIONS
+        unknown = self.exclusions - DEFAULT_EXCLUSIONS
         if unknown:
             raise GroveError(f"unknown exclusion rules: {sorted(unknown)}")
 

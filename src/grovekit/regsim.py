@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import compress
 from typing import Callable, Sequence
 
@@ -41,23 +41,6 @@ class RegsimError(Exception):
     pass
 
 
-#: The 11 depth-1 topology forms double as selectable regulatory mode
-#: labels in scenario files; they carry no behavioral wiring.
-REGULATORY_MODES = (
-    "sig^(1) (tau, phi)(m1)",
-    "sig (tau, phi^(1))(m1)",
-    "sig (tau, phi)(m1^(1))",
-    "sig (tau, phi)(m1, m2)",
-    "sig^(1) tau(m1, m2)",
-    "sig tau(m1^(2))",
-    "sig tau^(1)(m1^(1))",
-    "sig^(1) tau(m1^(1))",
-    "sig tau(m1, m2^(1))",
-    "sig tau^(1)(m1, m2)",
-    "sig tau(m1, m2, m3)",
-)
-
-
 @dataclass(frozen=True)
 class GameConfig:
     n_agents: int = 8
@@ -69,7 +52,6 @@ class GameConfig:
     inspection_cost: float = 0.0
     exit_window: int = 25
     seed: int = 1
-    mode: str = REGULATORY_MODES[0]
 
     def __post_init__(self):
         if self.n_agents < 2:
@@ -80,8 +62,6 @@ class GameConfig:
             raise RegsimError("regrowth rate must lie in (0, 1)")
         if self.rounds < 0:
             raise RegsimError("round count must be nonnegative")
-        if self.mode not in REGULATORY_MODES:
-            raise RegsimError(f"unknown regulatory mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -212,6 +192,9 @@ class PolicySpec:
     penalty: float = 1.0
     target_fraction: float = 0.6
     feedback_gain: float = 0.05
+    #: the ``fixed`` family's constant law, built and validated once;
+    #: None for the other families
+    law: Law | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in POLICY_FAMILIES:
@@ -220,13 +203,13 @@ class PolicySpec:
             raise RegsimError("fixed family takes (cap, slack, q, beta)")
         if self.family == "slack1d" and len(self.theta) != 1:
             raise RegsimError("slack1d family takes a single slack lever")
+        object.__setattr__(self, "law", Law(*self.theta)
+                           if self.family == "fixed" else None)
 
     def law_for(self, config: GameConfig, resource: float,
                 active: int) -> Law | None:
-        if self.family == "none":
-            return None
-        if self.family == "fixed":
-            return Law(*self.theta)
+        if self.family != "slack1d":
+            return self.law
         slack = min(1.0, max(0.0, self.theta[0]))
         regrow = config.regrowth * resource * (1.0 - resource / config.capacity)
         correction = self.feedback_gain * (
@@ -410,11 +393,8 @@ class Trace:
     inspection_charge: float
     seed: int
 
-    def min_resource(self, upto: int | None = None) -> float:
-        rows = self.rows if upto is None else self.rows[:upto]
-        if not rows:
-            return math.inf
-        return min(r["resource"] for r in rows)
+    def min_resource(self) -> float:
+        return min((r["resource"] for r in self.rows), default=math.inf)
 
     def to_csv(self) -> str:
         """One line per round.  The agent columns cover every agent that
@@ -523,6 +503,11 @@ def mean_welfare(config: GameConfig, policy: PolicySpec,
 # ---------------------------------------------------------------------------
 
 DEFAULT_SEEDS = tuple(range(1, 11))
+#: the families `optimize_slack` can tune
+OPTIMIZABLE_FAMILIES = ("none", "slack1d")
+#: slack values of the coarse scan, evenly spaced over SLACK_BOUNDS
+COARSE_POINTS = 9
+SLACK_BOUNDS = (0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -535,25 +520,30 @@ class OptimizationResult:
 
 def optimize_slack(config: GameConfig, family: str = "slack1d",
                    seeds: Sequence[int] = DEFAULT_SEEDS,
-                   coarse: int = 9, bounds: tuple[float, float] = (0.0, 1.0),
                    order: int = 0) -> OptimizationResult:
     """Pick the slack lever maximizing mean welfare over the seed set.
 
     A coarse bracket scan seeds a damped-descent refinement of the
-    negative welfare; the better of the two candidates wins.  A
-    degenerate family with no levers is returned as-is.
+    negative welfare; the better of the two candidates wins.  The ``none``
+    family has no levers and is returned as-is; a family outside
+    OPTIMIZABLE_FAMILIES raises RegsimError before any episode runs.
     """
+    if family not in OPTIMIZABLE_FAMILIES:
+        raise RegsimError(
+            f"optimize tunes the {' or '.join(OPTIMIZABLE_FAMILIES)} family, "
+            f"not {family!r}")
     if family == "none":
         return OptimizationResult(NO_LAW,
                                   mean_welfare(config, NO_LAW, seeds, order),
                                   0.0, ())
+    lo, hi = SLACK_BOUNDS
 
     def welfare_of(s: float) -> float:
-        s = min(bounds[1], max(bounds[0], float(s)))
+        s = min(hi, max(lo, float(s)))
         return mean_welfare(config, PolicySpec(family, (s,)), seeds, order)
 
-    lo, hi = bounds
-    grid = [lo + (hi - lo) * k / (coarse - 1) for k in range(coarse)]
+    grid = [lo + (hi - lo) * k / (COARSE_POINTS - 1)
+            for k in range(COARSE_POINTS)]
     scan = [(s, welfare_of(s)) for s in grid]
     best_s, best_w = max(scan, key=lambda p: p[1])
 
@@ -567,7 +557,7 @@ def optimize_slack(config: GameConfig, family: str = "slack1d",
     except CriticalityError as exc:
         s_ref = float(exc.best_theta[0])
         residual = exc.residual
-    s_ref = min(bounds[1], max(bounds[0], s_ref))
+    s_ref = min(hi, max(lo, s_ref))
     w_ref = welfare_of(s_ref)
     if w_ref > best_w:
         best_s, best_w = s_ref, w_ref
@@ -579,11 +569,9 @@ def optimize_slack(config: GameConfig, family: str = "slack1d",
 # scenario files
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "n_agents": int, "capacity": float, "regrowth": float, "rounds": int,
-    "outside_option": float, "retention_weight": float,
-    "inspection_cost": float, "exit_window": int, "seed": int, "mode": str,
-}
+#: scenario keys of the GameConfig fields, in declaration order, with the
+#: type that parses each value
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(GameConfig)}
 
 
 def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
@@ -593,7 +581,7 @@ def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
     Policy keys: ``policy.family`` and ``policy.theta`` (comma separated).
     Agent order: ``agents.order``.  Events: ``event.<n> = round,kind,value``.
     """
-    fields = {}
+    settings = {}
     policy_family = "none"
     policy_theta: tuple[float, ...] = ()
     order = 0
@@ -607,7 +595,7 @@ def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key in _CONFIG_FIELDS:
-            fields[key] = _CONFIG_FIELDS[key](value)
+            settings[key] = _CONFIG_FIELDS[key](value)
         elif key == "policy.family":
             policy_family = value
         elif key == "policy.theta":
@@ -619,7 +607,7 @@ def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
             events.append(Excession(int(rnd), kind, float(val)))
         else:
             raise RegsimError(f"scenario line {lineno}: unknown key {key!r}")
-    config = GameConfig(**fields)
+    config = GameConfig(**settings)
     policy = PolicySpec(policy_family, policy_theta)
     return config, policy, order, events
 

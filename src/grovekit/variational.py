@@ -182,15 +182,9 @@ def christoffel(g: MetricField, p, h: float = 1e-5) -> np.ndarray:
         dn[l] -= h
         dg[l] = (g(up) - g(dn)) / (2.0 * h)
     ginv = np.linalg.inv(g(p))
-    gamma = np.empty((d, d, d))
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
-                s = 0.0
-                for l in range(d):
-                    s += ginv[k, l] * (dg[i][l, j] + dg[j][l, i] - dg[l][i, j])
-                gamma[k, i, j] = 0.5 * s
-    return gamma
+    # br[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
+    br = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return 0.5 * np.einsum("kl,lij->kij", ginv, br)
 
 
 @dataclass(frozen=True)
@@ -238,7 +232,7 @@ class GeodesicPath:
 
 
 def integrate_geodesic(g: MetricField, start, velocity, steps: int,
-                       h: float, diff_h: float = 1e-5) -> GeodesicPath:
+                       h: float) -> GeodesicPath:
     """Integrate x'' = -Gamma(x)(v, v) with classical RK4.
 
     A metric failure mid-path raises VariationalError with the partial
@@ -251,7 +245,7 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
     points, velocities = [x.copy()], [v.copy()]
 
     def accel(xx, vv):
-        gamma = christoffel(g, xx, diff_h)
+        gamma = christoffel(g, xx)
         return -np.einsum("kij,i,j->k", gamma, vv, vv)
 
     for n in range(steps):
@@ -333,17 +327,12 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n; (r, s) with s r s = r^-1."""
-    size = 2 * n
-
-    def compose(a, b):
-        ra, fa = a % n, a // n
-        rb, fb = b % n, b // n
-        if fa == 0:
-            return ((ra + rb) % n) + n * fb
-        return ((ra - rb) % n) + n * (1 - fb)
-
-    table = np.array([[compose(a, b) for b in range(size)]
-                      for a in range(size)])
+    idx = np.arange(2 * n)
+    # element r^i is index i and s r^i is index n + i
+    ra, fa = idx[:, None] % n, idx[:, None] // n
+    rb, fb = idx[None, :] % n, idx[None, :] // n
+    table = np.where(fa == 0, (ra + rb) % n + n * fb,
+                     (ra - rb) % n + n * (1 - fb))
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"sr{i}" for i in range(n))
     return FiniteGroup(labels, table, (1 % n, n))
 
@@ -354,18 +343,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         raise VariationalError(
             f"product order {na * nb} exceeds {MAX_GROUP_ORDER}")
 
-    def idx(i, j):
-        return i * nb + j
-
-    table = np.empty((na * nb, na * nb), dtype=int)
-    for i in range(na):
-        for j in range(nb):
-            for k in range(na):
-                for l in range(nb):
-                    table[idx(i, j), idx(k, l)] = idx(a.mul(i, k), b.mul(j, l))
+    # (i, j) is index i * nb + j, and (i, j)(k, l) = (ik, jl)
+    table = (a.table[:, None, :, None] * nb
+             + b.table[None, :, None, :]).reshape(na * nb, na * nb)
     labels = tuple(f"{la}.{lb}" for la in a.labels for lb in b.labels)
-    gens = tuple(idx(x, 0) for x in a.generators) + \
-        tuple(idx(0, y) for y in b.generators)
+    gens = tuple(x * nb for x in a.generators) + b.generators
     return FiniteGroup(labels, table, gens)
 
 
@@ -412,8 +394,14 @@ def word_distance_cost(group: FiniteGroup) -> PolicyCostFunction:
         group, lambda a, b: float(dist[group.mul(group.inverse(a), b)]))
 
 
+#: offset samples of the quadrature in `policy_information`
+POLICY_INFO_SAMPLES = 512
+#: spectrum floor that keeps `lever_metric` positive-definite
+LEVER_EIGEN_FLOOR = 1e-6
+
+
 def policy_information(pcf: PolicyCostFunction, eps: float,
-                       normalized: bool = True, samples: int = 512) -> float:
+                       normalized: bool = True) -> float:
     """Information of the policy density f(g, a) = smoothed delta of P(g) - a.
 
     The score combines the offset derivative with symmetric log-differences
@@ -428,8 +416,8 @@ def policy_information(pcf: PolicyCostFunction, eps: float,
     prof = pcf.profile()
     lo = float(prof.min()) - 6.0 * eps
     hi = float(prof.max()) + 6.0 * eps
-    da = (hi - lo) / samples
-    alpha = lo + (np.arange(samples) + 0.5) * da
+    da = (hi - lo) / POLICY_INFO_SAMPLES
+    alpha = lo + (np.arange(POLICY_INFO_SAMPLES) + 0.5) * da
 
     f = smoothed_delta(prof[:, None], alpha[None, :], eps)  # (|G|, samples)
     floor = 1e-300
@@ -446,12 +434,12 @@ def policy_information(pcf: PolicyCostFunction, eps: float,
     return total / group.order if normalized else total
 
 
-def lever_metric(pcf: PolicyCostFunction, floor: float = 1e-6) -> MetricField:
+def lever_metric(pcf: PolicyCostFunction) -> MetricField:
     """Constant metric from second cost differences on length-2 words.
 
     h_ij = P(x_i x_j) - P(x_i) - P(x_j) + P(e) over the generator levers,
-    symmetrized; the spectrum is floored at ``floor`` to keep the field
-    positive-definite.
+    symmetrized; the spectrum is floored at LEVER_EIGEN_FLOOR to keep the
+    field positive-definite.
     """
     group = pcf.group
     gens = group.generators
@@ -466,7 +454,7 @@ def lever_metric(pcf: PolicyCostFunction, floor: float = 1e-6) -> MetricField:
             h[i, j] = float(pcf.cost(0, group.mul(xi, xj))) - p1[i] - p1[j] + pe
     sym = 0.5 * (h + h.T)
     vals, vecs = np.linalg.eigh(sym)
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, LEVER_EIGEN_FLOOR)
     return constant_metric(vecs @ np.diag(vals) @ vecs.T)
 
 

@@ -141,3 +141,27 @@ def test_directory_config_is_usage_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith("grovekit: ")
     assert err.count("\n") == 1
+
+
+def test_optimize_rejects_fixed_family(capsys, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["optimize", "--family", "fixed"])
+    assert err.value.code == EXIT_USAGE
+    capsys.readouterr()
+    scenario = tmp_path / "fixed.txt"
+    scenario.write_text("rounds = 50\npolicy.family = fixed\n"
+                        "policy.theta = 1.0,0.1,0.9,1.0\n")
+    code, out, err = run(capsys, "optimize", "--config", str(scenario))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "not 'fixed'" in err
+
+
+def test_simulate_rejects_invalid_fixed_law(capsys, tmp_path):
+    scenario = tmp_path / "bad-law.txt"
+    scenario.write_text("policy.family = fixed\npolicy.theta = -1,0,1,1\n")
+    code, out, err = run(capsys, "simulate", "--rounds", "0",
+                         "--config", str(scenario))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "grovekit: permit cap must be nonnegative\n"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from grovekit.enumeration import (
     ENTRY27_MODEL,
@@ -15,7 +16,13 @@ from grovekit.enumeration import (
     verify_against_table,
 )
 from grovekit.expr import GroveError, parse, render
-from grovekit.model import CostModel, model_from_config, model_to_config, rank
+from grovekit.model import (
+    DEFAULT_EXCLUSIONS,
+    CostModel,
+    model_from_config,
+    model_to_config,
+    rank,
+)
 
 
 def test_counts_by_rank():
@@ -120,6 +127,31 @@ def test_model_config_round_trip():
     text = model_to_config(model)
     restored = model_from_config_text(text)
     assert restored == model
+
+
+_models = st.builds(
+    CostModel,
+    lift_cost=st.integers(1, 5), extra_arg_cost=st.integers(1, 5),
+    insert_cost=st.integers(1, 5), map_subst_cost=st.integers(1, 5),
+    caps=st.fixed_dictionaries({d: st.tuples(*[st.integers(0, 9)] * (d + 2))
+                                for d in range(3)}),
+    exclusions=st.frozensets(st.sampled_from(sorted(DEFAULT_EXCLUSIONS))),
+    table2_entry27_as_printed=st.booleans())
+
+
+@given(_models)
+def test_model_config_round_trip_property(model):
+    text = model_to_config(model)
+    restored = model_from_config_text(text)
+    assert restored == model
+    assert model_to_config(restored) == text
+
+
+def test_cost_model_caps_cover_every_depth():
+    with pytest.raises(GroveError, match="caps missing for depths"):
+        CostModel(caps={1: (2, 1, 1)})
+    with pytest.raises(GroveError, match=r"\[0, 2\]"):
+        CostModel(caps={1: (2, 1, 1), 3: (1, 1, 1, 1, 1)})
 
 
 def model_from_config_text(text: str) -> CostModel:

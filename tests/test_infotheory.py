@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grovekit.expr import parse
 from grovekit.infotheory import (
@@ -62,6 +64,42 @@ def test_serialization_round_trip():
     assert np.array_equal(restored.values, d.values)
     assert restored.eps == d.eps
     assert restored.grid == d.grid
+
+
+_axes = st.lists(st.tuples(
+    st.floats(-1e6, 1e6), st.floats(1e-3, 1e6), st.integers(8, 24)),
+    min_size=1, max_size=2)
+
+
+@given(_axes.flatmap(lambda axes: st.tuples(
+    st.just(axes),
+    arrays(float, tuple(c for _, _, c in axes),
+           elements=st.floats(0.0, 1e6)),
+    st.floats(1e-6, 1e3))))
+def test_distribution_round_trip_property(data):
+    axes, values, eps = data
+    spec = GridSpec(tuple(Axis(f"x{i}", lo, lo + width, count)
+                          for i, (lo, width, count) in enumerate(axes)))
+    values[(0,) * values.ndim] += 1.0  # some mass
+    dist = GridDistribution(spec, values, eps)
+    text = dist.dumps()
+    restored = GridDistribution.loads(text)
+    assert np.array_equal(restored.values, dist.values)
+    assert restored.grid == dist.grid and restored.eps == dist.eps
+    assert restored.dumps() == text
+    assert not restored.values.flags.writeable
+
+
+def test_distribution_loads_keeps_checks():
+    text = GridDistribution(grid(("x", 0.0, 1.0, 8)), np.ones(8), 0.1).dumps()
+    head, *cells = text.splitlines()
+    with pytest.raises(InfoError):
+        GridDistribution.loads("\n".join([head, "-1.0"] + cells[1:]))
+    with pytest.raises(InfoError):
+        GridDistribution.loads("\n".join([head] + ["0.0"] * 8))
+    # unnormalised text is normalised on load
+    doubled = GridDistribution.loads("\n".join([head] + ["2.0"] * 8))
+    assert doubled.mass == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])

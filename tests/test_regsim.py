@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from grovekit.regsim import (
     EVENT_KINDS,
     NO_LAW,
-    REGULATORY_MODES,
     AgentModel,
     Excession,
     GameConfig,
@@ -36,9 +35,6 @@ def test_config_validation():
         GameConfig(regrowth=1.5)
     with pytest.raises(RegsimError):
         GameConfig(capacity=0.0)
-    with pytest.raises(RegsimError):
-        GameConfig(mode="not a mode")
-    assert len(REGULATORY_MODES) == 11
 
 
 def test_law_validation():
@@ -48,6 +44,24 @@ def test_law_validation():
         Law(1.0, slack=2.0)
     with pytest.raises(RegsimError):
         Law(1.0, enforcement=1.5)
+
+
+@pytest.mark.parametrize("theta", [(-1.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, 1.0),
+                                   (1.0, 0.0, 1.5, 1.0), (1.0, 0.0, 1.0, -1.0)])
+def test_fixed_policy_rejects_invalid_law(theta):
+    # the fixed family's law is validated once, when the policy is made
+    with pytest.raises(RegsimError):
+        PolicySpec("fixed", theta)
+    text = "policy.family = fixed\npolicy.theta = " + ",".join(map(repr, theta))
+    with pytest.raises(RegsimError):
+        load_scenario(text + "\n")
+
+
+def test_fixed_policy_builds_its_law_once():
+    policy = PolicySpec("fixed", (0.5, 0.1, 0.8, 2.0))
+    assert policy.law == Law(0.5, 0.1, 0.8, 2.0)
+    assert policy.law_for(GameConfig(), 40.0, 3) is policy.law
+    assert PolicySpec("fixed", (0.5, 0.1, 0.8, 2.0)) == policy
 
 
 def test_zero_greed_extracts_nothing():
@@ -229,6 +243,14 @@ def test_optimize_degenerate_family():
     assert result.policy == NO_LAW
 
 
+def test_optimize_rejects_fixed_family_before_any_episode(monkeypatch):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran")
+    monkeypatch.setattr("grovekit.regsim.run_episode", no_episodes)
+    with pytest.raises(RegsimError, match="not 'fixed'"):
+        optimize_slack(GameConfig(rounds=50), family="fixed", seeds=(1,))
+
+
 def test_interior_enforcement_with_inspection_cost():
     cfg = GameConfig(inspection_cost=0.1)
     agents = lambda c: [AgentModel(order=0, desire_mean=1.0, desire_sd=0.3)
@@ -259,8 +281,9 @@ def test_scenario_round_trip():
 
 
 def test_scenario_rejects_unknown_keys():
-    with pytest.raises(RegsimError):
-        load_scenario("nonsense = 1\n")
+    for line in ("nonsense = 1", "mode = sig tau(m1, m2, m3)"):
+        with pytest.raises(RegsimError, match="unknown key"):
+            load_scenario(line + "\n")
 
 
 def test_trace_csv_shape():
@@ -315,12 +338,13 @@ _configs = st.builds(
     inspection_cost=_finite,
     exit_window=st.integers(1, 1000),
     seed=st.integers(0, 2**63),
-    mode=st.sampled_from(REGULATORY_MODES),
 )
 
 _policies = st.one_of(
     st.just(NO_LAW),
-    st.builds(PolicySpec, st.just("fixed"), st.tuples(*[_finite] * 4)),
+    st.builds(PolicySpec, st.just("fixed"), st.tuples(
+        st.floats(0.0, allow_infinity=False), st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0), st.floats(0.0, allow_infinity=False))),
     st.builds(PolicySpec, st.just("slack1d"), st.tuples(_finite)),
 )
 

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grovekit.variational import (
     CriticalityError,
     FiniteGroup,
     Functional,
     GeodesicPath,
+    MetricField,
     PolicyCostFunction,
     VariationalError,
     christoffel,
@@ -192,6 +195,80 @@ def test_geodesic_csv_round_trip():
     assert np.array_equal(restored.points, path.points)
     assert np.array_equal(restored.velocities, path.velocities)
     assert restored.h == path.h
+
+
+_coords = st.floats(allow_nan=False, width=64)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    arrays(float, st.tuples(st.integers(1, 30), st.just(2 * d)),
+           elements=_coords),
+    _coords)))
+def test_geodesic_csv_round_trip_property(data):
+    rows, h = data
+    d = rows.shape[1] // 2
+    path = GeodesicPath(rows[:, :d], rows[:, d:], h)
+    restored = GeodesicPath.from_csv(path.to_csv())
+    assert np.array_equal(restored.points, path.points)
+    assert np.array_equal(restored.velocities, path.velocities)
+    assert restored.h == path.h
+
+
+def _christoffel_loop(g, p, h=1e-5):
+    """Per-element reference for `christoffel`."""
+    p = np.asarray(p, dtype=float)
+    d = g.dimension
+    dg = np.empty((d, d, d))
+    for l in range(d):
+        up, dn = p.copy(), p.copy()
+        up[l] += h
+        dn[l] -= h
+        dg[l] = (g(up) - g(dn)) / (2.0 * h)
+    ginv = np.linalg.inv(g(p))
+    gamma = np.empty((d, d, d))
+    for k in range(d):
+        for i in range(d):
+            for j in range(d):
+                s = 0.0
+                for l in range(d):
+                    s += ginv[k, l] * (dg[i][l, j] + dg[j][l, i] - dg[l][i, j])
+                gamma[k, i, j] = 0.5 * s
+    return gamma
+
+
+def test_christoffel_matches_loop_reference():
+    def warped(p):
+        return np.array(
+            [[2 + math.sin(p[0]), 0.3 * p[1], 0.1 * p[2] ** 2],
+             [0.3 * p[1], 3 + p[0] ** 2, 0.2 * math.cos(p[2])],
+             [0.1 * p[2] ** 2, 0.2 * math.cos(p[2]), 4 + p[1] ** 2]])
+    rng = np.random.default_rng(5)
+    for metric, points in (
+            (sphere_metric(), rng.uniform([0.2, -3.0], [2.9, 3.0], (200, 2))),
+            (MetricField(3, warped), rng.uniform(-1.0, 1.0, (100, 3)))):
+        for p in points:
+            assert np.array_equal(christoffel(metric, p),
+                                  _christoffel_loop(metric, p))
+
+
+def test_group_tables_match_loop_reference():
+    for n in range(1, 33):
+        size = 2 * n
+        table = [[(a % n + b % n) % n + n * (b // n) if a < n
+                  else (a % n - b % n) % n + n * (1 - b // n)
+                  for b in range(size)] for a in range(size)]
+        assert np.array_equal(dihedral_group(n).table, table)
+    for a, b in ((dihedral_group(4), cyclic_group(8)),
+                 (cyclic_group(3), dihedral_group(3)),
+                 (cyclic_group(1), cyclic_group(5))):
+        nb = b.order
+        table = [[a.mul(i, k) * nb + b.mul(j, l)
+                  for k in range(a.order) for l in range(nb)]
+                 for i in range(a.order) for j in range(nb)]
+        product = direct_product(a, b)
+        assert np.array_equal(product.table, table)
+        assert product.generators == (
+            tuple(x * nb for x in a.generators) + b.generators)
 
 
 def test_group_constructors():
