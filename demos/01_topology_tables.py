@@ -27,8 +27,8 @@ for r in (1, 2, 3):
     print(f"rank {r}: {count_by_rank(r)} prime forms")
 
 print("\n== the three rank-1 forms ==")
-for expr in enumerate_topologies(0, PartitionSpec((1,)), model):
-    print(" ", render(expr))
+for form in sorted(map(render, enumerate_topologies(0, model))):
+    print(" ", form)
 
 print("\n== verification against the shipped tables ==")
 for table in (0, 1, 2):

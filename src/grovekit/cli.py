@@ -132,13 +132,11 @@ def cmd_enumerate(args) -> int:
     if args.partition:
         parts = PartitionSpec(tuple(int(p) for p in args.partition.split(",")))
         groves = enumerate_groves(parts, model, pruned=not args.unpruned)
-        lines = [g.render() for g in groves]
+        lines = sorted(g.render() for g in groves)
         report.add("partition", args.partition)
         report.add("pruned", not args.unpruned)
     else:
-        exprs = enumerate_topologies(
-            args.depth, PartitionSpec((args.depth + 1,)), model)
-        lines = [render(e) for e in exprs]
+        lines = sorted(map(render, enumerate_topologies(args.depth, model)))
     report.add("count", len(lines))
     for name, digest in table_digests():
         report.add(f"digest.{name}", digest)
@@ -166,8 +164,8 @@ def cmd_verify(args) -> int:
     report.add("acceptable", result.acceptable)
     for name, digest in table_digests():
         report.add(f"digest.{name}", digest)
-    diff_lines = [f"missing: {m}" for m in sorted(result.missing)]
-    diff_lines += [f"extra: {e}" for e in sorted(result.extra)]
+    diff_lines = [f"missing: {m}" for m in sorted(map(render, result.missing))]
+    diff_lines += [f"extra: {e}" for e in sorted(map(render, result.extra))]
     _emit(report, args.out, "verify-report",
           {"verify-diff.txt": "\n".join(diff_lines) + ("\n" if diff_lines else "")})
     for line in diff_lines:
@@ -383,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "geodesics, and the regulated commons game.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, file_flag=None):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, metavar="DIR")
-        p.add_argument("--model", default=None, metavar="FILE")
-        p.add_argument("--config", default=None, metavar="FILE")
+        if file_flag:
+            p.add_argument(file_flag, default=None, metavar="FILE")
 
     p = sub.add_parser("enumerate", help="list canonical topology expressions")
-    common(p)
+    common(p, "--model")
     p.add_argument("--depth", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--partition", default=None,
                    help="comma separated integer partition for groves")
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="diff enumeration against shipped tables")
-    common(p)
+    common(p, "--model")
     p.add_argument("--table", type=int, required=True, choices=(0, 1, 2))
     p.add_argument("--entry27-as-printed", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -409,24 +407,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_situations)
 
     p = sub.add_parser("info", help="Fisher information of a location family")
-    common(p)
+    common(p, "--config")
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("critical", help="solve for a vanishing first variation")
-    common(p)
+    common(p, "--config")
     p.set_defaults(func=cmd_critical)
 
     p = sub.add_parser("geodesic", help="integrate a lever-space geodesic")
-    common(p)
+    common(p, "--config")
     p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("simulate", help="run one commons episode")
-    common(p)
+    common(p, "--config")
     p.add_argument("--rounds", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="optimize the permit slack lever")
-    common(p)
+    common(p, "--config")
     p.add_argument("--family", default=None,
                    choices=regsim.OPTIMIZABLE_FAMILIES)
     p.set_defaults(func=cmd_optimize)

@@ -26,7 +26,7 @@ from .expr import (
     op,
     parse,
 )
-from .model import CostModel, rank
+from .model import EXCLUSION_RULES, CostModel, rank
 
 MAX_DEPTH = 2
 
@@ -58,22 +58,8 @@ class PartitionSpec:
 
 def partitions_of(n: int) -> list[PartitionSpec]:
     """All partitions of n in non-increasing order, largest-first."""
-    out: list[tuple[int, ...]] = []
+    return [PartitionSpec(p) for p in _int_partitions(n, n)]
 
-    def rec(remaining: int, cap: int, acc: tuple[int, ...]):
-        if remaining == 0:
-            out.append(acc)
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            rec(remaining - p, p, acc + (p,))
-
-    rec(n, n, ())
-    return [PartitionSpec(p) for p in out]
-
-
-# ---------------------------------------------------------------------------
-# decoration plans for a single chain
-# ---------------------------------------------------------------------------
 
 def _int_partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     """Partitions of n into at most max_parts positive parts, non-increasing."""
@@ -95,6 +81,10 @@ def _int_partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
     yield from rec(n, n, max_parts, ())
 
 
+# ---------------------------------------------------------------------------
+# decoration plans for a single chain
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class _Plan:
     """One way to spend the budget; charges are per-level weight totals."""
@@ -111,25 +101,26 @@ class _Plan:
     map_subst: bool = False
 
     def charges(self, m: CostModel) -> dict[str, int]:
-        ground = (
+        """Weight per level, ground-to-head like ``m.caps[self.depth]``."""
+        out = {"ground": (
             m.extra_arg_cost * max(0, len(self.arg_lifts) - 1)
             + m.lift_cost * sum(self.arg_lifts)
             + (m.map_subst_cost if self.map_subst else 0)
             + m.lift_cost * self.tau_phi_lift
-        )
-        sigma = m.lift_cost * self.sigma_lift
-        tau = (
-            m.lift_cost * self.tau_lift
-            + m.insert_cost * self.tau_inserted
-            + (m.insert_cost if self.tau_phi_insert else 0)
-        )
-        phi = 0
+        )}
         if self.depth >= 2:
-            phi = m.lift_cost * self.phi_base_lift
+            out["phi"] = m.lift_cost * self.phi_base_lift
             if self.phi_inserted_lifts is not None:
-                phi += m.insert_cost * len(self.phi_inserted_lifts)
-                phi += m.lift_cost * sum(self.phi_inserted_lifts)
-        return {"sigma": sigma, "tau": tau, "phi": phi, "ground": ground}
+                out["phi"] += m.insert_cost * len(self.phi_inserted_lifts)
+                out["phi"] += m.lift_cost * sum(self.phi_inserted_lifts)
+        if self.depth >= 1:
+            out["tau"] = (
+                m.lift_cost * self.tau_lift
+                + m.insert_cost * self.tau_inserted
+                + (m.insert_cost if self.tau_phi_insert else 0)
+            )
+        out["sigma"] = m.lift_cost * self.sigma_lift
+        return out
 
     def cost(self, m: CostModel) -> int:
         return sum(self.charges(m).values())
@@ -155,37 +146,9 @@ class _Plan:
         return canonicalize(TopologyExpr(tuple(levels), args))
 
 
-def _excluded(plan: _Plan, model: CostModel) -> bool:
-    rules = model.exclusions
-    ch = plan.charges(model)
-    if "no-arg-lift-at-depth-0" in rules:
-        if plan.depth == 0 and any(plan.arg_lifts):
-            return True
-    if "map-subst-only-at-depth-0" in rules:
-        if plan.depth > 0 and plan.map_subst:
-            return True
-    if "no-joint-sigma-tau-lift-at-depth-1" in rules:
-        if plan.depth == 1 and plan.sigma_lift > 0 and plan.tau_lift > 0:
-            return True
-    if "depth2-no-tau-phi-ground-mix" in rules:
-        if (plan.depth == 2 and ch["sigma"] == 0 and ch["tau"] > 0
-                and ch["phi"] > 0 and ch["ground"] > 0):
-            return True
-    if "depth2-no-double-phi-insert-with-ground" in rules:
-        if (plan.depth == 2 and plan.phi_inserted_lifts is not None
-                and len(plan.phi_inserted_lifts) >= 2 and ch["ground"] > 0):
-            return True
-    if "depth2-no-bare-phi-lift-with-double-ground" in rules:
-        if (plan.depth == 2 and ch["sigma"] == 0 and ch["tau"] == 0
-                and plan.phi_base_lift >= 1 and plan.phi_inserted_lifts is None
-                and ch["ground"] >= 2):
-            return True
-    return False
-
-
 def _ground_variants(budget: int, model: CostModel) -> Iterator[dict]:
     """Ways to spend exactly ``budget`` on the argument tuple."""
-    if budget % model.map_subst_cost == 0 and budget // model.map_subst_cost == 1:
+    if budget == model.map_subst_cost:
         yield {"map_subst": True, "arg_lifts": ()}
     for extra in range(0, budget // model.extra_arg_cost + 1):
         left = budget - extra * model.extra_arg_cost
@@ -197,8 +160,10 @@ def _ground_variants(budget: int, model: CostModel) -> Iterator[dict]:
             yield {"map_subst": False, "arg_lifts": padded}
 
 
-def _plans(depth: int, budget: int, model: CostModel) -> Iterator[_Plan]:
+def _plans(depth: int, model: CostModel) -> Iterator[_Plan]:
+    """Every way to spend the rank budget depth + 1 on a chain of ``depth``."""
     m = model
+    budget = depth + 1
     for sigma_lift in range(0, budget // m.lift_cost + 1):
         tau_variants: list[dict] = [{}]
         if depth == 1:
@@ -241,51 +206,29 @@ def _plans(depth: int, budget: int, model: CostModel) -> Iterator[_Plan]:
                                 **tv, **pv, **gv)
 
 
-def _caps_ok(plan: _Plan, model: CostModel) -> bool:
-    ch = plan.charges(model)
-    depth = plan.depth
-    if ch["ground"] > model.cap_ground(depth):
-        return False
-    if ch["sigma"] > model.cap_level(depth, 0):
-        return False
-    if depth >= 1 and ch["tau"] > model.cap_level(depth, 1):
-        return False
-    if depth >= 2 and ch["phi"] > model.cap_level(depth, 2):
-        return False
-    return True
-
-
 def enumerate_topologies(
     depth: int,
-    partition: PartitionSpec | tuple[int, ...],
     model: CostModel | None = None,
 ) -> frozenset[TopologyExpr]:
-    """All allowed decorated chains for a single-part partition.
+    """All allowed decorated chains of the given depth.
 
-    The rank budget equals the part; per-level caps and the model's
-    exclusion rules prune the candidates, and results are deduplicated by
-    canonical form.  Multi-part partitions describe groves; see
-    :func:`enumerate_groves`.
+    The rank budget is depth + 1; a plan is kept when each level's charge
+    is within ``model.caps[depth]`` and no enabled exclusion rule matches
+    it.  Results are deduplicated by canonical form.  Multi-part
+    partitions describe groves; see :func:`enumerate_groves`.
     """
     model = model or CostModel()
-    if isinstance(partition, tuple):
-        partition = PartitionSpec(partition)
     if depth not in range(MAX_DEPTH + 1):
         raise GroveError(f"unsupported depth {depth}; shipped build caps at {MAX_DEPTH}")
-    if len(partition.parts) != 1:
-        raise GroveError(
-            "enumerate_topologies handles single-part partitions; "
-            "use enumerate_groves for multi-part partitions")
-    if partition.parts[0] != depth + 1:
-        raise GroveError(
-            f"partition {partition.parts} inconsistent with depth {depth}: "
-            f"largest part must be depth + 1")
-    budget = partition.parts[0]
+    caps = model.caps[depth]
+    rules = [rule for name, rule in EXCLUSION_RULES.items()
+             if name in model.exclusions]
     produced = set()
-    for plan in _plans(depth, budget, model):
-        if not _caps_ok(plan, model):
+    for plan in _plans(depth, model):
+        ch = plan.charges(model)
+        if any(c > cap for c, cap in zip(ch.values(), caps)):
             continue
-        if _excluded(plan, model):
+        if any(rule(plan, ch) for rule in rules):
             continue
         produced.add(plan.build())
     if model.table2_entry27_as_printed and depth == 2:
@@ -316,15 +259,15 @@ def enumerate_groves(
     parts = partition.parts
     if len(parts) == 1:
         return frozenset(
-            Grove((t,)) for t in enumerate_topologies(parts[0] - 1, partition, model))
+            Grove((t,)) for t in enumerate_topologies(parts[0] - 1, model))
     if pruned:
         if all(p == 1 for p in parts):
             return frozenset({Grove(tuple(base_chain(0) for _ in parts))})
-        head_set = enumerate_topologies(parts[0] - 1, PartitionSpec((parts[0],)), model)
+        head_set = enumerate_topologies(parts[0] - 1, model)
         rest = tuple(base_chain(p - 1) for p in parts[1:])
         return frozenset(Grove((t,) + rest) for t in head_set)
     pools = [
-        sorted(enumerate_topologies(p - 1, PartitionSpec((p,)), model),
+        sorted(enumerate_topologies(p - 1, model),
                key=lambda e: e.render())
         for p in parts
     ]
@@ -338,7 +281,7 @@ def count_by_rank(r: int, model: CostModel | None = None) -> int:
     """Number of allowed topologies whose rank is r (r in 1..3)."""
     if r not in (1, 2, 3):
         raise GroveError(f"rank must be 1, 2 or 3, got {r}")
-    return len(enumerate_topologies(r - 1, PartitionSpec((r,)), model))
+    return len(enumerate_topologies(r - 1, model))
 
 
 def total_multiplicity(
@@ -415,7 +358,7 @@ class EnumerationReport:
 
 def verify_against_table(table: int, model: CostModel | None = None) -> EnumerationReport:
     expected = load_table(table)
-    produced = enumerate_topologies(table, PartitionSpec((table + 1,)), model)
+    produced = enumerate_topologies(table, model)
     return EnumerationReport(table, produced, expected)
 
 

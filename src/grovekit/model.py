@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 from .expr import ARG_MAP, GroveError, TopologyExpr
 
@@ -20,16 +21,36 @@ DEFAULT_CAPS: dict[int, tuple[int, ...]] = {
     2: (3, 2, 1, 1),
 }
 
-#: Exclusion rules enabled in the shipped model.  Each is a fit to the
-#: reference tables, not a derived principle.
-DEFAULT_EXCLUSIONS: frozenset[str] = frozenset({
-    "no-arg-lift-at-depth-0",
-    "map-subst-only-at-depth-0",
-    "no-joint-sigma-tau-lift-at-depth-1",
-    "depth2-no-tau-phi-ground-mix",
-    "depth2-no-double-phi-insert-with-ground",
-    "depth2-no-bare-phi-lift-with-double-ground",
-})
+#: Named exclusion rules.  Each predicate takes an enumeration plan and its
+#: per-level charges (keys ``ground``, ``phi``, ``tau`` and ``sigma``, the
+#: levels the plan's depth has) and is true when the plan is dropped.  Each
+#: is a fit to the reference tables, not a derived principle.
+EXCLUSION_RULES: dict[str, Callable[[object, dict[str, int]], bool]] = {
+    "no-arg-lift-at-depth-0":
+        lambda plan, ch: plan.depth == 0 and any(plan.arg_lifts),
+    "map-subst-only-at-depth-0":
+        lambda plan, ch: plan.depth > 0 and plan.map_subst,
+    "no-joint-sigma-tau-lift-at-depth-1":
+        lambda plan, ch: (plan.depth == 1 and plan.sigma_lift > 0
+                          and plan.tau_lift > 0),
+    "depth2-no-tau-phi-ground-mix":
+        lambda plan, ch: (plan.depth == 2 and ch["sigma"] == 0
+                          and ch["tau"] > 0 and ch["phi"] > 0
+                          and ch["ground"] > 0),
+    "depth2-no-double-phi-insert-with-ground":
+        lambda plan, ch: (plan.depth == 2
+                          and plan.phi_inserted_lifts is not None
+                          and len(plan.phi_inserted_lifts) >= 2
+                          and ch["ground"] > 0),
+    "depth2-no-bare-phi-lift-with-double-ground":
+        lambda plan, ch: (plan.depth == 2 and ch["sigma"] == 0
+                          and ch["tau"] == 0 and plan.phi_base_lift >= 1
+                          and plan.phi_inserted_lifts is None
+                          and ch["ground"] >= 2),
+}
+
+#: The shipped model enables every rule.
+DEFAULT_EXCLUSIONS: frozenset[str] = frozenset(EXCLUSION_RULES)
 
 
 @dataclass(frozen=True)
@@ -62,16 +83,9 @@ class CostModel:
                 raise GroveError(
                     f"caps for depth {depth} must have {depth + 2} entries, "
                     f"got {len(caps)}")
-        unknown = self.exclusions - DEFAULT_EXCLUSIONS
+        unknown = self.exclusions - EXCLUSION_RULES.keys()
         if unknown:
             raise GroveError(f"unknown exclusion rules: {sorted(unknown)}")
-
-    def cap_ground(self, depth: int) -> int:
-        return self.caps[depth][0]
-
-    def cap_level(self, depth: int, level: int) -> int:
-        """Cap for operator level ``level`` (0 = sig head)."""
-        return self.caps[depth][depth + 1 - level]
 
     def with_entry27_as_printed(self, flag: bool = True) -> "CostModel":
         return replace(self, table2_entry27_as_printed=flag)

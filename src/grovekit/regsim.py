@@ -85,6 +85,12 @@ class Law:
         object.__setattr__(self, "tolerance", self.cap * (1.0 + self.slack))
 
 
+#: damping of an order >= 1 agent's greed per unit of believed decline
+DECLINE_SENSITIVITY = 8.0
+#: prior precision of the decline posterior (known unit observation precision)
+PRIOR_PRECISION = 4.0
+
+
 @dataclass
 class AgentModel:
     """Extractor with order-many auxiliary belief distributions.
@@ -100,9 +106,7 @@ class AgentModel:
     greed: float = 1.0
     desire_mean: float = 3.0
     desire_sd: float = 0.5
-    decline_sensitivity: float = 8.0
-    # decline posterior (normal, known unit observation precision)
-    prior_precision: float = field(default=4.0)
+    # decline posterior (normal)
     _decline_sum: float = field(default=0.0, repr=False)
     _decline_count: int = field(default=0, repr=False)
     # enforcement posterior (Beta)
@@ -135,9 +139,9 @@ def agent_decide(agent: AgentModel, law: Law | None,
     desire = agent.greed * (draw if draw > 0.0 else 0.0)
     if agent.order >= 1:
         # posterior mean of the fractional per-round decline, prior at 0
-        decline = agent._decline_sum / (agent.prior_precision
+        decline = agent._decline_sum / (PRIOR_PRECISION
                                         + agent._decline_count)
-        damp = 1.0 - agent.decline_sensitivity * (
+        damp = 1.0 - DECLINE_SENSITIVITY * (
             decline if decline > 0.0 else 0.0)
         desire *= damp if damp > 0.0 else 0.0
         if agent.order >= 2 and law is not None and desire > law.tolerance:
@@ -171,6 +175,12 @@ def apply_law(law: Law | None, extraction: float,
 # ---------------------------------------------------------------------------
 
 POLICY_FAMILIES = ("none", "fixed", "slack1d")
+#: the slack1d law's enforcement probability and penalty multiplier
+SLACK1D_ENFORCEMENT = 0.9
+SLACK1D_PENALTY = 1.0
+#: the slack1d cap steers the stock toward TARGET_FRACTION x capacity
+TARGET_FRACTION = 0.6
+FEEDBACK_GAIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -182,16 +192,12 @@ class PolicySpec:
       fixed    -- theta = (cap, slack, enforcement, penalty), constant law.
       slack1d  -- theta = (slack,); the cap is a feedback rule that
                   harvests regrowth plus a correction steering the stock
-                  toward target_fraction x K, split over active agents.
+                  toward TARGET_FRACTION x K, split over active agents.
                   The single lever is slack.
     """
 
     family: str
     theta: tuple[float, ...] = ()
-    enforcement: float = 0.9
-    penalty: float = 1.0
-    target_fraction: float = 0.6
-    feedback_gain: float = 0.05
     #: the ``fixed`` family's constant law, built and validated once;
     #: None for the other families
     law: Law | None = field(init=False, repr=False, compare=False)
@@ -212,10 +218,10 @@ class PolicySpec:
             return self.law
         slack = min(1.0, max(0.0, self.theta[0]))
         regrow = config.regrowth * resource * (1.0 - resource / config.capacity)
-        correction = self.feedback_gain * (
-            resource - self.target_fraction * config.capacity)
+        correction = FEEDBACK_GAIN * (
+            resource - TARGET_FRACTION * config.capacity)
         cap = max(0.0, regrow + correction) / max(1, active)
-        return Law(cap, slack, self.enforcement, self.penalty)
+        return Law(cap, slack, SLACK1D_ENFORCEMENT, SLACK1D_PENALTY)
 
 
 NO_LAW = PolicySpec("none")

@@ -293,11 +293,12 @@ class FiniteGroup:
         if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
             raise VariationalError("element 0 is not an identity")
         # every row and column must be a permutation (inverses exist)
-        full = frozenset(range(n))
-        for a in range(n):
-            if set(t[a]) != full or set(t[:, a]) != full:
-                raise VariationalError(
-                    f"element {self.labels[a]} has no inverse")
+        full = np.arange(n)
+        bad = ~(np.all(np.sort(t, axis=1) == full, axis=1)
+                & np.all(np.sort(t, axis=0) == full[:, None], axis=0))
+        if bad.any():
+            raise VariationalError(
+                f"element {self.labels[int(np.argmax(bad))]} has no inverse")
         # exhaustive associativity check: (a*b)*c == a*(b*c)
         if not np.array_equal(t[t[:, :, None], np.arange(n)[None, None, :]],
                               t[np.arange(n)[:, None, None], t[None, :, :]]):

@@ -1,8 +1,13 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from grovekit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -40,6 +45,62 @@ def test_verify_tables(capsys):
     code, out, _ = run(capsys, "verify", "--table", "2", "--entry27-as-printed")
     assert code == EXIT_OK
     assert "exact = True" in out
+
+
+def test_verify_diff_is_sorted_by_rendered_form(capsys, tmp_path):
+    model = tmp_path / "model.txt"
+    model.write_text("exclusions =\n")
+    code, out, err = run(capsys, "verify", "--table", "2", "--model",
+                         str(model), "--out", str(tmp_path / "out"))
+    assert code == EXIT_FAILURE
+    assert err == ""
+    diff = [ln for ln in out.splitlines()
+            if ln.startswith(("missing: ", "extra: "))]
+    extra = [ln for ln in diff if ln.startswith("extra: ")]
+    assert len(extra) >= 2
+    assert extra == sorted(extra)
+    assert read(tmp_path / "out" / "verify-diff.txt").splitlines() == diff
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--depth", "2"],
+                                  ["enumerate", "--partition", "3,1",
+                                   "--unpruned"]],
+                         ids=["depth-2", "unpruned-3-1"])
+def test_enumerate_bytes_do_not_follow_the_hash_seed(argv, tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run(
+            [sys.executable, "-m", "grovekit.cli", *argv, "--out", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs.append((done.stdout, done.stderr,
+                        (out / "enumerate-list.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+#: subcommand, flag pairs the parser rejects because the command reads no
+#: such file
+IGNORED_FLAGS = ([(cmd, "--model") for cmd in ("situations", "info",
+                                               "critical", "geodesic",
+                                               "simulate", "optimize")]
+                 + [(cmd, "--config") for cmd in ("enumerate", "verify",
+                                                  "situations")])
+
+
+@pytest.mark.parametrize("command,flag", IGNORED_FLAGS,
+                         ids=lambda v: v.lstrip("-"))
+def test_flag_the_command_ignores_is_usage_error(capsys, command, flag):
+    argv = [command, flag, "/nonexistent/file.txt"]
+    if command == "verify":
+        argv += ["--table", "0"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+    capsys.readouterr()
 
 
 def test_verify_bad_table_is_usage_error(capsys):

@@ -75,7 +75,7 @@ def test_table_round_trips():
 def test_enumerated_ranks_match_depth():
     model = CostModel()
     for depth in (0, 1, 2):
-        for expr in enumerate_topologies(depth, PartitionSpec((depth + 1,)), model):
+        for expr in enumerate_topologies(depth, model):
             assert rank(expr, model) == depth + 1
             assert expr.depth == depth
 
@@ -96,7 +96,7 @@ def test_groves_unpruned_product_count():
 
 def test_depth_cap_is_enforced():
     with pytest.raises(GroveError):
-        enumerate_topologies(3, PartitionSpec((4,)), CostModel())
+        enumerate_topologies(3, CostModel())
 
 
 def test_situations_order_one():
@@ -172,6 +172,6 @@ def test_caps_schedules():
 
 
 def test_enumeration_is_deterministic():
-    a = [render(e) for e in enumerate_topologies(1, PartitionSpec((2,)), CostModel())]
-    b = [render(e) for e in enumerate_topologies(1, PartitionSpec((2,)), CostModel())]
+    a = [render(e) for e in enumerate_topologies(1, CostModel())]
+    b = [render(e) for e in enumerate_topologies(1, CostModel())]
     assert a == b

@@ -288,6 +288,12 @@ def test_group_rejects_bad_table():
     table[2, 2] = 1
     with pytest.raises(VariationalError):
         FiniteGroup(("e", "a", "b"), table, (1,))
+    # every row is a permutation; columns a and b are not
+    rows_only = np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    with pytest.raises(VariationalError, match="element a has no inverse"):
+        FiniteGroup(("e", "a", "b"), rows_only, (1,))
+    with pytest.raises(VariationalError, match="element a has no inverse"):
+        FiniteGroup(("e", "a", "b"), rows_only.T, (1,))
 
 
 def test_group_order_cap():
