@@ -120,6 +120,12 @@ def _read_config(path: str | None) -> dict[str, str]:
     return load_config(path)
 
 
+def _reject_unread(cfg: dict[str, str], path: str | None) -> None:
+    """Fail on the keys a command left in ``cfg``; it pops each key it reads."""
+    if cfg:
+        raise CliConfigError(f"{path}: unknown key {next(iter(cfg))!r}")
+
+
 # ---------------------------------------------------------------------------
 # enumeration commands
 # ---------------------------------------------------------------------------
@@ -127,7 +133,8 @@ def _read_config(path: str | None) -> dict[str, str]:
 def cmd_enumerate(args) -> int:
     model = _load_model(args.model)
     report = RunReport("enumerate")
-    report.add("depth", args.depth)
+    if not args.partition:
+        report.add("depth", args.depth)
     report.add("seed", args.seed)
     if args.partition:
         parts = PartitionSpec(tuple(int(p) for p in args.partition.split(",")))
@@ -195,9 +202,10 @@ def cmd_situations(args) -> int:
 
 def cmd_info(args) -> int:
     cfg = _read_config(args.config)
-    scale = float(cfg.get("scale", "1.0"))
-    samples = int(cfg.get("samples", "256"))
-    span = float(cfg.get("span", "6.0"))
+    scale = float(cfg.pop("scale", "1.0"))
+    samples = int(cfg.pop("samples", "256"))
+    span = float(cfg.pop("span", "6.0"))
+    _reject_unread(cfg, args.config)
     if scale <= 0 or samples < 8:
         raise CliConfigError("info: scale must be > 0 and samples >= 8")
     half = span * scale
@@ -233,21 +241,22 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def cmd_critical(args) -> int:
     cfg = _read_config(args.config)
-    kind = cfg.get("functional", "quadratic")
-    tol = float(cfg.get("tol", "1e-6"))
+    kind = cfg.pop("functional", "quadratic")
+    tol = float(cfg.pop("tol", "1e-6"))
     if kind == "quadratic":
-        center = _parse_vector(cfg.get("center", "0,0"))
+        center = _parse_vector(cfg.pop("center", "0,0"))
         d = len(center)
         F = Functional(lambda t: float((t - center) @ (t - center)), d,
                        "quadratic")
-        theta0 = _parse_vector(cfg.get("theta0", ",".join("1" * d)))
+        theta0 = _parse_vector(cfg.pop("theta0", ",".join("1" * d)))
     elif kind == "rosenbrock":
         F = Functional(
             lambda t: float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2),
             2, "rosenbrock")
-        theta0 = _parse_vector(cfg.get("theta0", "-1.2,1.0"))
+        theta0 = _parse_vector(cfg.pop("theta0", "-1.2,1.0"))
     else:
         raise CliConfigError(f"critical: unknown functional {kind!r}")
+    _reject_unread(cfg, args.config)
     trace: list = []
     report = RunReport("critical")
     report.add("seed", args.seed)
@@ -273,20 +282,21 @@ def cmd_critical(args) -> int:
 
 def cmd_geodesic(args) -> int:
     cfg = _read_config(args.config)
-    kind = cfg.get("metric", "euclidean")
-    steps = int(cfg.get("steps", "1000"))
-    h = float(cfg.get("h", "0.001"))
+    kind = cfg.pop("metric", "euclidean")
+    steps = int(cfg.pop("steps", "1000"))
+    h = float(cfg.pop("h", "0.001"))
     if kind == "euclidean":
-        dim = int(cfg.get("dimension", "2"))
+        dim = int(cfg.pop("dimension", "2"))
         metric = euclidean_metric(dim)
-        start = _parse_vector(cfg.get("start", ",".join("0" * dim)))
-        velocity = _parse_vector(cfg.get("velocity", ",".join(["1"] + ["0"] * (dim - 1))))
+        start = _parse_vector(cfg.pop("start", ",".join("0" * dim)))
+        velocity = _parse_vector(cfg.pop("velocity", ",".join(["1"] + ["0"] * (dim - 1))))
     elif kind == "sphere":
         metric = sphere_metric()
-        start = _parse_vector(cfg.get("start", f"{math.pi / 2!r},0"))
-        velocity = _parse_vector(cfg.get("velocity", "0,1"))
+        start = _parse_vector(cfg.pop("start", f"{math.pi / 2!r},0"))
+        velocity = _parse_vector(cfg.pop("velocity", "0,1"))
     else:
         raise CliConfigError(f"geodesic: unknown metric {kind!r}")
+    _reject_unread(cfg, args.config)
     try:
         path = integrate_geodesic(metric, start, velocity, steps, h)
     except VariationalError as exc:
@@ -389,9 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list canonical topology expressions")
     common(p, "--model")
-    p.add_argument("--depth", type=int, default=0, choices=(0, 1, 2))
-    p.add_argument("--partition", default=None,
-                   help="comma separated integer partition for groves")
+    listing = p.add_mutually_exclusive_group()
+    # argparse counts a flag as given only when its value is not the default
+    # object; a string default is converted to a new int, so "--depth 0"
+    # still conflicts with --partition.
+    listing.add_argument("--depth", type=int, default="0", choices=(0, 1, 2))
+    listing.add_argument("--partition", default=None,
+                         help="comma separated integer partition for groves")
     p.add_argument("--unpruned", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

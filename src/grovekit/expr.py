@@ -3,8 +3,9 @@
 An expression is a chain of operator levels applied to a tuple of ground
 arguments.  The head level is ``sig``, followed by ``tau``, then ``phi``;
 products of chains extend the sequence with synthetic ``op<n>`` tiers.
-Symbols carry a lift order (rendered ``^(k)``) and, when several symbols of
-one kind share a level, a 1-based index (``tau1, tau2``).
+Symbols carry a lift order (rendered ``^(k)``) and a 1-based index among the
+symbols of one kind in a tuple (rendered for ``sig``, ``tau`` and ``m``:
+``tau1, tau2``).
 
 Values are immutable; every operation is a pure function.
 """
@@ -148,9 +149,15 @@ def base_chain(depth: int) -> TopologyExpr:
 # rendering and parsing
 # ---------------------------------------------------------------------------
 
-def _render_symbol(sym: DecoratedSymbol, show_index: bool) -> str:
+#: Kinds written with their index when a tuple repeats them.  ``phi`` and
+#: the synthetic ``op<n>`` tiers are written bare: canonical indices count
+#: 1..k in sort order, so the parser's relabelling restores them.
+_INDEXED_KINDS = ("sig", "tau", ARG_POINT)
+
+
+def _render_symbol(sym: DecoratedSymbol, repeated: bool) -> str:
     text = sym.kind
-    if show_index and sym.kind not in (ARG_MAP,):
+    if repeated and sym.kind in _INDEXED_KINDS:
         text += str(sym.index)
     if sym.lift:
         text += f"^({sym.lift})"
@@ -158,140 +165,84 @@ def _render_symbol(sym: DecoratedSymbol, show_index: bool) -> str:
 
 
 def render(expr: TopologyExpr) -> str:
-    """Canonical text form; inverse of :func:`parse` on canonical input."""
+    """Canonical text form; ``parse(render(e)) == e`` for canonical ``e``."""
     if expr.is_trivial:
         return "1"
     parts = []
     for level in expr.levels:
-        per_kind: dict[str, int] = {}
-        for s in level:
-            per_kind[s.kind] = per_kind.get(s.kind, 0) + 1
-        texts = [_render_symbol(s, per_kind[s.kind] > 1) for s in level]
+        kinds = [s.kind for s in level]
+        texts = [_render_symbol(s, kinds.count(s.kind) > 1) for s in level]
         parts.append(texts[0] if len(texts) == 1 else "(" + ", ".join(texts) + ")")
-    args = ", ".join(_render_symbol(a, a.kind == ARG_POINT) for a in expr.args)
+    args = ", ".join(_render_symbol(a, True) for a in expr.args)
     return " ".join(parts) + "(" + args + ")"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[a-z]+)(?P<idx>\d+)?|(?P<punct>[(),])|(?P<lift>\^\(\d+\)))")
+# A symbol is a name, digits and an optional lift.  After ``op`` the digits
+# are the tier; after any other name they are the index.
+_SYMBOL_RE = re.compile(r"\s*([a-z]+)(\d*)(?:\s*\^\((\d+)\))?")
+_OPEN_RE = re.compile(r"\s*\(")
+# After a symbol inside parentheses: a comma, a closing parenthesis, or a
+# comma then a closing parenthesis.
+_SEPARATOR_RE = re.compile(r"\s*(,)?\s*(\))?")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            raise GroveParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("name"):
-            tokens.append(("name", m.group("name") + (m.group("idx") or ""), m.start()))
-        elif m.group("punct"):
-            tokens.append((m.group("punct"), m.group("punct"), m.start()))
-        else:
-            tokens.append(("lift", m.group("lift")[2:-1], m.start()))
-        pos = m.end()
-    return tokens
-
-
-_NAME_RE = re.compile(r"([a-z]+)(\d+)?")
-
-
-def _split_name(name: str, pos: int) -> tuple[str, int]:
-    m = _NAME_RE.fullmatch(name)
-    base, idx = m.group(1), m.group(2)
-    if base == "op":
-        # synthetic tier from a product; indexless in the text grammar
-        if idx is None:
-            raise GroveParseError("op tier needs a number", pos)
-        return f"op{idx}", 1
-    if base not in ("sig", "tau", "phi", "m"):
-        raise GroveParseError(f"unknown symbol kind {base!r}", pos)
-    return base, int(idx) if idx else 1
+def _symbol(text: str, pos: int) -> tuple[DecoratedSymbol, int]:
+    """The symbol at ``pos`` and the position after it."""
+    m = _SYMBOL_RE.match(text, pos)
+    if not m:
+        raise GroveParseError("expected a symbol name", pos)
+    name, digits, lift = m.group(1), m.group(2), int(m.group(3) or 0)
+    try:
+        if name == ARG_POINT:
+            return arg(int(digits or 1), lift), m.end()
+        if name == "op":
+            return op(name_tier(name + digits), 1, lift), m.end()
+        return op(name_tier(name), int(digits or 1), lift), m.end()
+    except (ValueError, GroveError) as exc:
+        raise GroveParseError(str(exc), m.start(1)) from exc
 
 
 def parse(text: str) -> TopologyExpr:
-    """Parse canonical notation, returning the canonicalized expression."""
-    if text.strip() == "1":
+    """Parse canonical notation, returning the canonicalized expression.
+
+    The text is a sequence of segments, each one symbol or a parenthesized
+    comma-separated tuple of symbols.  The last segment is the argument
+    tuple and every segment before it is one operator level.
+    """
+    text = text.rstrip()
+    if text.lstrip() == "1":
         return TRIVIAL
-    tokens = _tokenize(text)
-    if not tokens:
-        raise GroveParseError("empty expression", 0)
-
-    # Gather segments: bare heads and parenthesized groups.  The final
-    # group is the argument tuple; everything before it is a level.
-    segments: list[list[tuple[str, int, int, int]]] = []  # [(kind, idx, lift, pos)]
-    i = 0
-    while i < len(tokens):
-        kind_tok, value, pos = tokens[i]
-        if kind_tok == "name":
-            base, idx = _split_name(value, pos)
-            lift = 0
-            if i + 1 < len(tokens) and tokens[i + 1][0] == "lift":
-                lift = int(tokens[i + 1][1])
-                i += 1
-            segments.append([(base, idx, lift, pos)])
-            i += 1
-        elif kind_tok == "(":
-            group = []
-            i += 1
-            expect_name = True
-            while i < len(tokens) and tokens[i][0] != ")":
-                tk, val, p = tokens[i]
-                if expect_name:
-                    if tk != "name":
-                        raise GroveParseError("expected a symbol name", p)
-                    base, idx = _split_name(val, p)
-                    lift = 0
-                    if i + 1 < len(tokens) and tokens[i + 1][0] == "lift":
-                        lift = int(tokens[i + 1][1])
-                        i += 1
-                    group.append((base, idx, lift, p))
-                    expect_name = False
-                else:
-                    if tk != ",":
-                        raise GroveParseError("expected ',' or ')'", p)
-                    expect_name = True
-                i += 1
-            if i >= len(tokens):
-                raise GroveParseError("unclosed '('", pos)
-            if not group:
-                raise GroveParseError("empty tuple", pos)
-            segments.append(group)
-            i += 1
-        else:
-            raise GroveParseError(f"unexpected token {value!r}", pos)
-
+    segments: list[tuple[int, tuple[DecoratedSymbol, ...]]] = []
+    pos = 0
+    while pos < len(text):
+        opened = _OPEN_RE.match(text, pos)
+        if not opened:
+            sym, end = _symbol(text, pos)
+            segments.append((pos, (sym,)))
+            pos = end
+            continue
+        symbols, pos = [], opened.end()
+        while True:
+            sym, pos = _symbol(text, pos)
+            symbols.append(sym)
+            sep = _SEPARATOR_RE.match(text, pos)
+            pos = sep.end()
+            if sep.group(2):
+                break
+            if not sep.group(1):
+                raise GroveParseError("expected ',' or ')'", pos)
+        segments.append((opened.start(), tuple(symbols)))
     if len(segments) < 2:
         raise GroveParseError("expression needs levels and an argument tuple", 0)
-    *level_segs, arg_seg = segments
 
-    args = []
-    for base, idx, lift, pos in arg_seg:
-        try:
-            if base == "m":
-                args.append(DecoratedSymbol(ARG_POINT, idx, lift))
-            elif base == "phi":
-                args.append(DecoratedSymbol(ARG_MAP, idx, lift))
-            else:
-                raise GroveParseError(f"bad argument symbol {base!r}", pos)
-        except GroveParseError:
-            raise
-        except GroveError as exc:
-            raise GroveParseError(str(exc), pos) from exc
-
-    levels = []
-    for seg in level_segs:
-        level = []
-        for base, idx, lift, pos in seg:
-            if base == "m":
-                raise GroveParseError("argument symbol in operator position", pos)
-            try:
-                level.append(DecoratedSymbol(base, idx, lift))
-            except GroveError as exc:
-                raise GroveParseError(str(exc), pos) from exc
-        levels.append(tuple(level))
-
+    *levels, (args_pos, args) = segments
+    for level_pos, level in levels:
+        if any(s.kind == ARG_POINT for s in level):
+            raise GroveParseError("argument symbol in operator position", level_pos)
+    if any(s.kind not in (ARG_POINT, ARG_MAP) for s in args):
+        raise GroveParseError("operator symbol in argument position", args_pos)
     try:
-        expr = TopologyExpr(tuple(levels), tuple(args))
+        expr = TopologyExpr(tuple(level for _, level in levels), args)
     except GroveError as exc:
         raise GroveParseError(str(exc), 0) from exc
     return canonicalize(expr)

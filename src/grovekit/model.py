@@ -52,6 +52,8 @@ EXCLUSION_RULES: dict[str, Callable[[object, dict[str, int]], bool]] = {
 #: The shipped model enables every rule.
 DEFAULT_EXCLUSIONS: frozenset[str] = frozenset(EXCLUSION_RULES)
 
+_COST_FIELDS = ("lift_cost", "extra_arg_cost", "insert_cost", "map_subst_cost")
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -72,7 +74,7 @@ class CostModel:
     table2_entry27_as_printed: bool = False
 
     def __post_init__(self):
-        for name in ("lift_cost", "extra_arg_cost", "insert_cost", "map_subst_cost"):
+        for name in _COST_FIELDS:
             if getattr(self, name) < 1:
                 raise GroveError(f"{name} must be >= 1")
         missing = DEFAULT_CAPS.keys() - self.caps.keys()
@@ -136,33 +138,28 @@ def load_config(path: str | Path) -> dict[str, str]:
 
 
 def model_from_config(path: str | Path) -> CostModel:
+    """Read the keys :func:`model_to_config` writes; any other key is an error."""
     cfg = load_config(path)
-    kwargs: dict = {}
-    for name in ("lift_cost", "extra_arg_cost", "insert_cost", "map_subst_cost"):
-        if name in cfg:
-            kwargs[name] = int(cfg[name])
+    kwargs: dict = {name: int(cfg.pop(name)) for name in _COST_FIELDS
+                    if name in cfg}
     caps = dict(DEFAULT_CAPS)
-    for key, value in cfg.items():
-        if key.startswith("caps."):
-            depth = int(key.split(".", 1)[1])
-            caps[depth] = tuple(int(v) for v in value.split(","))
+    for key in [k for k in cfg if k.startswith("caps.")]:
+        caps[int(key.split(".", 1)[1])] = tuple(
+            int(v) for v in cfg.pop(key).split(","))
     kwargs["caps"] = caps
     if "exclusions" in cfg:
-        names = [v.strip() for v in cfg["exclusions"].split(",") if v.strip()]
+        names = [v.strip() for v in cfg.pop("exclusions").split(",") if v.strip()]
         kwargs["exclusions"] = frozenset(names)
     if "table2_entry27_as_printed" in cfg:
         kwargs["table2_entry27_as_printed"] = (
-            cfg["table2_entry27_as_printed"].lower() in ("1", "true", "yes"))
+            cfg.pop("table2_entry27_as_printed").lower() in ("1", "true", "yes"))
+    if cfg:
+        raise GroveError(f"{path}: unknown key {next(iter(cfg))!r}")
     return CostModel(**kwargs)
 
 
 def model_to_config(model: CostModel) -> str:
-    lines = [
-        f"lift_cost = {model.lift_cost}",
-        f"extra_arg_cost = {model.extra_arg_cost}",
-        f"insert_cost = {model.insert_cost}",
-        f"map_subst_cost = {model.map_subst_cost}",
-    ]
+    lines = [f"{name} = {getattr(model, name)}" for name in _COST_FIELDS]
     for depth in sorted(model.caps):
         lines.append(f"caps.{depth} = " + ",".join(str(c) for c in model.caps[depth]))
     lines.append("exclusions = " + ",".join(sorted(model.exclusions)))

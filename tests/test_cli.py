@@ -103,6 +103,53 @@ def test_flag_the_command_ignores_is_usage_error(capsys, command, flag):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("depth", ["0", "2"])
+def test_enumerate_depth_and_partition_are_exclusive(capsys, depth):
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--depth", depth, "--partition", "3,1"])
+    assert err.value.code == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_enumerate_partition_report_has_no_depth(capsys, tmp_path):
+    code, out, _ = run(capsys, "enumerate", "--partition", "3,1",
+                       "--out", str(tmp_path))
+    assert code == EXIT_OK
+    report = read(tmp_path / "enumerate-report.txt").splitlines()
+    assert report[:5] == ["command = enumerate", "seed = None",
+                          "partition = 3,1", "pruned = True", "count = 42"]
+    assert not any(line.startswith("depth") for line in report)
+
+
+#: command, file flag, file text, the first key the command does not read
+UNREAD_KEYS = [
+    ("verify", "--model", "exclusion =\nlift_cots = 2\n", "exclusion"),
+    ("enumerate", "--model", "caps.1 = 2,1,1\nsamples = 3\n", "samples"),
+    ("info", "--config", "scale = 1.0\nsample = 16\n", "sample"),
+    ("critical", "--config", "functional = rosenbrock\ncenter = 1,1\n",
+     "center"),
+    ("geodesic", "--config", "metric = sphere\ndimension = 3\n",
+     "dimension"),
+    ("geodesic", "--config", "stepz = 10\n", "stepz"),
+]
+
+
+@pytest.mark.parametrize("command,flag,text,key", UNREAD_KEYS,
+                         ids=lambda v: v if v.isidentifier() else "")
+def test_config_key_the_command_does_not_read_is_usage_error(
+        capsys, tmp_path, command, flag, text, key):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+    if command == "verify":
+        argv += ["--table", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"grovekit: {path}: unknown key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_bad_table_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--table", "9"])

@@ -1,6 +1,9 @@
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
+from grovekit.enumeration import TABLE_FILES, _table_path, enumerate_topologies
 from grovekit.expr import (
     TRIVIAL,
     CompositionError,
@@ -49,7 +52,8 @@ def test_parse_map_substitution():
 
 def test_parse_rejects_garbage():
     for bad in ["", "sig", "sig(m1", "bogus(m1)", "sig()", "sig(phi, m1)",
-                "sig(m0)", "sig^(m1)"]:
+                "sig(m0)", "sig^(m1)", "op(m1)", "sig(tau)", "m(m1)",
+                "sig(m1 m2)", "sig(m1,,)", "sig(m1)(m2)"]:
         with pytest.raises(GroveParseError):
             parse(bad)
 
@@ -153,18 +157,76 @@ def test_validation_rejects_bad_tiers():
         TopologyExpr(((op(1),),), (arg(1),))  # level 0 must start at tier 0
 
 
+TABLE_LINES = [line for name in TABLE_FILES.values()
+               for line in _table_path(name).read_text().splitlines()]
+
+
+@pytest.mark.parametrize("suffix", [" ", "\t", "\n"])
+def test_parse_ignores_trailing_whitespace(suffix):
+    for text in TABLE_LINES + ["1"]:
+        assert parse(text + suffix) == parse(text)
+
+
+def test_op_names_read_as_tiers():
+    assert parse("op0(m1)") == parse("sig(m1)")
+    assert parse("op00 op1 op2 op03(m1)") == parse("sig tau phi op3(m1)")
+    assert parse("sig (tau, op2^(1))(m1)") == parse("sig (tau, phi^(1))(m1)")
+
+
+def test_render_writes_synthetic_tiers_without_index():
+    e = canonicalize(TopologyExpr(
+        tuple((op(t),) for t in range(3)) + ((op(3), op(3, 2, 1), op(4)),),
+        (arg(),)))
+    assert render(e) == "sig tau phi (op3, op3^(1), op4)(m1)"
+    assert parse(render(e)) == e
+
+
+def test_products_of_enumerated_forms_round_trip():
+    forms = [e for depth in range(3) for e in enumerate_topologies(depth)]
+    lefts = [a for a in forms if a.args == (arg(),)]
+    assert len(lefts) * len(forms) == 896
+    for left in lefts:
+        for right in forms:
+            product = multiply(left, right)
+            assert parse(render(product)) == product
+
+
 @st.composite
 def small_exprs(draw):
-    depth = draw(st.integers(0, 1))
-    texts0 = ["sig(m1)", "sig(m1, m2)", "sig^(1)(m1)", "sig(m1^(1))"]
-    texts1 = ["sig tau(m1)", "sig^(1) tau(m1, m2)", "sig tau(m1, m2^(1))",
-              "sig (tau, phi)(m1)"]
-    return parse(draw(st.sampled_from(texts0 if depth == 0 else texts1)))
+    """Canonical expressions of depth 0-4 built from op() and arg()."""
+    lifts = st.integers(0, 2)
+    levels = []
+    for tier in range(draw(st.integers(0, 4)) + 1):
+        same = draw(st.lists(lifts, min_size=1, max_size=3))
+        inserted = draw(st.lists(lifts, max_size=2))
+        levels.append(tuple(op(tier, i + 1, lift) for i, lift in enumerate(same))
+                      + tuple(op(tier + 1, i + 1, lift)
+                              for i, lift in enumerate(inserted)))
+    if draw(st.booleans()):
+        args = (arg(lift=draw(lifts), map_subst=True),)
+    else:
+        args = tuple(arg(i + 1, lift) for i, lift in
+                     enumerate(draw(st.lists(lifts, min_size=1, max_size=3))))
+    return canonicalize(TopologyExpr(tuple(levels), args))
 
 
 @given(small_exprs())
 def test_parse_render_round_trip(e):
     assert parse(render(e)) == e
+
+
+TEXT_ATOMS = ["sig", "tau", "phi", "op", "m", "0", "1", "3", "^(", "^", "(",
+              ")", ",", " "]
+
+
+@given(st.one_of(
+    st.text(string.ascii_lowercase + string.digits + "(),^ \t"),
+    st.lists(st.sampled_from(TEXT_ATOMS)).map("".join)))
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse(text)
+    except GroveParseError as exc:
+        assert 0 <= exc.position <= len(text)
 
 
 @given(st.sampled_from(["sig(m1)", "sig^(1)(m1)"]),
