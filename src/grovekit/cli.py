@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Every subcommand resolves its flags into a RunReport: a flat key-value
-record with stable field order, written atomically next to any CSV
-payloads.  Reports embed the seed and the digests of the shipped table
-files but never wall-clock data, so repeated runs with the same flags
-produce byte-identical files.  Exit codes: 0 success, 1 computation
-failure, 2 usage or configuration error, which includes any path that
-cannot be read or written (every OSError); errors print one
-``grovekit: ...`` line to stderr, never a traceback.
+Every subcommand returns its exit code, its report fields, its payload
+files and the lines it echoes after the report; `main` alone formats the
+report, a flat key-value record with stable field order, and writes it
+to stdout and, atomically, next to the payloads.  Reports embed the seed
+and the digests of the shipped table files but never wall-clock data, so
+repeated runs with the same flags produce byte-identical files.  Exit
+codes: 0 success, 1 computation failure, 2 usage or configuration error,
+which includes any path that cannot be read or written (every OSError);
+errors print one ``grovekit: ...`` line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .regsim import RegsimError, load_scenario, optimize_slack, run_episode
 from .variational import (
     CriticalityError,
     Functional,
-    GeodesicPath,
     VariationalError,
     critical_trace_csv,
     euclidean_metric,
@@ -59,30 +59,12 @@ EXIT_USAGE = 2
 TABLE_RESOURCES = ("table0.txt", "table1.txt", "table2.txt", "situations2.txt")
 
 
-class RunReport:
-    """Ordered key-value record; the universal summary format."""
-
-    def __init__(self, command: str):
-        self.fields: list[tuple[str, str]] = [("command", command)]
-
-    def add(self, key: str, value) -> None:
-        if isinstance(value, float):
-            value = repr(value)
-        self.fields.append((key, str(value)))
-
-    def lines(self) -> list[str]:
-        return [f"{k} = {v}" for k, v in self.fields]
-
-    def text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
-
-
 def table_digests() -> list[tuple[str, str]]:
-    out = []
-    for name in TABLE_RESOURCES:
-        data = (resources.files("grovekit.tables") / name).read_bytes()
-        out.append((name, hashlib.sha256(data).hexdigest()[:12]))
-    return out
+    """The ``digest.<table>`` report fields of the shipped table files."""
+    tables = resources.files("grovekit.tables")
+    return [(f"digest.{name}",
+             hashlib.sha256((tables / name).read_bytes()).hexdigest()[:12])
+            for name in TABLE_RESOURCES]
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -99,109 +81,74 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(report: RunReport, out_dir: str | None, stem: str,
-          extras: dict[str, str] | None = None) -> None:
-    if out_dir:
-        write_atomic(os.path.join(out_dir, f"{stem}.txt"), report.text())
-        for name, text in (extras or {}).items():
-            write_atomic(os.path.join(out_dir, name), text)
-    sys.stdout.write(report.text())
-
-
-def _load_model(path: str | None) -> CostModel:
-    if path is None:
-        return CostModel()
-    return model_from_config(path)
-
-
-def _read_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    return load_config(path)
-
-
 def _reject_unread(cfg: dict[str, str], path: str | None) -> None:
     """Fail on the keys a command left in ``cfg``; it pops each key it reads."""
     if cfg:
         raise CliConfigError(f"{path}: unknown key {next(iter(cfg))!r}")
 
 
+def _listing(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+#: what a subcommand returns: its exit code, the report fields after
+#: ``command``, the ``--out`` payload files by name, and the lines echoed
+#: to stdout after the report
+CommandResult = tuple[int, list[tuple[str, object]], dict[str, str], list[str]]
+
+
 # ---------------------------------------------------------------------------
 # enumeration commands
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(args) -> int:
-    model = _load_model(args.model)
-    report = RunReport("enumerate")
-    if not args.partition:
-        report.add("depth", args.depth)
-    report.add("seed", args.seed)
+def cmd_enumerate(args) -> CommandResult:
+    model = model_from_config(args.model) if args.model else CostModel()
     if args.partition:
         parts = PartitionSpec(tuple(int(p) for p in args.partition.split(",")))
         groves = enumerate_groves(parts, model, pruned=not args.unpruned)
         lines = sorted(g.render() for g in groves)
-        report.add("partition", args.partition)
-        report.add("pruned", not args.unpruned)
+        fields = [("seed", args.seed), ("partition", args.partition),
+                  ("pruned", not args.unpruned)]
     else:
         lines = sorted(map(render, enumerate_topologies(args.depth, model)))
-    report.add("count", len(lines))
-    for name, digest in table_digests():
-        report.add(f"digest.{name}", digest)
-    _emit(report, args.out, "enumerate-report",
-          {"enumerate-list.txt": "\n".join(lines) + "\n"})
-    for line in lines:
-        sys.stdout.write(line + "\n")
-    return EXIT_OK
+        fields = [("depth", args.depth), ("seed", args.seed)]
+    fields += [("count", len(lines)), *table_digests()]
+    listing = "\n".join(lines) + "\n"
+    return EXIT_OK, fields, {"enumerate-list.txt": listing}, lines
 
 
-def cmd_verify(args) -> int:
-    model = _load_model(args.model)
+def cmd_verify(args) -> CommandResult:
+    model = model_from_config(args.model) if args.model else CostModel()
     if args.entry27_as_printed:
         model = model.with_entry27_as_printed()
     result = verify_against_table(args.table, model)
-    report = RunReport("verify")
-    report.add("table", args.table)
-    report.add("seed", args.seed)
-    report.add("entry27_as_printed", args.entry27_as_printed)
-    report.add("expected", len(result.expected))
-    report.add("produced", len(result.produced))
-    report.add("missing", len(result.missing))
-    report.add("extra", len(result.extra))
-    report.add("exact", result.exact)
-    report.add("acceptable", result.acceptable)
-    for name, digest in table_digests():
-        report.add(f"digest.{name}", digest)
+    fields = [("table", args.table), ("seed", args.seed),
+              ("entry27_as_printed", args.entry27_as_printed),
+              ("expected", len(result.expected)),
+              ("produced", len(result.produced)),
+              ("missing", len(result.missing)), ("extra", len(result.extra)),
+              ("exact", result.exact), ("acceptable", result.acceptable),
+              *table_digests()]
     diff_lines = [f"missing: {m}" for m in sorted(map(render, result.missing))]
     diff_lines += [f"extra: {e}" for e in sorted(map(render, result.extra))]
-    _emit(report, args.out, "verify-report",
-          {"verify-diff.txt": "\n".join(diff_lines) + ("\n" if diff_lines else "")})
-    for line in diff_lines:
-        sys.stdout.write(line + "\n")
-    return EXIT_OK if result.acceptable else EXIT_FAILURE
+    return (EXIT_OK if result.acceptable else EXIT_FAILURE, fields,
+            {"verify-diff.txt": _listing(diff_lines)}, diff_lines)
 
 
-def cmd_situations(args) -> int:
-    sits = enumerate_situations(args.order)
-    lines = [s.render() for s in sits]
-    report = RunReport("situations")
-    report.add("order", args.order)
-    report.add("seed", args.seed)
-    report.add("count", len(lines))
-    for name, digest in table_digests():
-        report.add(f"digest.{name}", digest)
-    _emit(report, args.out, "situations-report",
-          {"situations-list.txt": "\n".join(lines) + "\n"})
-    for line in lines:
-        sys.stdout.write(line + "\n")
-    return EXIT_OK
+def cmd_situations(args) -> CommandResult:
+    lines = [s.render() for s in enumerate_situations(args.order)]
+    fields = [("order", args.order), ("seed", args.seed),
+              ("count", len(lines)), *table_digests()]
+    listing = "\n".join(lines) + "\n"
+    return EXIT_OK, fields, {"situations-list.txt": listing}, lines
 
 
 # ---------------------------------------------------------------------------
 # numerics commands
 # ---------------------------------------------------------------------------
 
-def cmd_info(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_info(args) -> CommandResult:
+    cfg = load_config(args.config) if args.config else {}
     scale = float(cfg.pop("scale", "1.0"))
     samples = int(cfg.pop("samples", "256"))
     span = float(cfg.pop("span", "6.0"))
@@ -218,17 +165,10 @@ def cmd_info(args) -> int:
         spec, eps=scale)
     info = fisher_information(dist, "a")
     expected = 1.0 / (scale * scale)
-    report = RunReport("info")
-    report.add("seed", args.seed)
-    report.add("scale", scale)
-    report.add("samples", samples)
-    report.add("span", span)
-    report.add("information", info)
-    report.add("expected", expected)
-    report.add("relative_error", abs(info - expected) / expected)
-    _emit(report, args.out, "info-report",
-          {"info-distribution.txt": dist.dumps()})
-    return EXIT_OK
+    fields = [("seed", args.seed), ("scale", scale), ("samples", samples),
+              ("span", span), ("information", info), ("expected", expected),
+              ("relative_error", abs(info - expected) / expected)]
+    return EXIT_OK, fields, {"info-distribution.txt": dist.dumps()}, []
 
 
 class CliConfigError(Exception):
@@ -239,8 +179,12 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def cmd_critical(args) -> int:
-    cfg = _read_config(args.config)
+def _join(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+def cmd_critical(args) -> CommandResult:
+    cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("functional", "quadratic")
     tol = float(cfg.pop("tol", "1e-6"))
     if kind == "quadratic":
@@ -258,30 +202,22 @@ def cmd_critical(args) -> int:
         raise CliConfigError(f"critical: unknown functional {kind!r}")
     _reject_unread(cfg, args.config)
     trace: list = []
-    report = RunReport("critical")
-    report.add("seed", args.seed)
-    report.add("functional", kind)
-    report.add("tol", tol)
+    fields = [("seed", args.seed), ("functional", kind), ("tol", tol)]
     try:
         theta = solve_critical(F, theta0, tol=tol, trace=trace)
     except CriticalityError as exc:
-        report.add("converged", False)
-        report.add("residual", exc.residual)
-        report.add("theta", ",".join(repr(float(t)) for t in exc.best_theta))
-        _emit(report, args.out, "critical-report",
-              {"critical-trace.csv": critical_trace_csv(trace)})
-        return EXIT_FAILURE
-    report.add("converged", True)
-    report.add("theta", ",".join(repr(float(t)) for t in theta))
-    report.add("value", F(theta))
-    report.add("iterations", len(trace))
-    _emit(report, args.out, "critical-report",
-          {"critical-trace.csv": critical_trace_csv(trace)})
-    return EXIT_OK
+        code = EXIT_FAILURE
+        fields += [("converged", False), ("residual", exc.residual),
+                   ("theta", _join(exc.best_theta))]
+    else:
+        code = EXIT_OK
+        fields += [("converged", True), ("theta", _join(theta)),
+                   ("value", F(theta)), ("iterations", len(trace))]
+    return code, fields, {"critical-trace.csv": critical_trace_csv(trace)}, []
 
 
-def cmd_geodesic(args) -> int:
-    cfg = _read_config(args.config)
+def cmd_geodesic(args) -> CommandResult:
+    cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("metric", "euclidean")
     steps = int(cfg.pop("steps", "1000"))
     h = float(cfg.pop("h", "0.001"))
@@ -297,28 +233,16 @@ def cmd_geodesic(args) -> int:
     else:
         raise CliConfigError(f"geodesic: unknown metric {kind!r}")
     _reject_unread(cfg, args.config)
+    fields = [("seed", args.seed), ("metric", kind)]
     try:
         path = integrate_geodesic(metric, start, velocity, steps, h)
     except VariationalError as exc:
-        report = RunReport("geodesic")
-        report.add("seed", args.seed)
-        report.add("metric", kind)
-        report.add("error", str(exc))
-        _emit(report, args.out, "geodesic-report")
-        return EXIT_FAILURE
-    report = RunReport("geodesic")
-    report.add("seed", args.seed)
-    report.add("metric", kind)
-    report.add("steps", steps)
-    report.add("h", h)
-    report.add("start", ",".join(repr(float(x)) for x in path.start))
-    report.add("end", ",".join(repr(float(x)) for x in path.end))
+        return EXIT_FAILURE, fields + [("error", str(exc))], {}, []
     energies = path.energies(metric)
-    report.add("energy_drift",
-               float(np.max(np.abs(energies - energies[0]))))
-    _emit(report, args.out, "geodesic-report",
-          {"geodesic-path.csv": path.to_csv()})
-    return EXIT_OK
+    fields += [("steps", steps), ("h", h), ("start", _join(path.start)),
+               ("end", _join(path.end)),
+               ("energy_drift", float(np.max(np.abs(energies - energies[0]))))]
+    return EXIT_OK, fields, {"geodesic-path.csv": path.to_csv()}, []
 
 
 # ---------------------------------------------------------------------------
@@ -338,46 +262,34 @@ def _scenario_from_args(args):
     return config, policy, order, events
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> CommandResult:
     config, policy, order, events = _scenario_from_args(args)
     trace = run_episode(config, policy,
                         regsim.default_agents(config, order), events)
-    report = RunReport("simulate")
-    report.add("seed", config.seed)
-    report.add("rounds", config.rounds)
-    report.add("n_agents", config.n_agents)
-    report.add("policy_family", policy.family)
+    fields = [("seed", config.seed), ("rounds", config.rounds),
+              ("n_agents", config.n_agents), ("policy_family", policy.family)]
     if policy.theta:
-        report.add("policy_theta", ",".join(repr(t) for t in policy.theta))
-    report.add("agents_order", order)
-    report.add("welfare", trace.welfare)
-    report.add("total_utility", trace.total_utility)
-    report.add("retained_rounds", trace.retained_rounds)
-    report.add("final_resource",
-               trace.rows[-1]["resource"] if trace.rows else config.capacity)
-    report.add("events", len(trace.events))
-    _emit(report, args.out, "simulate-report",
-          {"simulate-trace.csv": trace.to_csv()})
-    return EXIT_OK
+        fields.append(("policy_theta", _join(policy.theta)))
+    fields += [("agents_order", order), ("welfare", trace.welfare),
+               ("total_utility", trace.total_utility),
+               ("retained_rounds", trace.retained_rounds),
+               ("final_resource", trace.rows[-1]["resource"] if trace.rows
+                else config.capacity),
+               ("events", len(trace.events))]
+    return EXIT_OK, fields, {"simulate-trace.csv": trace.to_csv()}, []
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> CommandResult:
     config, policy, order, events = _scenario_from_args(args)
     family = args.family or (policy.family if policy.family != "none"
                              else "slack1d")
     result = optimize_slack(config, family=family, order=order)
-    report = RunReport("optimize")
-    report.add("seed", config.seed)
-    report.add("family", family)
-    report.add("agents_order", order)
-    report.add("theta", ",".join(repr(t) for t in result.policy.theta))
-    report.add("welfare", result.welfare)
-    report.add("residual", result.residual)
+    fields = [("seed", config.seed), ("family", family),
+              ("agents_order", order), ("theta", _join(result.policy.theta)),
+              ("welfare", result.welfare), ("residual", result.residual)]
     scan_csv = "slack,welfare\n" + "".join(
         f"{s!r},{w!r}\n" for s, w in result.scan_points)
-    _emit(report, args.out, "optimize-report",
-          {"optimize-scan.csv": scan_csv})
-    return EXIT_OK
+    return EXIT_OK, fields, {"optimize-scan.csv": scan_csv}, []
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, fields, files, echo = args.func(args)
+        report = "".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                         else f"{key} = {value}\n"
+                         for key, value in [("command", args.subcommand),
+                                            *fields])
+        if args.out:
+            write_atomic(os.path.join(args.out,
+                                      f"{args.subcommand}-report.txt"), report)
+            for name, text in files.items():
+                write_atomic(os.path.join(args.out, name), text)
     except (OSError, CliConfigError, KeyError, ValueError,
             RegsimError, GroveError) as exc:
         sys.stderr.write(f"grovekit: {exc}\n")
@@ -458,6 +378,16 @@ def main(argv=None) -> int:
     except (VariationalError, infotheory.InfoError) as exc:
         sys.stderr.write(f"grovekit: {exc}\n")
         return EXIT_FAILURE
+    try:
+        sys.stdout.write(report + _listing(echo))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early: not an error of this run.  Later
+        # writes, including the interpreter's flush at exit, go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ ARG_MAP = "phi"
 
 def tier_name(tier: int) -> str:
     if tier < 0:
-        raise ValueError(f"operator tier must be >= 0, got {tier}")
+        raise GroveError(f"operator tier must be >= 0, got {tier}")
     if tier < len(_BASE_TIER_NAMES):
         return _BASE_TIER_NAMES[tier]
     return f"op{tier}"
@@ -51,7 +51,7 @@ def name_tier(name: str) -> int:
     m = re.fullmatch(r"op(\d+)", name)
     if m:
         return int(m.group(1))
-    raise ValueError(f"unknown operator name {name!r}")
+    raise GroveError(f"unknown operator name {name!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -198,7 +198,7 @@ def _symbol(text: str, pos: int) -> tuple[DecoratedSymbol, int]:
         if name == "op":
             return op(name_tier(name + digits), 1, lift), m.end()
         return op(name_tier(name), int(digits or 1), lift), m.end()
-    except (ValueError, GroveError) as exc:
+    except GroveError as exc:
         raise GroveParseError(str(exc), m.start(1)) from exc
 
 

@@ -119,7 +119,11 @@ def rank(expr: TopologyExpr, model: CostModel | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_config(text: str, origin: str = "<config>") -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' starts a comment anywhere.
+
+    This is the one reader of model, config and scenario files.  A key
+    given twice is an error, so no line is silently dropped.
+    """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -127,8 +131,10 @@ def parse_config(text: str, origin: str = "<config>") -> dict[str, str]:
             continue
         if "=" not in line:
             raise GroveError(f"{origin}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise GroveError(f"{origin}:{lineno}: repeated key {key!r}")
+        out[key] = value
     return out
 
 

@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import variational
+from .model import parse_config
 from .variational import CriticalityError, Functional
 
 
@@ -56,12 +57,19 @@ class GameConfig:
     def __post_init__(self):
         if self.n_agents < 2:
             raise RegsimError("need at least 2 agents")
-        if self.capacity <= 0:
-            raise RegsimError("capacity must be positive")
+        if not 0 < self.capacity < math.inf:
+            raise RegsimError("capacity must be positive and finite")
         if not 0 < self.regrowth < 1:
             raise RegsimError("regrowth rate must lie in (0, 1)")
         if self.rounds < 0:
             raise RegsimError("round count must be nonnegative")
+        if self.exit_window < 1:
+            raise RegsimError("exit window must be at least 1 round")
+        if self.seed < 0:
+            raise RegsimError("seed must be nonnegative")
+        for name in ("outside_option", "retention_weight", "inspection_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise RegsimError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -209,6 +217,8 @@ class PolicySpec:
             raise RegsimError("fixed family takes (cap, slack, q, beta)")
         if self.family == "slack1d" and len(self.theta) != 1:
             raise RegsimError("slack1d family takes a single slack lever")
+        if not all(map(math.isfinite, self.theta)):
+            raise RegsimError("policy theta entries must be finite")
         object.__setattr__(self, "law", Law(*self.theta)
                            if self.family == "fixed" else None)
 
@@ -272,8 +282,9 @@ def inject_excession(state: GameState, event: Excession) -> GameState:
         return state
     if event.kind == "capacity_drop":
         new_k = cfg.capacity * event.value
-        if new_k <= 0:
-            raise RegsimError("capacity drop must leave positive capacity")
+        if not 0 < new_k < math.inf:
+            raise RegsimError("capacity drop factor must be finite and "
+                              "leave positive capacity")
         state.config = replace(cfg, capacity=new_k)
         state.resource = min(state.resource, new_k)
         state.events.append(f"{state.round}:capacity_drop:{event.value!r}")
@@ -281,9 +292,9 @@ def inject_excession(state: GameState, event: Excession) -> GameState:
         state.config = replace(cfg, regrowth=event.value)
         state.events.append(f"{state.round}:regrowth_change:{event.value!r}")
     elif event.kind == "agent_influx":
+        if not math.isfinite(event.value) or int(event.value) < 0:
+            raise RegsimError("agent influx must be finite and nonnegative")
         extra = int(event.value)
-        if extra < 0:
-            raise RegsimError("agent influx must be nonnegative")
         state.utilities.extend([0.0] * extra)
         state.active.extend([True] * extra)
         state.recent.extend([[] for _ in range(extra)])
@@ -584,38 +595,24 @@ def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
                                       list[Excession]]:
     """Parse a flat key-value scenario: config fields, policy, events.
 
-    Policy keys: ``policy.family`` and ``policy.theta`` (comma separated).
-    Agent order: ``agents.order``.  Events: ``event.<n> = round,kind,value``.
+    The text is read by `model.parse_config`.  Policy keys:
+    ``policy.family`` and ``policy.theta`` (comma separated).  Agent
+    order: ``agents.order``.  Events: ``event.<n> = round,kind,value``.
     """
-    settings = {}
-    policy_family = "none"
-    policy_theta: tuple[float, ...] = ()
-    order = 0
+    cfg = parse_config(text, "scenario")
+    settings = {key: kind(cfg.pop(key))
+                for key, kind in _CONFIG_FIELDS.items() if key in cfg}
+    family = cfg.pop("policy.family", "none")
+    theta = tuple(float(v) for v in cfg.pop("policy.theta", "").split(",")
+                  if v.strip())
+    order = int(cfg.pop("agents.order", "0"))
     events = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise RegsimError(f"scenario line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in _CONFIG_FIELDS:
-            settings[key] = _CONFIG_FIELDS[key](value)
-        elif key == "policy.family":
-            policy_family = value
-        elif key == "policy.theta":
-            policy_theta = tuple(float(v) for v in value.split(",") if v.strip())
-        elif key == "agents.order":
-            order = int(value)
-        elif key.startswith("event."):
-            rnd, kind, val = (v.strip() for v in value.split(","))
-            events.append(Excession(int(rnd), kind, float(val)))
-        else:
-            raise RegsimError(f"scenario line {lineno}: unknown key {key!r}")
-    config = GameConfig(**settings)
-    policy = PolicySpec(policy_family, policy_theta)
-    return config, policy, order, events
+    for key in [k for k in cfg if k.startswith("event.")]:
+        rnd, kind, value = (v.strip() for v in cfg.pop(key).split(","))
+        events.append(Excession(int(rnd), kind, float(value)))
+    if cfg:
+        raise RegsimError(f"scenario: unknown key {next(iter(cfg))!r}")
+    return GameConfig(**settings), PolicySpec(family, theta), order, events
 
 
 def dump_scenario(config: GameConfig, policy: PolicySpec, order: int = 0,

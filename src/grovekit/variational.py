@@ -240,8 +240,14 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
     """
     if steps < 1:
         raise VariationalError("need at least one step")
+    if not 0 < h < math.inf:
+        raise VariationalError("step h must be finite and > 0")
     x = np.asarray(start, dtype=float).copy()
     v = np.asarray(velocity, dtype=float).copy()
+    if x.shape != (g.dimension,) or v.shape != (g.dimension,):
+        raise VariationalError(
+            f"start and velocity need shape ({g.dimension},), "
+            f"got {x.shape} and {v.shape}")
     points, velocities = [x.copy()], [v.copy()]
 
     def accel(xx, vv):

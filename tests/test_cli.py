@@ -273,3 +273,109 @@ def test_simulate_rejects_invalid_fixed_law(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "grovekit: permit cap must be nonnegative\n"
+
+
+#: command, the keys its config file may set, and the lines every matrix
+#: file starts with (a short run unless the key under test is the length)
+CONFIG_KEYS = [
+    ("info", "", ("scale", "samples", "span")),
+    ("critical", "", ("functional", "tol", "center", "theta0")),
+    ("critical", "functional = rosenbrock\n", ("theta0",)),
+    ("geodesic", "steps = 20\n",
+     ("metric", "steps", "h", "dimension", "start", "velocity")),
+    ("geodesic", "metric = sphere\nsteps = 20\n", ("start", "velocity")),
+    *[(command, "rounds = 20\n",
+       ("n_agents", "capacity", "regrowth", "rounds", "outside_option",
+        "retention_weight", "inspection_cost", "exit_window", "seed",
+        "policy.family", "policy.theta", "agents.order", "event.0"))
+      for command in ("simulate", "optimize")],
+]
+EXIT_MATRIX = [(command, base, key, value)
+               for command, base, keys in CONFIG_KEYS for key in keys
+               for value in ("nan", "inf", "-1", "0", "")]
+
+
+def run_config(capsys, tmp_path, command, text):
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    return run(capsys, command, "--config", str(path))
+
+
+@pytest.mark.parametrize(
+    "command,base,key,value", EXIT_MATRIX,
+    ids=[f"{c}{'-' + b.split()[2] if 'functional' in b or 'metric' in b else ''}"
+         f"-{k}-{v or 'empty'}" for c, b, k, v in EXIT_MATRIX])
+def test_every_config_value_keeps_the_exit_contract(
+        capsys, tmp_path, command, base, key, value):
+    # the matrix file sets the key once: a repeated key is its own case
+    lines = [ln for ln in base.splitlines() if not ln.startswith(key + " ")]
+    text = "".join(f"{ln}\n" for ln in lines) + f"{key} = {value}\n"
+    code, out, err = run_config(capsys, tmp_path, command, text)
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+    assert err == "" or (err.startswith("grovekit: ") and err.count("\n") == 1)
+    if code == EXIT_USAGE:
+        assert out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "rounds = 20\nexit_window = 0\n",
+    "rounds = 20\ncapacity = nan\n",
+    "rounds = 20\nretention_weight = inf\n",
+    "rounds = 20\nseed = -1\n",
+    "rounds = 20\npolicy.theta = nan\n",
+    "rounds = 20\npolicy.family = slack1d\npolicy.theta = nan\n",
+    "rounds = 20\nevent.0 = 5,capacity_drop,nan\n",
+    "rounds = 20\nevent.0 = 5,capacity_drop,inf\n",
+    "rounds = 20\nevent.0 = 5,agent_influx,inf\n",
+    "rounds = 20\nevent.0 = 5,null,0\nevent.0 = 9,null,0\n",
+], ids=["exit-window-0", "capacity-nan", "retention-inf", "seed-negative",
+        "theta-nan", "slack1d-theta-nan", "drop-nan", "drop-inf",
+        "influx-inf", "repeated-event"])
+def test_invalid_scenario_is_usage_error(capsys, tmp_path, text):
+    code, out, err = run_config(capsys, tmp_path, "simulate", text)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("grovekit: ") and err.count("\n") == 1
+
+
+def test_repeated_key_names_key_and_line(capsys, tmp_path):
+    code, out, err = run_config(capsys, tmp_path, "info",
+                                "scale = 1.0\nsamples = 64\nscale = 2.0\n")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"grovekit: {tmp_path / 'config.txt'}:3: repeated key 'scale'\n"
+
+
+def test_scenario_comment_after_a_value(capsys, tmp_path):
+    code, out, err = run_config(
+        capsys, tmp_path, "simulate",
+        "rounds = 20  # note\ncapacity = 100.0  # note\n")
+    assert (code, err) == (EXIT_OK, "")
+    assert "rounds = 20\n" in out
+
+
+@pytest.mark.parametrize("text", ["h = nan\n", "h = inf\n", "h = 0\n",
+                                  "metric = sphere\nh = inf\n"])
+def test_geodesic_step_size_is_a_computation_failure(capsys, tmp_path, text):
+    code, out, err = run_config(capsys, tmp_path, "geodesic", text)
+    assert code == EXIT_FAILURE
+    assert err == ""
+    assert out.splitlines()[-1] == "error = step h must be finite and > 0"
+
+
+def test_closed_stdout_keeps_the_exit_code(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "grovekit.cli", "enumerate", "--partition",
+             "3,1", "--out", str(tmp_path)],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_OK
+    assert done.stderr == b""
+    assert (tmp_path / "enumerate-list.txt").read_text().count("\n") == 42

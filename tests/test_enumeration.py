@@ -21,6 +21,7 @@ from grovekit.model import (
     CostModel,
     model_from_config,
     model_to_config,
+    parse_config,
     rank,
 )
 
@@ -152,6 +153,15 @@ def test_cost_model_caps_cover_every_depth():
         CostModel(caps={1: (2, 1, 1)})
     with pytest.raises(GroveError, match=r"\[0, 2\]"):
         CostModel(caps={1: (2, 1, 1), 3: (1, 1, 1, 1, 1)})
+
+
+def test_parse_config_comments_and_repeated_keys():
+    text = "# header\na = 1  # note\n\n  b=two words # x\nc =\n"
+    assert parse_config(text) == {"a": "1", "b": "two words", "c": ""}
+    with pytest.raises(GroveError, match=r"cfg:3: repeated key 'a'"):
+        parse_config("a = 1\nb = 2\na = 1\n", "cfg")
+    with pytest.raises(GroveError, match=r"cfg:2: expected 'key = value'"):
+        parse_config("a = 1\nb\n", "cfg")
 
 
 def model_from_config_text(text: str) -> CostModel:

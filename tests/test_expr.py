@@ -9,6 +9,7 @@ from grovekit.expr import (
     CompositionError,
     DecoratedSymbol,
     Grove,
+    GroveError,
     GroveParseError,
     TopologyExpr,
     arg,
@@ -237,3 +238,11 @@ def test_product_depth_and_rank_additivity(left_text, right):
     assert product.depth == left.depth + right.depth + 1
     assert rank(product) == rank(left) + rank(right)
     assert canonicalize(product) == product
+
+
+def test_tier_errors_are_grove_errors():
+    # a level of argument symbols, and a negative tier
+    with pytest.raises(GroveError, match="unknown operator name 'm'"):
+        TopologyExpr(((arg(),),), (arg(),))
+    with pytest.raises(GroveError, match="tier must be >= 0"):
+        op(-1)

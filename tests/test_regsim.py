@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grovekit.expr import GroveError
 from grovekit.regsim import (
     EVENT_KINDS,
     NO_LAW,
@@ -35,6 +36,33 @@ def test_config_validation():
         GameConfig(regrowth=1.5)
     with pytest.raises(RegsimError):
         GameConfig(capacity=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("exit_window", 0), ("seed", -1), ("capacity", float("nan")),
+    ("capacity", float("inf")), ("outside_option", float("nan")),
+    ("retention_weight", float("inf")), ("inspection_cost", float("nan"))])
+def test_config_rejects_invalid_field(field, value):
+    with pytest.raises(RegsimError):
+        GameConfig(**{field: value})
+
+
+@pytest.mark.parametrize("family,theta", [
+    ("none", (float("nan"),)), ("slack1d", (float("nan"),)),
+    ("slack1d", (float("inf"),)), ("fixed", (1.0, 0.0, 1.0, float("inf")))])
+def test_policy_rejects_non_finite_theta(family, theta):
+    with pytest.raises(RegsimError, match="finite"):
+        PolicySpec(family, theta)
+
+
+@pytest.mark.parametrize("kind,value", [
+    ("capacity_drop", float("nan")), ("capacity_drop", float("inf")),
+    ("capacity_drop", 0.0), ("agent_influx", float("inf")),
+    ("agent_influx", float("nan")), ("agent_influx", -1.0)])
+def test_excession_rejects_bad_value(kind, value):
+    state = GameState.initial(GameConfig())
+    with pytest.raises(RegsimError):
+        inject_excession(state, Excession(3, kind, value))
 
 
 def test_law_validation():
@@ -284,6 +312,15 @@ def test_scenario_rejects_unknown_keys():
     for line in ("nonsense = 1", "mode = sig tau(m1, m2, m3)"):
         with pytest.raises(RegsimError, match="unknown key"):
             load_scenario(line + "\n")
+
+
+def test_scenario_reads_comments_and_rejects_repeated_keys():
+    config, _, _, events = load_scenario(
+        "rounds = 40  # short\n# whole line\nevent.0 = 5,null,0  # x\n")
+    assert config.rounds == 40
+    assert events == [Excession(5, "null", 0.0)]
+    with pytest.raises(GroveError, match=r"scenario:2: repeated key 'event.0'"):
+        load_scenario("event.0 = 5,null,0\nevent.0 = 9,null,0\n")
 
 
 def test_trace_csv_shape():

@@ -188,6 +188,22 @@ def test_geodesic_fourth_order_convergence():
     assert 13.0 <= ratio <= 19.0
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.001])
+def test_geodesic_rejects_bad_step_before_any_step(h):
+    calls = []
+    metric = MetricField(2, lambda p: calls.append(p) or np.eye(2))
+    with pytest.raises(VariationalError, match="step h must be finite"):
+        integrate_geodesic(metric, [0.0, 0.0], [1.0, 0.0], 10, h)
+    assert calls == []
+
+
+@pytest.mark.parametrize("start,velocity", [([0.0], [1.0, 0.0]),
+                                            ([0.0, 0.0], [1.0, 0.0, 0.0])])
+def test_geodesic_rejects_wrong_dimension(start, velocity):
+    with pytest.raises(VariationalError, match=r"need shape \(2,\)"):
+        integrate_geodesic(euclidean_metric(2), start, velocity, 10, 0.01)
+
+
 def test_geodesic_csv_round_trip():
     path = integrate_geodesic(euclidean_metric(2), [0.0, 1.0], [0.5, -0.5],
                               20, 0.05)
