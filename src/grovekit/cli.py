@@ -283,7 +283,8 @@ def cmd_optimize(args) -> CommandResult:
     config, policy, order, events = _scenario_from_args(args)
     family = args.family or (policy.family if policy.family != "none"
                              else "slack1d")
-    result = optimize_slack(config, family=family, order=order)
+    result = optimize_slack(config, family=family, order=order,
+                            events=events)
     fields = [("seed", config.seed), ("family", family),
               ("agents_order", order), ("theta", _join(result.policy.theta)),
               ("welfare", result.welfare), ("residual", result.residual)]

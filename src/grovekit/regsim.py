@@ -67,9 +67,11 @@ class GameConfig:
             raise RegsimError("exit window must be at least 1 round")
         if self.seed < 0:
             raise RegsimError("seed must be nonnegative")
-        for name in ("outside_option", "retention_weight", "inspection_cost"):
+        for name in ("outside_option", "retention_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise RegsimError(f"{name} must be finite")
+        if not 0 <= self.inspection_cost < math.inf:
+            raise RegsimError("inspection_cost must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -537,13 +539,15 @@ class OptimizationResult:
 
 def optimize_slack(config: GameConfig, family: str = "slack1d",
                    seeds: Sequence[int] = DEFAULT_SEEDS,
-                   order: int = 0) -> OptimizationResult:
+                   order: int = 0,
+                   events: Sequence[Excession] = ()) -> OptimizationResult:
     """Pick the slack lever maximizing mean welfare over the seed set.
 
     A coarse bracket scan seeds a damped-descent refinement of the
-    negative welfare; the better of the two candidates wins.  The ``none``
-    family has no levers and is returned as-is; a family outside
-    OPTIMIZABLE_FAMILIES raises RegsimError before any episode runs.
+    negative welfare; the better of the two candidates wins.  Every
+    episode plays ``events``.  The ``none`` family has no levers and is
+    returned as-is; a family outside OPTIMIZABLE_FAMILIES raises
+    RegsimError before any episode runs.
     """
     if family not in OPTIMIZABLE_FAMILIES:
         raise RegsimError(
@@ -551,13 +555,15 @@ def optimize_slack(config: GameConfig, family: str = "slack1d",
             f"not {family!r}")
     if family == "none":
         return OptimizationResult(NO_LAW,
-                                  mean_welfare(config, NO_LAW, seeds, order),
+                                  mean_welfare(config, NO_LAW, seeds, order,
+                                               events),
                                   0.0, ())
     lo, hi = SLACK_BOUNDS
 
     def welfare_of(s: float) -> float:
         s = min(hi, max(lo, float(s)))
-        return mean_welfare(config, PolicySpec(family, (s,)), seeds, order)
+        return mean_welfare(config, PolicySpec(family, (s,)), seeds, order,
+                            events)
 
     grid = [lo + (hi - lo) * k / (COARSE_POINTS - 1)
             for k in range(COARSE_POINTS)]

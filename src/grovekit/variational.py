@@ -131,10 +131,16 @@ MIN_EIGENVALUE = 1e-9
 
 @dataclass(frozen=True)
 class MetricField:
-    """Pointwise symmetric positive-definite metric on lever space."""
+    """Pointwise symmetric positive-definite metric on lever space.
+
+    ``constant`` promises that ``matrix_at`` returns the same matrix at
+    every point; `integrate_geodesic` then computes the connection once
+    per path instead of at every RK4 stage.
+    """
 
     dimension: int
     matrix_at: Callable[[np.ndarray], np.ndarray]
+    constant: bool = False
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -143,7 +149,8 @@ class MetricField:
             raise VariationalError(
                 f"metric returned shape {g.shape}, expected "
                 f"({self.dimension}, {self.dimension})")
-        if not np.allclose(g, g.T, atol=0.0):
+        # exact equality implies allclose, so the cheap test decides first
+        if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
             raise VariationalError(f"metric is not symmetric at {p.tolist()}")
         if float(np.linalg.eigvalsh(g)[0]) <= MIN_EIGENVALUE:
             raise VariationalError(
@@ -153,12 +160,12 @@ class MetricField:
 
 def euclidean_metric(dimension: int) -> MetricField:
     eye = np.eye(dimension)
-    return MetricField(dimension, lambda p: eye)
+    return MetricField(dimension, lambda p: eye, constant=True)
 
 
 def constant_metric(matrix) -> MetricField:
     matrix = np.asarray(matrix, dtype=float)
-    return MetricField(matrix.shape[0], lambda p: matrix)
+    return MetricField(matrix.shape[0], lambda p: matrix, constant=True)
 
 
 def sphere_metric() -> MetricField:
@@ -236,7 +243,10 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
     """Integrate x'' = -Gamma(x)(v, v) with classical RK4.
 
     A metric failure mid-path raises VariationalError with the partial
-    path attached as the ``partial`` attribute.
+    path attached as the ``partial`` attribute.  For a constant metric the
+    connection is computed once, at step 0, and reused by every stage: the
+    metric differences are exactly zero and its inverse is the same at
+    every point, so the path is bit-identical to evaluating it per stage.
     """
     if steps < 1:
         raise VariationalError("need at least one step")
@@ -248,14 +258,21 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
         raise VariationalError(
             f"start and velocity need shape ({g.dimension},), "
             f"got {x.shape} and {v.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise VariationalError(
+            f"start and velocity must be finite, got {x.tolist()} and "
+            f"{v.tolist()}")
     points, velocities = [x.copy()], [v.copy()]
+    fixed = None  # a constant metric's connection, set at step 0
 
     def accel(xx, vv):
-        gamma = christoffel(g, xx)
+        gamma = christoffel(g, xx) if fixed is None else fixed
         return -np.einsum("kij,i,j->k", gamma, vv, vv)
 
     for n in range(steps):
         try:
+            if g.constant and n == 0:
+                fixed = christoffel(g, x)
             k1x, k1v = v, accel(x, v)
             k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
             k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)

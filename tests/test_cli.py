@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from grovekit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from grovekit.regsim import DEFAULT_SEEDS, PolicySpec, load_scenario, mean_welfare
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -328,9 +329,10 @@ def test_every_config_value_keeps_the_exit_contract(
     "rounds = 20\nevent.0 = 5,capacity_drop,inf\n",
     "rounds = 20\nevent.0 = 5,agent_influx,inf\n",
     "rounds = 20\nevent.0 = 5,null,0\nevent.0 = 9,null,0\n",
+    "rounds = 20\ninspection_cost = -1\n",
 ], ids=["exit-window-0", "capacity-nan", "retention-inf", "seed-negative",
         "theta-nan", "slack1d-theta-nan", "drop-nan", "drop-inf",
-        "influx-inf", "repeated-event"])
+        "influx-inf", "repeated-event", "inspection-cost-negative"])
 def test_invalid_scenario_is_usage_error(capsys, tmp_path, text):
     code, out, err = run_config(capsys, tmp_path, "simulate", text)
     assert code == EXIT_USAGE
@@ -361,6 +363,38 @@ def test_geodesic_step_size_is_a_computation_failure(capsys, tmp_path, text):
     assert code == EXIT_FAILURE
     assert err == ""
     assert out.splitlines()[-1] == "error = step h must be finite and > 0"
+
+
+@pytest.mark.parametrize("text", ["velocity = nan,1\n",
+                                  "start = 0,inf\n",
+                                  "metric = sphere\nvelocity = inf,0\n"],
+                         ids=["velocity-nan", "start-inf", "sphere-velocity-inf"])
+def test_geodesic_non_finite_start_or_velocity_is_a_computation_failure(
+        capsys, tmp_path, text):
+    code, out, err = run_config(capsys, tmp_path, "geodesic", text)
+    assert code == EXIT_FAILURE
+    assert err == ""
+    assert out.splitlines()[-1].startswith(
+        "error = start and velocity must be finite")
+
+
+def _report(out):
+    return dict(ln.split(" = ", 1) for ln in out.splitlines())
+
+
+def test_optimize_plays_the_scenario_events(capsys, tmp_path):
+    shocked = "rounds = 40\nevent.0 = 5,capacity_drop,0.2\n"
+    code, out, err = run_config(capsys, tmp_path, "optimize", shocked)
+    assert (code, err) == (EXIT_OK, "")
+    report = _report(out)
+    config, _, order, events = load_scenario(shocked)
+    assert events
+    theta = (float(report["theta"]),)
+    assert float(report["welfare"]) == mean_welfare(
+        config, PolicySpec("slack1d", theta), DEFAULT_SEEDS, order, events)
+    code, out, _ = run_config(capsys, tmp_path, "optimize", "rounds = 40\n")
+    assert code == EXIT_OK
+    assert _report(out)["welfare"] != report["welfare"]
 
 
 def test_closed_stdout_keeps_the_exit_code(tmp_path):

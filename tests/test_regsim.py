@@ -41,7 +41,8 @@ def test_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("exit_window", 0), ("seed", -1), ("capacity", float("nan")),
     ("capacity", float("inf")), ("outside_option", float("nan")),
-    ("retention_weight", float("inf")), ("inspection_cost", float("nan"))])
+    ("retention_weight", float("inf")), ("inspection_cost", float("nan")),
+    ("inspection_cost", -1.0)])
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(RegsimError):
         GameConfig(**{field: value})
@@ -372,7 +373,7 @@ _configs = st.builds(
     rounds=st.integers(0, 100_000),
     outside_option=_finite,
     retention_weight=_finite,
-    inspection_cost=_finite,
+    inspection_cost=st.floats(0.0, allow_infinity=False),
     exit_window=st.integers(1, 1000),
     seed=st.integers(0, 2**63),
 )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grovekit.variational import (
@@ -202,6 +202,117 @@ def test_geodesic_rejects_bad_step_before_any_step(h):
 def test_geodesic_rejects_wrong_dimension(start, velocity):
     with pytest.raises(VariationalError, match=r"need shape \(2,\)"):
         integrate_geodesic(euclidean_metric(2), start, velocity, 10, 0.01)
+
+
+@pytest.mark.parametrize("start,velocity", [([math.nan, 0.0], [1.0, 0.0]),
+                                            ([0.0, 0.0], [math.inf, 0.0]),
+                                            ([0.0, -math.inf], [1.0, 0.0]),
+                                            ([0.0, 0.0], [0.0, math.nan])])
+def test_geodesic_rejects_non_finite_start_or_velocity(start, velocity):
+    calls = []
+    metric = MetricField(2, lambda p: calls.append(p) or np.eye(2))
+    with pytest.raises(VariationalError, match="must be finite"):
+        integrate_geodesic(metric, start, velocity, 10, 0.01)
+    assert calls == []
+
+
+def test_geodesic_partial_path_on_metric_failure():
+    def turning(p):
+        # positive-definite for p0 < 0.05, indefinite beyond
+        return np.diag([1.0, 0.05 - p[0]])
+    with pytest.raises(VariationalError, match="metric failed at step") as err:
+        integrate_geodesic(MetricField(2, turning), [0.0, 0.0], [1.0, 0.0],
+                           100, 0.01)
+    partial = err.value.partial
+    done = len(partial.points) - 1
+    assert 0 < done < 100
+    assert str(err.value).startswith(f"metric failed at step {done}: ")
+    full = integrate_geodesic(MetricField(2, turning), [0.0, 0.0],
+                              [1.0, 0.0], done, 0.01)
+    assert partial.points.tobytes() == full.points.tobytes()
+    assert partial.velocities.tobytes() == full.velocities.tobytes()
+
+
+def test_constant_indefinite_metric_fails_at_step_zero():
+    metric = constant_metric([[1.0, 0.0], [0.0, -1.0]])
+    with pytest.raises(VariationalError) as err:
+        integrate_geodesic(metric, [0.0, 0.0], [1.0, 0.0], 10, 0.01)
+    assert str(err.value) == ("metric failed at step 0: metric is not "
+                              "positive-definite at [1e-05, 0.0]")
+    assert err.value.partial.points.tolist() == [[0.0, 0.0]]
+    assert err.value.partial.velocities.tolist() == [[1.0, 0.0]]
+
+
+def test_constant_metrics_compute_one_connection_per_path():
+    calls = []
+    metric = MetricField(3, lambda p: calls.append(p) or np.eye(3),
+                         constant=True)
+    integrate_geodesic(metric, [0.0, 0.0, 0.0], [1.0, 0.5, 0.0], 50, 0.01)
+    assert len(calls) == 2 * 3 + 1  # one christoffel stencil
+    assert euclidean_metric(2).constant and constant_metric(np.eye(2)).constant
+    assert lever_metric(word_distance_cost(dihedral_group(4))).constant
+    assert not sphere_metric().constant
+
+
+_signed = st.one_of(st.sampled_from((0.0, -0.0)),
+                    st.floats(-10.0, 10.0, width=64))
+
+
+@st.composite
+def _constant_cases(draw):
+    d = draw(st.integers(1, 3))
+    a = draw(arrays(float, (d, d), elements=st.floats(-2.0, 2.0)))
+    m = a @ a.T + np.eye(d)
+    m = 0.5 * (m + m.T)  # exactly symmetric whatever the matmul order
+    start = draw(arrays(float, d, elements=_signed))
+    velocity = draw(arrays(float, d, elements=_signed))
+    return (m, start, velocity, draw(st.integers(1, 20)),
+            draw(st.floats(1e-3, 0.5)))
+
+
+@given(_constant_cases())
+def test_constant_metric_path_is_bit_identical_to_per_stage(case):
+    m, start, velocity, steps, h = case
+    fast = integrate_geodesic(constant_metric(m), start, velocity, steps, h)
+    slow = integrate_geodesic(MetricField(len(m), lambda p: m), start,
+                              velocity, steps, h)
+    for a, b in ((fast.points, slow.points),
+                 (fast.velocities, slow.velocities)):
+        assert a.tobytes() == b.tobytes()
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def _square_matrices(draw):
+    d = draw(st.integers(1, 3))
+    a = draw(arrays(float, (d, d), elements=st.floats(width=64)))
+    kind = draw(st.sampled_from(("random", "symmetric", "nearly")))
+    if kind == "random":
+        return a
+    sym = np.triu(a) + np.triu(a, 1).T
+    if kind == "nearly" and d > 1:
+        sym[0, 1] *= 1.0 + draw(st.floats(-1e-3, 1e-3))
+    return sym
+
+
+def _accepted_as_symmetric(g):
+    try:
+        MetricField(len(g), lambda p: g)(np.zeros(len(g)))
+    except VariationalError as exc:
+        return "not symmetric" not in str(exc)
+    return True
+
+
+@given(_square_matrices())
+@example(np.array([[1.0, math.nan], [math.nan, 1.0]]))
+@example(np.array([[math.nan]]))
+@example(np.array([[1.0, math.inf], [math.inf, 1.0]]))
+@example(np.array([[1.0, math.inf], [-math.inf, 1.0]]))
+@example(np.array([[1.0, 0.5], [0.5 * (1 + 1e-9), 1.0]]))
+@example(np.array([[1.0, 0.5], [0.5 * (1 + 1e-3), 1.0]]))
+def test_symmetry_verdict_matches_allclose(g):
+    with np.errstate(all="ignore"):
+        assert _accepted_as_symmetric(g) == np.allclose(g, g.T, atol=0.0)
 
 
 def test_geodesic_csv_round_trip():
