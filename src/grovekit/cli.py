@@ -113,8 +113,7 @@ def cmd_enumerate(args) -> CommandResult:
         lines = sorted(map(render, enumerate_topologies(args.depth, model)))
         fields = [("depth", args.depth), ("seed", args.seed)]
     fields += [("count", len(lines)), *table_digests()]
-    listing = "\n".join(lines) + "\n"
-    return EXIT_OK, fields, {"enumerate-list.txt": listing}, lines
+    return EXIT_OK, fields, {"enumerate-list.txt": _listing(lines)}, lines
 
 
 def cmd_verify(args) -> CommandResult:
@@ -139,8 +138,7 @@ def cmd_situations(args) -> CommandResult:
     lines = [s.render() for s in enumerate_situations(args.order)]
     fields = [("order", args.order), ("seed", args.seed),
               ("count", len(lines)), *table_digests()]
-    listing = "\n".join(lines) + "\n"
-    return EXIT_OK, fields, {"situations-list.txt": listing}, lines
+    return EXIT_OK, fields, {"situations-list.txt": _listing(lines)}, lines
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +151,13 @@ def cmd_info(args) -> CommandResult:
     samples = int(cfg.pop("samples", "256"))
     span = float(cfg.pop("span", "6.0"))
     _reject_unread(cfg, args.config)
-    if scale <= 0 or samples < 8:
-        raise CliConfigError("info: scale must be > 0 and samples >= 8")
+    # the expected information is 1/scale^2, so scale^2 must be in (0, inf)
+    if not (scale > 0 and 0 < scale * scale < math.inf):
+        raise CliConfigError(
+            f"info: scale must be > 0 with 1/scale^2 finite and nonzero, "
+            f"got {scale!r}")
+    if samples < 8:
+        raise CliConfigError(f"info: samples must be >= 8, got {samples}")
     half = span * scale
     spec = GridSpec((
         Axis("m", -0.5, 0.5, max(8, samples // 16)),
@@ -236,9 +239,9 @@ def cmd_geodesic(args) -> CommandResult:
     fields = [("seed", args.seed), ("metric", kind)]
     try:
         path = integrate_geodesic(metric, start, velocity, steps, h)
+        energies = path.energies(metric)
     except VariationalError as exc:
         return EXIT_FAILURE, fields + [("error", str(exc))], {}, []
-    energies = path.energies(metric)
     fields += [("steps", steps), ("h", h), ("start", _join(path.start)),
                ("end", _join(path.end)),
                ("energy_drift", float(np.max(np.abs(energies - energies[0]))))]

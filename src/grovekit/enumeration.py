@@ -284,19 +284,14 @@ def count_by_rank(r: int, model: CostModel | None = None) -> int:
     return len(enumerate_topologies(r - 1, model))
 
 
-def total_multiplicity(
-    depth: int,
-    model: CostModel | None = None,
-    *,
-    pruned: bool = True,
-) -> int:
-    """Total description size over all partitions of depth + 1."""
+def total_multiplicity(depth: int, model: CostModel | None = None) -> int:
+    """Total pruned description size over all partitions of depth + 1."""
     if depth not in (1, 2):
         raise GroveError(f"total_multiplicity is defined for depths 1 and 2, got {depth}")
     n = depth + 1
     total = 0
     for part in partitions_of(n):
-        total += len(enumerate_groves(part, model, pruned=pruned))
+        total += len(enumerate_groves(part, model))
     return total
 
 

@@ -35,7 +35,9 @@ def smoothed_delta(x, center, eps: float):
     if eps <= 0:
         raise InfoError(f"smoothing width must be > 0, got {eps}")
     z = (np.asarray(x, dtype=float) - center) / eps
-    return np.exp(-0.5 * z * z) / (eps * math.sqrt(2.0 * math.pi))
+    # a far-out z squares to inf, and exp(-inf) is exactly the 0 it should be
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / (eps * math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)

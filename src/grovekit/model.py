@@ -89,8 +89,8 @@ class CostModel:
         if unknown:
             raise GroveError(f"unknown exclusion rules: {sorted(unknown)}")
 
-    def with_entry27_as_printed(self, flag: bool = True) -> "CostModel":
-        return replace(self, table2_entry27_as_printed=flag)
+    def with_entry27_as_printed(self) -> "CostModel":
+        return replace(self, table2_entry27_as_printed=True)
 
 
 def rank(expr: TopologyExpr, model: CostModel | None = None) -> int:

@@ -117,11 +117,11 @@ class AgentModel:
     desire_mean: float = 3.0
     desire_sd: float = 0.5
     # decline posterior (normal)
-    _decline_sum: float = field(default=0.0, repr=False)
-    _decline_count: int = field(default=0, repr=False)
+    _decline_sum: float = field(default=0.0, init=False, repr=False)
+    _decline_count: int = field(default=0, init=False, repr=False)
     # enforcement posterior (Beta)
-    _enforced: float = field(default=1.0, repr=False)
-    _unenforced: float = field(default=1.0, repr=False)
+    _enforced: float = field(default=1.0, init=False, repr=False)
+    _unenforced: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self):
         if self.order not in (0, 1, 2):
@@ -343,7 +343,7 @@ class _Substream:
 
 def step(state: GameState, decisions: Sequence[float], law: Law | None,
          enforcement_rngs: Sequence[np.random.Generator],
-         agents: Sequence[AgentModel] | None = None) -> dict:
+         agents: Sequence[AgentModel]) -> dict:
     """Advance one round; returns the per-round record for the trace.
 
     An enforcement stream is read (through its ``random()`` method) only
@@ -360,8 +360,7 @@ def step(state: GameState, decisions: Sequence[float], law: Law | None,
         if request > tolerance:  # only these requests draw
             allowed[i], penalties[i] = apply_law(law, request,
                                                  enforcement_rngs[i])
-            if agents is not None:
-                agents[i].observe_enforcement(allowed[i] < request)
+            agents[i].observe_enforcement(allowed[i] < request)
     demand = sum(allowed)
     r_before = state.resource
     if demand > r_before and demand > 0:
@@ -377,8 +376,7 @@ def step(state: GameState, decisions: Sequence[float], law: Law | None,
     turn = state.round % n
     utilities, recent = state.utilities, state.recent
     for i in compress(range(n), active):
-        if agents is not None:
-            agents[i].observe(drop)
+        agents[i].observe(drop)
         gain = allowed[i] - penalties[i]
         utilities[i] += gain
         history = recent[i]

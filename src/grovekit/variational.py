@@ -79,31 +79,34 @@ def solve_critical(F: Functional, theta0, tol: float = 1e-6,
     cap raises CriticalityError carrying the best point seen.
     """
     theta = np.asarray(theta0, dtype=float).copy()
-    value = F(theta)
     best_theta, best_res = theta.copy(), math.inf
     step = step0
-    for it in range(max_iter):
-        grad = first_variation(F, theta, h)
-        res = float(np.linalg.norm(grad))
-        if trace is not None:
-            trace.append((it, theta.copy(), value, res))
-        if res < best_res:
-            best_theta, best_res = theta.copy(), res
-        if res < tol:
-            return theta
-        moved = False
-        while step > 1e-14:
-            cand = theta - step * grad
-            cval = F(cand)
-            if math.isfinite(cval) and cval < value:
-                theta, value = cand, cval
-                step *= 1.5
-                moved = True
+    # an overflowing evaluation is reported by first_variation or skipped
+    # by the line search, so numpy's float warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = F(theta)
+        for it in range(max_iter):
+            grad = first_variation(F, theta, h)
+            res = float(np.linalg.norm(grad))
+            if trace is not None:
+                trace.append((it, theta.copy(), value, res))
+            if res < best_res:
+                best_theta, best_res = theta.copy(), res
+            if res < tol:
+                return theta
+            moved = False
+            while step > 1e-14:
+                cand = theta - step * grad
+                cval = F(cand)
+                if math.isfinite(cval) and cval < value:
+                    theta, value = cand, cval
+                    step *= 1.5
+                    moved = True
+                    break
+                step *= 0.5
+            if not moved:
+                # cannot descend further at machine scale; report best point
                 break
-            step *= 0.5
-        if not moved:
-            # cannot descend further at machine scale; report best point
-            break
     raise CriticalityError(
         f"no point with residual < {tol} within {max_iter} iterations "
         f"(best residual {best_res:.3e})", best_theta, best_res)
@@ -152,9 +155,14 @@ class MetricField:
         # exact equality implies allclose, so the cheap test decides first
         if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
             raise VariationalError(f"metric is not symmetric at {p.tolist()}")
-        if float(np.linalg.eigvalsh(g)[0]) <= MIN_EIGENVALUE:
-            raise VariationalError(
-                f"metric is not positive-definite at {p.tolist()}")
+        # a non-finite entry makes eigvalsh fail or return nan or inf
+        try:
+            vals = np.linalg.eigvalsh(g).tolist()
+        except np.linalg.LinAlgError:
+            vals = [math.nan]
+        if not (vals[0] > MIN_EIGENVALUE and vals[-1] < math.inf):
+            kind = "positive-definite" if np.isfinite(g).all() else "finite"
+            raise VariationalError(f"metric is not {kind} at {p.tolist()}")
         return g
 
 
@@ -176,18 +184,20 @@ def sphere_metric() -> MetricField:
     return MetricField(2, g)
 
 
-def christoffel(g: MetricField, p, h: float = 1e-5) -> np.ndarray:
+#: offset of the central metric differences in `christoffel`
+CHRISTOFFEL_H = 1e-5
+
+
+def christoffel(g: MetricField, p) -> np.ndarray:
     """Connection coefficients Gamma^k_ij by central metric differences."""
-    if h <= 0:
-        raise VariationalError("step h must be > 0")
     p = np.asarray(p, dtype=float)
     d = g.dimension
     dg = np.empty((d, d, d))  # dg[l] = d g / d p_l
     for l in range(d):
         up, dn = p.copy(), p.copy()
-        up[l] += h
-        dn[l] -= h
-        dg[l] = (g(up) - g(dn)) / (2.0 * h)
+        up[l] += CHRISTOFFEL_H
+        dn[l] -= CHRISTOFFEL_H
+        dg[l] = (g(up) - g(dn)) / (2.0 * CHRISTOFFEL_H)
     ginv = np.linalg.inv(g(p))
     # br[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
     br = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
@@ -211,9 +221,19 @@ class GeodesicPath:
         return self.points[-1]
 
     def energies(self, g: MetricField) -> np.ndarray:
-        """g(v, v) at every sample; constant along a true geodesic."""
-        return np.array([float(v @ g(p) @ v)
-                         for p, v in zip(self.points, self.velocities)])
+        """g(v, v) at every sample; constant along a true geodesic.
+
+        Raises VariationalError naming the first sample whose energy is
+        not finite, such as one whose velocity squared overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.array([float(v @ g(p) @ v)
+                            for p, v in zip(self.points, self.velocities)])
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise VariationalError(
+                f"energy is not finite at sample {int(np.argmax(bad))}")
+        return out
 
     def to_csv(self) -> str:
         d = self.points.shape[1]
@@ -303,6 +323,8 @@ class FiniteGroup:
     labels: tuple[str, ...]
     table: np.ndarray            # table[a, b] = index of a*b
     generators: tuple[int, ...]
+    #: inverses[a] = index of a^-1, read from the table once
+    inverses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -329,6 +351,7 @@ class FiniteGroup:
         for x in self.generators:
             if not 0 <= x < n:
                 raise VariationalError(f"generator index {x} out of range")
+        object.__setattr__(self, "inverses", np.argmax(t == 0, axis=1))
 
     @property
     def order(self) -> int:
@@ -338,8 +361,7 @@ class FiniteGroup:
         return int(self.table[a, b])
 
     def inverse(self, a: int) -> int:
-        row = np.nonzero(self.table[a] == 0)[0]
-        return int(row[0])
+        return int(self.inverses[a])
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -398,20 +420,17 @@ class PolicyCostFunction:
 
 def word_distance_cost(group: FiniteGroup) -> PolicyCostFunction:
     """cost(a, b) = generator word length of a^-1 b (breadth-first)."""
-    n = group.order
-    dist = np.full(n, -1, dtype=int)
+    gens = np.array(group.generators, dtype=int)
+    # moves[g] = g x for every generator x and every inverse generator
+    moves = group.table[:, np.concatenate((gens, group.inverses[gens]))]
+    dist = np.full(group.order, -1, dtype=int)
     dist[0] = 0
-    frontier = [0]
-    gens = set(group.generators) | {group.inverse(x) for x in group.generators}
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for x in gens:
-                t = group.mul(g, x)
-                if dist[t] < 0:
-                    dist[t] = dist[g] + 1
-                    nxt.append(t)
-        frontier = nxt
+    frontier, length = np.zeros(1, dtype=int), 0
+    while frontier.size:
+        length += 1
+        reached = moves[frontier]
+        dist[reached[dist[reached] < 0]] = length
+        frontier = np.flatnonzero(dist == length)
     if dist.min() < 0:
         raise VariationalError("generators do not generate the group")
     return PolicyCostFunction(
@@ -424,15 +443,14 @@ POLICY_INFO_SAMPLES = 512
 LEVER_EIGEN_FLOOR = 1e-6
 
 
-def policy_information(pcf: PolicyCostFunction, eps: float,
-                       normalized: bool = True) -> float:
+def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     """Information of the policy density f(g, a) = smoothed delta of P(g) - a.
 
     The score combines the offset derivative with symmetric log-differences
-    along each generator direction.  With ``normalized`` the group sum uses
-    counting measure weighted by 1/|G| (a constant cost then yields the
-    single-delta self-information, 1/eps^2); without it the plain sum is
-    returned, which scales linearly in group size for cost-neutral factors.
+    along each generator direction.  The group sum uses counting measure
+    weighted by 1/|G|, so a constant cost yields the single-delta
+    self-information, 1/eps^2, and a cost-neutral direct factor leaves the
+    value unchanged.
     """
     if eps <= 0:
         raise VariationalError("smoothing width must be > 0")
@@ -449,13 +467,11 @@ def policy_information(pcf: PolicyCostFunction, eps: float,
     dlog_a = np.gradient(logf, da, axis=1)
     score2 = dlog_a ** 2
     for x in group.generators:
-        fwd = np.array([group.mul(g, x) for g in range(group.order)])
-        bwd = np.array([group.mul(g, group.inverse(x))
-                        for g in range(group.order)])
+        # the neighbours g x and g x^-1 of every element g
+        fwd, bwd = group.table[:, x], group.table[:, group.inverse(x)]
         dlog_g = 0.5 * (logf[fwd] - logf[bwd])
         score2 = score2 + dlog_g ** 2
-    total = float(np.sum(f * score2) * da)
-    return total / group.order if normalized else total
+    return float(np.sum(f * score2) * da) / group.order
 
 
 def lever_metric(pcf: PolicyCostFunction) -> MetricField:
@@ -469,13 +485,11 @@ def lever_metric(pcf: PolicyCostFunction) -> MetricField:
     gens = group.generators
     if not gens:
         raise VariationalError("policy group declares no generators")
-    d = len(gens)
     pe = float(pcf.cost(0, 0))
-    p1 = [float(pcf.cost(0, x)) for x in gens]
-    h = np.empty((d, d))
-    for i, xi in enumerate(gens):
-        for j, xj in enumerate(gens):
-            h[i, j] = float(pcf.cost(0, group.mul(xi, xj))) - p1[i] - p1[j] + pe
+    p1 = np.array([float(pcf.cost(0, x)) for x in gens])
+    words = group.table[np.ix_(gens, gens)].tolist()  # words[i][j] = x_i x_j
+    p2 = np.array([[float(pcf.cost(0, w)) for w in row] for row in words])
+    h = p2 - p1[:, None] - p1[None, :] + pe
     sym = 0.5 * (h + h.T)
     vals, vecs = np.linalg.eigh(sym)
     vals = np.maximum(vals, LEVER_EIGEN_FLOOR)
@@ -483,17 +497,12 @@ def lever_metric(pcf: PolicyCostFunction) -> MetricField:
 
 
 def optimal_policy_path(pcf: PolicyCostFunction, start, steps: int,
-                        velocity=None, h: float = 0.01) -> GeodesicPath:
-    """Geodesic of the lever metric from ``start``.
-
-    The default velocity is the unit vector along the first lever axis.
-    """
+                        h: float = 0.01) -> GeodesicPath:
+    """Geodesic of the lever metric from ``start``, leaving it along the
+    unit vector of the first lever axis."""
     metric = lever_metric(pcf)
     d = metric.dimension
     start = np.asarray(start, dtype=float)
     if start.shape != (d,):
         raise VariationalError(f"start must have {d} lever coordinates")
-    if velocity is None:
-        velocity = np.zeros(d)
-        velocity[0] = 1.0
-    return integrate_geodesic(metric, start, velocity, steps, h)
+    return integrate_geodesic(metric, start, np.eye(d)[0], steps, h)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -293,7 +294,7 @@ CONFIG_KEYS = [
 ]
 EXIT_MATRIX = [(command, base, key, value)
                for command, base, keys in CONFIG_KEYS for key in keys
-               for value in ("nan", "inf", "-1", "0", "")]
+               for value in ("nan", "inf", "-1", "0", "", "1e200", "-1e200")]
 
 
 def run_config(capsys, tmp_path, command, text):
@@ -311,7 +312,11 @@ def test_every_config_value_keeps_the_exit_contract(
     # the matrix file sets the key once: a repeated key is its own case
     lines = [ln for ln in base.splitlines() if not ln.startswith(key + " ")]
     text = "".join(f"{ln}\n" for ln in lines) + f"{key} = {value}\n"
-    code, out, err = run_config(capsys, tmp_path, command, text)
+    # numpy's float warnings would reach a user's stderr, but never capsys
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_config(capsys, tmp_path, command, text)
+    assert [str(w.message) for w in caught] == []
     assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
     assert err == "" or (err.startswith("grovekit: ") and err.count("\n") == 1)
     if code == EXIT_USAGE:
@@ -376,6 +381,37 @@ def test_geodesic_non_finite_start_or_velocity_is_a_computation_failure(
     assert err == ""
     assert out.splitlines()[-1].startswith(
         "error = start and velocity must be finite")
+
+
+@pytest.mark.parametrize("text", ["velocity = 1e200,1e200\n",
+                                  "metric = sphere\nvelocity = 1e200,1e200\n"],
+                         ids=["euclidean", "sphere"])
+def test_geodesic_overflowing_energy_is_a_computation_failure(
+        capsys, tmp_path, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_config(capsys, tmp_path, "geodesic",
+                                    "steps = 20\n" + text)
+    assert caught == []
+    assert (code, err) == (EXIT_FAILURE, "")
+    assert out.splitlines()[-1] == "error = energy is not finite at sample 0"
+
+
+def test_info_scale_without_a_finite_square_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run_config(capsys, tmp_path, "info", "scale = 1e200\n")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("grovekit: info: scale must be > 0 with 1/scale^2 finite "
+                   "and nonzero, got 1e+200\n")
+
+
+def test_empty_listings_are_empty_files(capsys, tmp_path):
+    model = tmp_path / "model.txt"
+    model.write_text("caps.1 = 0,0,0\n")
+    code, out, err = run(capsys, "enumerate", "--depth", "1", "--model",
+                         str(model), "--out", str(tmp_path))
+    assert (code, err) == (EXIT_OK, "")
+    assert "count = 0\n" in out
+    assert read(tmp_path / "enumerate-list.txt") == ""
 
 
 def _report(out):

@@ -153,10 +153,11 @@ def test_logistic_fixed_point_and_regrowth():
     cfg = GameConfig(rounds=1)
     state = GameState.initial(cfg)
     rngs = [np.random.default_rng([1, i, 1]) for i in range(cfg.n_agents)]
-    step(state, [0.0] * cfg.n_agents, None, rngs)
+    agents = default_agents(cfg)
+    step(state, [0.0] * cfg.n_agents, None, rngs, agents)
     assert state.resource == pytest.approx(cfg.capacity)
     state.resource = cfg.capacity / 2
-    step(state, [0.0] * cfg.n_agents, None, rngs)
+    step(state, [0.0] * cfg.n_agents, None, rngs, agents)
     assert state.resource > cfg.capacity / 2
 
 

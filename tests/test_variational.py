@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -310,9 +311,29 @@ def _accepted_as_symmetric(g):
 @example(np.array([[1.0, math.inf], [-math.inf, 1.0]]))
 @example(np.array([[1.0, 0.5], [0.5 * (1 + 1e-9), 1.0]]))
 @example(np.array([[1.0, 0.5], [0.5 * (1 + 1e-3), 1.0]]))
+@example(np.full((3, 3), math.inf))
+@example(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+@example(np.array([[math.inf]]))
 def test_symmetry_verdict_matches_allclose(g):
     with np.errstate(all="ignore"):
         assert _accepted_as_symmetric(g) == np.allclose(g, g.T, atol=0.0)
+
+
+@pytest.mark.parametrize("matrix", [[[math.inf, 0.0], [0.0, 1.0]],
+                                    [[math.inf]],
+                                    np.full((3, 3), math.inf)],
+                         ids=["inf-diagonal", "inf-1x1", "all-inf"])
+def test_metric_with_an_infinite_entry_is_rejected(matrix):
+    # eigvalsh gives nan or inf here, or raises; none of it may pass
+    metric = constant_metric(matrix)
+    start = np.zeros(metric.dimension)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VariationalError,
+                           match="step 0: metric is not finite") as err:
+            integrate_geodesic(metric, start, np.eye(metric.dimension)[0],
+                               3, 0.1)
+    assert len(err.value.partial.points) == 1
 
 
 def test_geodesic_csv_round_trip():
@@ -447,8 +468,8 @@ def test_policy_information_scales_with_neutral_factor():
     doubled_group = direct_product(cyclic_group(4), cyclic_group(2))
     doubled = PolicyCostFunction(doubled_group,
                                  lambda a, b: base.cost(a // 2, b // 2))
-    per_base = policy_information(base, eps, normalized=False) / 4
-    per_doubled = policy_information(doubled, eps, normalized=False) / 8
+    per_base = policy_information(base, eps)
+    per_doubled = policy_information(doubled, eps)
     assert abs(per_base - per_doubled) < 1e-6
 
 
