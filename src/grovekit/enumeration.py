@@ -1,8 +1,9 @@
 """Exhaustive generation of allowed topologies and situation expressions.
 
-Chains are generated by distributing a decoration budget (the rank) over
-the levels of an undecorated base chain, subject to the cost model's
-per-level caps and exclusion rules, then deduplicated by canonical form.
+Chains come from a small grammar of decorated levels and ground
+arguments whose rank is the decoration budget; each is kept when its
+per-level charges are within the cost model's caps and no exclusion rule
+matches it, then deduplicated by canonical form.
 The reference tables shipped under ``grovekit/tables`` are the oracle the
 default model was fitted against.
 """
@@ -16,7 +17,6 @@ from pathlib import Path
 from typing import Iterator
 
 from .expr import (
-    DecoratedSymbol,
     Grove,
     GroveError,
     TopologyExpr,
@@ -26,7 +26,7 @@ from .expr import (
     op,
     parse,
 )
-from .model import EXCLUSION_RULES, CostModel, rank
+from .model import EXCLUSION_RULES, CostModel, charges, rank
 
 MAX_DEPTH = 2
 
@@ -82,128 +82,66 @@ def _int_partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# decoration plans for a single chain
+# decorated chains of one depth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Plan:
-    """One way to spend the budget; charges are per-level weight totals."""
-
-    depth: int
-    sigma_lift: int = 0
-    tau_lift: int = 0
-    tau_inserted: int = 0           # extra tau at depth 2
-    tau_phi_insert: bool = False    # phi inserted into the tau level (depth 1)
-    tau_phi_lift: int = 0
-    phi_base_lift: int = 0
-    phi_inserted_lifts: tuple[int, ...] | None = None  # None = no insertion
-    arg_lifts: tuple[int, ...] = (0,)   # one entry per point argument
-    map_subst: bool = False
-
-    def charges(self, m: CostModel) -> dict[str, int]:
-        """Weight per level, ground-to-head like ``m.caps[self.depth]``."""
-        out = {"ground": (
-            m.extra_arg_cost * max(0, len(self.arg_lifts) - 1)
-            + m.lift_cost * sum(self.arg_lifts)
-            + (m.map_subst_cost if self.map_subst else 0)
-            + m.lift_cost * self.tau_phi_lift
-        )}
-        if self.depth >= 2:
-            out["phi"] = m.lift_cost * self.phi_base_lift
-            if self.phi_inserted_lifts is not None:
-                out["phi"] += m.insert_cost * len(self.phi_inserted_lifts)
-                out["phi"] += m.lift_cost * sum(self.phi_inserted_lifts)
-        if self.depth >= 1:
-            out["tau"] = (
-                m.lift_cost * self.tau_lift
-                + m.insert_cost * self.tau_inserted
-                + (m.insert_cost if self.tau_phi_insert else 0)
-            )
-        out["sigma"] = m.lift_cost * self.sigma_lift
-        return out
-
-    def cost(self, m: CostModel) -> int:
-        return sum(self.charges(m).values())
-
-    def build(self) -> TopologyExpr:
-        levels: list[tuple[DecoratedSymbol, ...]] = [(op(0, lift=self.sigma_lift),)]
-        if self.depth >= 1:
-            level1 = [op(1, lift=self.tau_lift)]
-            if self.tau_inserted:
-                level1.extend(op(1) for _ in range(self.tau_inserted))
-            if self.tau_phi_insert:
-                level1.append(op(2, lift=self.tau_phi_lift))
-            levels.append(tuple(level1))
-        if self.depth >= 2:
-            level2 = [op(2, lift=self.phi_base_lift)]
-            if self.phi_inserted_lifts is not None:
-                level2.extend(op(2, lift=lv) for lv in self.phi_inserted_lifts)
-            levels.append(tuple(level2))
-        if self.map_subst:
-            args = (arg(map_subst=True),)
-        else:
-            args = tuple(arg(i + 1, lift=lv) for i, lv in enumerate(self.arg_lifts))
-        return canonicalize(TopologyExpr(tuple(levels), args))
+def _lifts(count: int, units: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing ``count``-tuples of lifts summing to at most ``units``."""
+    for total in range(units + 1):
+        for parts in _int_partitions(total, count):
+            yield parts + (0,) * (count - len(parts))
 
 
-def _ground_variants(budget: int, model: CostModel) -> Iterator[dict]:
-    """Ways to spend exactly ``budget`` on the argument tuple."""
-    if budget == model.map_subst_cost:
-        yield {"map_subst": True, "arg_lifts": ()}
-    for extra in range(0, budget // model.extra_arg_cost + 1):
-        left = budget - extra * model.extra_arg_cost
-        if left % model.lift_cost:
-            continue
-        units = left // model.lift_cost
-        for lifts in _int_partitions(units, extra + 1):
-            padded = tuple(lifts) + (0,) * (extra + 1 - len(lifts))
-            yield {"map_subst": False, "arg_lifts": padded}
+def _level_shapes(tier: int, depth: int, m: CostModel, budget: int) -> list:
+    """The grammar of operator level ``tier`` in a chain of ``depth``.
+
+    ``sig`` carries a lift.  At depth 1 ``tau`` carries a lift or takes one
+    inserted ``phi``; at depth 2 it carries a lift or repeats, and the ``phi``
+    level is any nonempty multiset of lifted ``phi``.
+    """
+    units, most = budget // m.lift_cost, budget // m.insert_cost + 1
+    if tier == 2:
+        return [tuple(op(2, lift=k) for k in lifts)
+                for n in range(1, most + 1) for lifts in _lifts(n, units)]
+    lifted = [(op(tier, lift=k),) for k in range(units + 1)]
+    if tier == 0:
+        return lifted
+    if depth == 1:
+        return lifted + [(op(1), op(2, lift=k)) for k in range(units + 1)]
+    return lifted + [(op(1),) * n for n in range(2, most + 1)]
 
 
-def _plans(depth: int, model: CostModel) -> Iterator[_Plan]:
-    """Every way to spend the rank budget depth + 1 on a chain of ``depth``."""
-    m = model
+def _ground_shapes(m: CostModel, budget: int) -> list:
+    """A map substitution, or point arguments with a lift multiset."""
+    shapes = [(arg(map_subst=True),)]
+    for n in range(1, budget // m.extra_arg_cost + 2):
+        shapes += [tuple(arg(i + 1, lift=k) for i, k in enumerate(lifts))
+                   for lifts in _lifts(n, budget // m.lift_cost)]
+    return shapes
+
+
+def _chains(depth: int, m: CostModel) -> Iterator[TopologyExpr]:
+    """Every chain of the grammar with ``depth`` and rank ``depth + 1``.
+
+    Rank adds over levels, so each shape is weighed once, by the rank of
+    the shortest undecorated chain that holds it, and the shapes combine
+    under a running sum of at most the budget.
+    """
     budget = depth + 1
-    for sigma_lift in range(0, budget // m.lift_cost + 1):
-        tau_variants: list[dict] = [{}]
-        if depth == 1:
-            tau_variants += [{"tau_lift": t}
-                             for t in range(1, budget // m.lift_cost + 1)]
-            for ins_lift in range(0, budget // m.lift_cost + 1):
-                tau_variants.append(
-                    {"tau_phi_insert": True, "tau_phi_lift": ins_lift})
-        elif depth == 2:
-            tau_variants += [{"tau_lift": t}
-                             for t in range(1, budget // m.lift_cost + 1)]
-            tau_variants += [{"tau_inserted": k}
-                             for k in range(1, budget // m.insert_cost + 1)]
-        phi_variants: list[dict] = [{}]
-        if depth == 2:
-            phi_variants = []
-            for base_lift in range(0, budget // m.lift_cost + 1):
-                phi_variants.append({"phi_base_lift": base_lift})
-                for k in range(1, budget // m.insert_cost + 1):
-                    room = budget - k * m.insert_cost - base_lift * m.lift_cost
-                    if room < 0:
-                        break
-                    for units in range(0, room // m.lift_cost + 1):
-                        for lifts in _int_partitions(units, k):
-                            padded = tuple(lifts) + (0,) * (k - len(lifts))
-                            phi_variants.append({
-                                "phi_base_lift": base_lift,
-                                "phi_inserted_lifts": padded,
-                            })
-        for tv in tau_variants:
-            for pv in phi_variants:
-                partial = _Plan(depth=depth, sigma_lift=sigma_lift,
-                                arg_lifts=(0,), **tv, **pv)
-                spent = partial.cost(m)
-                ground = budget - spent
-                if ground < 0:
-                    continue
-                for gv in _ground_variants(ground, m):
-                    yield _Plan(depth=depth, sigma_lift=sigma_lift,
-                                **tv, **pv, **gv)
+    heads = [(0, ())]
+    for tier in range(depth + 1):
+        bare = tuple((op(t),) for t in range(tier))
+        weighed = [(rank(TopologyExpr(bare + (s,), (arg(),)), m), s)
+                   for s in _level_shapes(tier, depth, m, budget)]
+        heads = [(w + v, levels + (s,)) for w, levels in heads
+                 for v, s in weighed if w + v <= budget]
+    grounds: dict[int, list] = {}
+    for args in _ground_shapes(m, budget):
+        v = rank(TopologyExpr(((op(0),),), args), m)
+        grounds.setdefault(v, []).append(args)
+    for w, levels in heads:
+        for args in grounds.get(budget - w, ()):
+            yield TopologyExpr(levels, args)
 
 
 def enumerate_topologies(
@@ -212,10 +150,11 @@ def enumerate_topologies(
 ) -> frozenset[TopologyExpr]:
     """All allowed decorated chains of the given depth.
 
-    The rank budget is depth + 1; a plan is kept when each level's charge
-    is within ``model.caps[depth]`` and no enabled exclusion rule matches
-    it.  Results are deduplicated by canonical form.  Multi-part
-    partitions describe groves; see :func:`enumerate_groves`.
+    The rank budget is depth + 1; a chain is kept when each level's
+    :func:`~grovekit.model.charges` is within ``model.caps[depth]`` and no
+    enabled exclusion rule matches it.  Results are deduplicated by
+    canonical form.  Multi-part partitions describe groves; see
+    :func:`enumerate_groves`.
     """
     model = model or CostModel()
     if depth not in range(MAX_DEPTH + 1):
@@ -224,13 +163,13 @@ def enumerate_topologies(
     rules = [rule for name, rule in EXCLUSION_RULES.items()
              if name in model.exclusions]
     produced = set()
-    for plan in _plans(depth, model):
-        ch = plan.charges(model)
+    for expr in _chains(depth, model):
+        ch = charges(expr, model)
         if any(c > cap for c, cap in zip(ch.values(), caps)):
             continue
-        if any(rule(plan, ch) for rule in rules):
+        if any(rule(expr, ch) for rule in rules):
             continue
-        produced.add(plan.build())
+        produced.add(canonicalize(expr))
     if model.table2_entry27_as_printed and depth == 2:
         model_form = parse(ENTRY27_MODEL)
         if model_form in produced:

@@ -255,11 +255,20 @@ def _log_with_floor(values: np.ndarray) -> np.ndarray:
 
 
 def fisher_information(dist: GridDistribution, axis: int | str) -> float:
-    """Quadrature of f * (d ln f / dx)^2 along the given axis; >= 0."""
+    """Quadrature of f * (d ln f / dx)^2 along the given axis; >= 0.
+
+    Raises InfoError when a term underflows, as on a grid whose density is
+    so small that the sum would read 0 or lose its leading digits.
+    """
     i = dist.grid.axis_index(axis)
     logf = _log_with_floor(dist.values)
     dlogf = np.gradient(logf, dist.grid.axes[i].spacing, axis=i)
-    return float(np.sum(dist.values * dlogf * dlogf) * dist.grid.cell_volume)
+    try:
+        with np.errstate(under="raise"):
+            terms = dist.values * dlogf * dlogf
+    except FloatingPointError:
+        raise InfoError("Fisher information underflows on this grid") from None
+    return float(np.sum(terms) * dist.grid.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -329,20 +338,20 @@ class InfoTensorBinding:
         return d
 
 
-def information_density(binding: InfoTensorBinding, mbar, eps: float,
-                        h: float | None = None) -> float:
+def information_density(binding: InfoTensorBinding, mbar, eps: float) -> float:
     """Scalar density: D_ij summed against log-derivative products.
 
     Log-derivatives of every component are taken by central differences in
-    each of the four arguments; i, j contract against the delta matrix and
-    k, l contract the two derivative factors.
+    each of the four arguments, with step ``max(1e-5, 1e-4 * max|mbar|)``;
+    i, j contract against the delta matrix and k, l contract the two
+    derivative factors.
     """
     mbar = np.asarray(mbar, dtype=float)
     if mbar.shape != (TENSOR_DIM,):
         raise InfoError(f"mbar must have {TENSOR_DIM} components")
     if eps <= 0:
         raise InfoError("smoothing width must be > 0")
-    h = h if h is not None else max(1e-5, 1e-4 * float(np.max(np.abs(mbar)) or 1.0))
+    h = max(1e-5, 1e-4 * float(np.max(np.abs(mbar)) or 1.0))
 
     d0 = binding.delta_matrix(mbar, eps)
     peak = 1.0 / (eps * math.sqrt(2.0 * math.pi))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from .expr import ARG_MAP, GroveError, TopologyExpr
+from .expr import ARG_MAP, ARG_POINT, GroveError, TopologyExpr, tier_name
 
 DEFAULT_CAPS: dict[int, tuple[int, ...]] = {
     0: (1, 1),
@@ -21,38 +21,37 @@ DEFAULT_CAPS: dict[int, tuple[int, ...]] = {
     2: (3, 2, 1, 1),
 }
 
-#: Named exclusion rules.  Each predicate takes an enumeration plan and its
-#: per-level charges (keys ``ground``, ``phi``, ``tau`` and ``sigma``, the
-#: levels the plan's depth has) and is true when the plan is dropped.  Each
-#: is a fit to the reference tables, not a derived principle.
-EXCLUSION_RULES: dict[str, Callable[[object, dict[str, int]], bool]] = {
+#: Named exclusion rules.  Each predicate takes a decorated chain and its
+#: :func:`charges` (keys ``ground``, then ``phi``, ``tau`` and ``sig`` as far
+#: as the chain's depth reaches) and is true when the chain is dropped.
+#: Each is a fit to the reference tables, not a derived principle.
+EXCLUSION_RULES: dict[str, Callable[[TopologyExpr, dict[str, int]], bool]] = {
     "no-arg-lift-at-depth-0":
-        lambda plan, ch: plan.depth == 0 and any(plan.arg_lifts),
+        lambda e, ch: e.depth == 0 and any(a.lift for a in e.args),
     "map-subst-only-at-depth-0":
-        lambda plan, ch: plan.depth > 0 and plan.map_subst,
+        lambda e, ch: e.depth > 0 and e.args[0].kind == ARG_MAP,
     "no-joint-sigma-tau-lift-at-depth-1":
-        lambda plan, ch: (plan.depth == 1 and plan.sigma_lift > 0
-                          and plan.tau_lift > 0),
+        lambda e, ch: (e.depth == 1 and e.levels[0][0].lift > 0
+                       and e.levels[1][0].lift > 0),
     "depth2-no-tau-phi-ground-mix":
-        lambda plan, ch: (plan.depth == 2 and ch["sigma"] == 0
-                          and ch["tau"] > 0 and ch["phi"] > 0
-                          and ch["ground"] > 0),
+        lambda e, ch: (e.depth == 2 and ch["sig"] == 0 and ch["tau"] > 0
+                       and ch["phi"] > 0 and ch["ground"] > 0),
     "depth2-no-double-phi-insert-with-ground":
-        lambda plan, ch: (plan.depth == 2
-                          and plan.phi_inserted_lifts is not None
-                          and len(plan.phi_inserted_lifts) >= 2
-                          and ch["ground"] > 0),
+        lambda e, ch: e.depth == 2 and len(e.levels[2]) >= 3 and ch["ground"] > 0,
     "depth2-no-bare-phi-lift-with-double-ground":
-        lambda plan, ch: (plan.depth == 2 and ch["sigma"] == 0
-                          and ch["tau"] == 0 and plan.phi_base_lift >= 1
-                          and plan.phi_inserted_lifts is None
-                          and ch["ground"] >= 2),
+        lambda e, ch: (e.depth == 2 and ch["sig"] == 0 and ch["tau"] == 0
+                       and len(e.levels[2]) == 1 and e.levels[2][0].lift >= 1
+                       and ch["ground"] >= 2),
 }
 
 #: The shipped model enables every rule.
 DEFAULT_EXCLUSIONS: frozenset[str] = frozenset(EXCLUSION_RULES)
 
 _COST_FIELDS = ("lift_cost", "extra_arg_cost", "insert_cost", "map_subst_cost")
+
+#: Spellings a model file may use for a yes/no value, any case.
+_BOOLEANS = {"true": True, "false": False, "1": True, "0": False,
+             "yes": True, "no": False}
 
 
 @dataclass(frozen=True)
@@ -80,11 +79,16 @@ class CostModel:
         missing = DEFAULT_CAPS.keys() - self.caps.keys()
         if missing:
             raise GroveError(f"caps missing for depths {sorted(missing)}")
+        unused = self.caps.keys() - DEFAULT_CAPS.keys()
+        if unused:
+            raise GroveError(f"caps given for unsupported depths {sorted(unused)}")
         for depth, caps in self.caps.items():
             if len(caps) != depth + 2:
                 raise GroveError(
                     f"caps for depth {depth} must have {depth + 2} entries, "
                     f"got {len(caps)}")
+            if min(caps) < 0:
+                raise GroveError(f"caps for depth {depth} must be >= 0, got {caps}")
         unknown = self.exclusions - EXCLUSION_RULES.keys()
         if unknown:
             raise GroveError(f"unknown exclusion rules: {sorted(unknown)}")
@@ -93,25 +97,35 @@ class CostModel:
         return replace(self, table2_entry27_as_printed=True)
 
 
-def rank(expr: TopologyExpr, model: CostModel | None = None) -> int:
-    """Total decoration weight of a canonical expression.
+def charges(expr: TopologyExpr, model: CostModel | None = None) -> dict[str, int]:
+    """Decoration weight per level, ground to head, like ``model.caps[depth]``.
 
-    The undecorated base chain has rank 0; each lift unit, extra argument,
-    extra operator symbol, and map substitution adds its model cost.
+    The keys are ``ground``, then the tier name of each level from the
+    innermost out.  The ground carries the argument tuple: each point
+    argument beyond the first, a map substitution and argument lifts.  A
+    level carries ``insert_cost`` per symbol beyond its first plus the lifts
+    of its own-tier symbols.  The lift of a symbol inserted from the next
+    tier, as in ``sig (tau, phi^(1))(m1)``, is charged to the ground: a fit
+    to the reference tables, like the exclusion rules.
     """
     model = model or CostModel()
-    if expr.is_trivial:
-        return 0
-    total = 0
-    for level in expr.levels:
-        total += model.insert_cost * (len(level) - 1)
-        total += model.lift_cost * sum(s.lift for s in level)
-    point_args = [a for a in expr.args if a.kind != ARG_MAP]
-    total += model.map_subst_cost * sum(1 for a in expr.args if a.kind == ARG_MAP)
-    if point_args:
-        total += model.extra_arg_cost * (len(point_args) - 1)
-    total += model.lift_cost * sum(a.lift for a in expr.args)
-    return total
+    points = sum(1 for a in expr.args if a.kind == ARG_POINT)
+    out = {"ground": (model.extra_arg_cost * max(0, points - 1)
+                      + model.map_subst_cost * (len(expr.args) - points)
+                      + model.lift_cost * sum(a.lift for a in expr.args))}
+    for tier in reversed(range(len(expr.levels))):
+        own = tier_name(tier)
+        level = expr.levels[tier]
+        out[own] = (model.insert_cost * (len(level) - 1)
+                    + model.lift_cost * sum(s.lift for s in level if s.kind == own))
+        out["ground"] += model.lift_cost * sum(
+            s.lift for s in level if s.kind != own)
+    return out
+
+
+def rank(expr: TopologyExpr, model: CostModel | None = None) -> int:
+    """Total decoration weight; the undecorated base chain has rank 0."""
+    return sum(charges(expr, model).values())
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +162,22 @@ def model_from_config(path: str | Path) -> CostModel:
     cfg = load_config(path)
     kwargs: dict = {name: int(cfg.pop(name)) for name in _COST_FIELDS
                     if name in cfg}
-    caps = dict(DEFAULT_CAPS)
+    given: dict[int, tuple[int, ...]] = {}
     for key in [k for k in cfg if k.startswith("caps.")]:
-        caps[int(key.split(".", 1)[1])] = tuple(
-            int(v) for v in cfg.pop(key).split(","))
-    kwargs["caps"] = caps
+        depth = int(key.split(".", 1)[1])
+        if depth in given:
+            raise GroveError(f"{path}: caps for depth {depth} given twice")
+        given[depth] = tuple(int(v) for v in cfg.pop(key).split(","))
+    kwargs["caps"] = {**DEFAULT_CAPS, **given}
     if "exclusions" in cfg:
         names = [v.strip() for v in cfg.pop("exclusions").split(",") if v.strip()]
         kwargs["exclusions"] = frozenset(names)
     if "table2_entry27_as_printed" in cfg:
-        kwargs["table2_entry27_as_printed"] = (
-            cfg.pop("table2_entry27_as_printed").lower() in ("1", "true", "yes"))
+        text = cfg.pop("table2_entry27_as_printed")
+        if text.lower() not in _BOOLEANS:
+            raise GroveError(f"{path}: table2_entry27_as_printed must be one of "
+                             f"{', '.join(_BOOLEANS)}, got {text!r}")
+        kwargs["table2_entry27_as_printed"] = _BOOLEANS[text.lower()]
     if cfg:
         raise GroveError(f"{path}: unknown key {next(iter(cfg))!r}")
     return CostModel(**kwargs)

@@ -404,6 +404,57 @@ def test_info_scale_without_a_finite_square_is_a_usage_error(capsys, tmp_path):
                    "and nonzero, got 1e+200\n")
 
 
+def test_info_huge_scale_within_range_succeeds(capsys, tmp_path):
+    code, out, err = run_config(capsys, tmp_path, "info", "scale = 1e100\n")
+    assert (code, err) == (EXIT_OK, "")
+    assert float(_report(out)["relative_error"]) < 1e-6
+
+
+@pytest.mark.parametrize("scale", ["2.5e107", "1e150"])
+def test_info_underflowing_fisher_sum_is_a_failure(capsys, tmp_path, scale):
+    config = tmp_path / "info.txt"
+    config.write_text(f"scale = {scale}\n")
+    code, out, err = run(capsys, "info", "--config", str(config),
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert err == "grovekit: Fisher information underflows on this grid\n"
+    assert not (tmp_path / "out" / "info-report.txt").exists()
+
+
+#: --model file text and the start of the one stderr line it gives
+BAD_MODEL_FILES = [
+    ("table2_entry27_as_printed = ture\n",
+     "table2_entry27_as_printed must be one of"),
+    ("caps.3 = 1,1,1,1,1\n", "caps given for unsupported depths [3]"),
+    ("caps.1 = 2,1,-5\n", "caps for depth 1 must be >= 0"),
+    ("caps.1 = 2,1,1\ncaps.01 = 0,0,0\n", "caps for depth 1 given twice"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_MODEL_FILES,
+                         ids=["bad-boolean", "unused-depth", "negative-cap",
+                              "repeated-depth"])
+def test_bad_model_value_is_usage_error(capsys, tmp_path, text, message):
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    code, out, err = run(capsys, "enumerate", "--depth", "1", "--model",
+                         str(model))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("grovekit: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("word,printed", [("TRUE", True), ("Yes", True),
+                                          ("1", True), ("no", False),
+                                          ("False", False), ("0", False)])
+def test_model_boolean_spellings(capsys, tmp_path, word, printed):
+    model = tmp_path / "model.txt"
+    model.write_text(f"table2_entry27_as_printed = {word}\n")
+    code, out, _ = run(capsys, "verify", "--table", "2", "--model", str(model))
+    assert code == EXIT_OK
+    assert f"exact = {printed}" in out
+
+
 def test_empty_listings_are_empty_files(capsys, tmp_path):
     model = tmp_path / "model.txt"
     model.write_text("caps.1 = 0,0,0\n")

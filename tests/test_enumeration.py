@@ -17,10 +17,12 @@ from grovekit.enumeration import (
 )
 from grovekit.expr import GroveError, parse, render
 from grovekit.model import (
+    DEFAULT_CAPS,
     DEFAULT_EXCLUSIONS,
     CostModel,
     model_from_config,
     model_to_config,
+    charges,
     parse_config,
     rank,
 )
@@ -79,6 +81,21 @@ def test_enumerated_ranks_match_depth():
         for expr in enumerate_topologies(depth, model):
             assert rank(expr, model) == depth + 1
             assert expr.depth == depth
+            ch = charges(expr, model)
+            assert len(ch) == len(model.caps[depth])
+            assert all(c <= cap for c, cap in zip(ch.values(), model.caps[depth]))
+
+
+def test_charges_are_per_level_ground_to_head():
+    # the lift of a phi inserted into the tau level is charged to the ground
+    assert charges(parse("sig (tau, phi^(1))(m1)")) == {
+        "ground": 1, "tau": 1, "sig": 0}
+    assert list(charges(parse("sig^(1) (tau, tau) phi(m1, m2)"))) == [
+        "ground", "phi", "tau", "sig"]
+    model = CostModel(lift_cost=2, extra_arg_cost=3, map_subst_cost=5)
+    assert charges(parse("sig^(1) tau(m1, m2^(1))"), model) == {
+        "ground": 5, "tau": 0, "sig": 2}
+    assert charges(parse("sig(phi)"), model) == {"ground": 5, "sig": 0}
 
 
 def test_groves_pruned_counts():
@@ -153,6 +170,10 @@ def test_cost_model_caps_cover_every_depth():
         CostModel(caps={1: (2, 1, 1)})
     with pytest.raises(GroveError, match=r"\[0, 2\]"):
         CostModel(caps={1: (2, 1, 1), 3: (1, 1, 1, 1, 1)})
+    with pytest.raises(GroveError, match=r"unsupported depths \[3\]"):
+        CostModel(caps={**DEFAULT_CAPS, 3: (1, 1, 1, 1, 1)})
+    with pytest.raises(GroveError, match="caps for depth 1 must be >= 0"):
+        CostModel(caps={**DEFAULT_CAPS, 1: (2, 1, -5)})
 
 
 def test_parse_config_comments_and_repeated_keys():

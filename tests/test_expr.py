@@ -23,7 +23,7 @@ from grovekit.expr import (
     render,
     splittings,
 )
-from grovekit.model import rank
+from grovekit.model import charges, rank
 
 
 ZEROTH_ORDER = ["sig(m1, m2)", "sig(phi)", "sig^(1)(m1)"]
@@ -98,7 +98,9 @@ def test_multiply_concatenates_levels():
 def test_multiply_rank_additive():
     left = parse("sig^(1)(m1)")
     right = parse("sig(m1, m2)")
-    assert rank(multiply(left, right)) == rank(left) + rank(right)
+    product = multiply(left, right)
+    assert rank(product) == rank(left) + rank(right)
+    assert rank(product) == sum(charges(product).values())
 
 
 def test_multiply_rejects_decorated_left_args():
@@ -237,6 +239,7 @@ def test_product_depth_and_rank_additivity(left_text, right):
     product = multiply(left, right)
     assert product.depth == left.depth + right.depth + 1
     assert rank(product) == rank(left) + rank(right)
+    assert rank(product) == sum(charges(product).values())
     assert canonicalize(product) == product
 
 

@@ -214,8 +214,8 @@ def test_information_density_sixteenfold_symmetry():
              for _ in range(4)]
     bind = InfoTensorBinding(comps, np.full((4, 4), 0.2))
     mbar = np.array([0.1, 0.2, 0.3, 0.4])
-    eps, h = 0.5, 1e-4
-    total = information_density(bind, mbar, eps, h=h)
+    eps, h = 0.5, 4e-5  # the function's step, 1e-4 * max|mbar|
+    total = information_density(bind, mbar, eps)
     d0 = bind.delta_matrix(mbar, eps)
     dlog = np.empty(4)
     for i in range(4):
