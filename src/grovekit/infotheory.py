@@ -29,6 +29,9 @@ LOG_FLOOR_RATIO = 1e-12
 #: as normalised; it covers the rounding of a normalised grid's sum.
 NORMALISED_REL_TOL = 1e-9
 
+#: Most cells a grid may hold: one float64 array over it takes 128 MiB.
+MAX_GRID_CELLS = 2 ** 24
+
 
 def smoothed_delta(x, center, eps: float):
     """Gaussian kernel of width eps centred at ``center``; integrates to 1."""
@@ -75,6 +78,10 @@ class GridSpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise InfoError(f"duplicate axis names {names}")
+        cells = math.prod(self.shape)
+        if cells > MAX_GRID_CELLS:
+            raise InfoError(f"grid of shape {self.shape} has {cells} cells, "
+                            f"more than {MAX_GRID_CELLS}")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -7,20 +7,12 @@ given the seed: each agent owns two numpy substreams (decisions and
 enforcement draws), so changing the law never shifts anyone's decision
 noise and a q = 0 law reproduces the lawless trace bit for bit.
 
-Block substreams and byte identity.  `run_episode` does not draw one
-scalar at a time.  It draws each agent's substreams in blocks of
-`SUBSTREAM_CHUNK` values: ``default_rng([seed, i]).normal(desire_mean,
-desire_sd, size=k)`` for decisions and ``default_rng([seed, i, 1])
-.random(k)`` for enforcement, each with the agent's own parameters.
-numpy returns exactly the values of k sequential scalar draws, so a
-per-agent cursor (`_Substream`) reading the blocks in order replays the
-scalar Generator draw for draw.  An active agent makes one decision draw
-per round; it makes an enforcement draw only when its request exceeds
-the law's tolerance, so that cursor advances with the data.  Agents that
-join by `agent_influx` get cursors of their own from the round they
-join.  Sums over agents run left to right, as Python's ``sum`` does.
-Together these keep every trace, welfare and CSV byte-identical to the
-scalar-draw engine; tests/test_regsim_golden.py holds the digests.
+Agent i's decision stream is ``default_rng([seed, i]).normal(desire_mean,
+desire_sd)`` and its enforcement stream ``default_rng([seed, i, 1])
+.random()``.  `_chunked` draws each in blocks of `SUBSTREAM_CHUNK`
+values, which numpy makes equal to as many scalar draws, so traces are
+byte-identical to drawing one scalar at a time; tests/test_regsim_golden.py
+holds the digests.
 """
 
 from __future__ import annotations
@@ -42,6 +34,10 @@ class RegsimError(Exception):
     pass
 
 
+#: most agents one game holds, configured and influx agents together
+MAX_AGENTS = 10_000
+
+
 @dataclass(frozen=True)
 class GameConfig:
     n_agents: int = 8
@@ -57,6 +53,9 @@ class GameConfig:
     def __post_init__(self):
         if self.n_agents < 2:
             raise RegsimError("need at least 2 agents")
+        if self.n_agents > MAX_AGENTS:
+            raise RegsimError(f"at most {MAX_AGENTS} agents, "
+                              f"got n_agents = {self.n_agents}")
         if not 0 < self.capacity < math.inf:
             raise RegsimError("capacity must be positive and finite")
         if not 0 < self.regrowth < 1:
@@ -95,7 +94,7 @@ class Law:
         object.__setattr__(self, "tolerance", self.cap * (1.0 + self.slack))
 
 
-#: damping of an order >= 1 agent's greed per unit of believed decline
+#: damping of an order >= 1 agent's desire per unit of believed decline
 DECLINE_SENSITIVITY = 8.0
 #: prior precision of the decline posterior (known unit observation precision)
 PRIOR_PRECISION = 4.0
@@ -106,14 +105,13 @@ class AgentModel:
     """Extractor with order-many auxiliary belief distributions.
 
     Order 0 samples a desired extraction from one fixed normal.  Order 1
-    adds a posterior over the resource decline rate and scales greed down
+    adds a posterior over the resource decline rate and scales desire down
     as decline evidence accumulates.  Order 2 further keeps a Beta
     posterior over the regulator's enforcement probability and plays a
     one-step best response to the current law.
     """
 
     order: int = 0
-    greed: float = 1.0
     desire_mean: float = 3.0
     desire_sd: float = 0.5
     # decline posterior (normal)
@@ -126,8 +124,6 @@ class AgentModel:
     def __post_init__(self):
         if self.order not in (0, 1, 2):
             raise RegsimError("agent order must be 0, 1, or 2")
-        if self.greed < 0:
-            raise RegsimError("greed must be nonnegative")
 
     def observe(self, fractional_decline: float) -> None:
         if self.order >= 1:
@@ -142,11 +138,12 @@ class AgentModel:
                 self._unenforced += 1.0
 
 
-def agent_decide(agent: AgentModel, law: Law | None,
-                 rng: np.random.Generator) -> float:
-    """Desired extraction for this round; always >= 0."""
-    draw = rng.normal(agent.desire_mean, agent.desire_sd)
-    desire = agent.greed * (draw if draw > 0.0 else 0.0)
+def agent_decide(agent: AgentModel, law: Law | None, draw: float) -> float:
+    """Desired extraction for this round; always >= 0.
+
+    ``draw`` is the agent's next normal(desire_mean, desire_sd) value.
+    """
+    desire = draw if draw > 0.0 else 0.0
     if agent.order >= 1:
         # posterior mean of the fractional per-round decline, prior at 0
         decline = agent._decline_sum / (PRIOR_PRECISION
@@ -166,16 +163,17 @@ def agent_decide(agent: AgentModel, law: Law | None,
 
 
 def apply_law(law: Law | None, extraction: float,
-              rng: np.random.Generator) -> tuple[float, float]:
+              u: float) -> tuple[float, float]:
     """Returns (allowed extraction, penalty).
 
-    Within cap x (1 + slack) the request passes untouched.  Beyond it the
-    draw decides: with probability q the excess is confiscated and fined,
-    otherwise the violation slips through.
+    Within cap x (1 + slack) the request passes untouched and ``u`` is
+    ignored.  Beyond it the uniform draw ``u`` decides: with probability q
+    the excess is confiscated and fined, otherwise the violation slips
+    through.
     """
     if law is None or extraction <= law.tolerance:
         return extraction, 0.0
-    if float(rng.random()) < law.enforcement:
+    if u < law.enforcement:
         return law.cap, law.penalty * (extraction - law.cap)
     return extraction, 0.0
 
@@ -294,8 +292,11 @@ def inject_excession(state: GameState, event: Excession) -> GameState:
         state.config = replace(cfg, regrowth=event.value)
         state.events.append(f"{state.round}:regrowth_change:{event.value!r}")
     elif event.kind == "agent_influx":
-        if not math.isfinite(event.value) or int(event.value) < 0:
-            raise RegsimError("agent influx must be finite and nonnegative")
+        room = MAX_AGENTS - len(state.active)
+        # the comparison is false for nan and inf as well
+        if not 0 <= event.value <= room:
+            raise RegsimError(f"agent influx must lie in [0, {room}] to keep "
+                              f"at most {MAX_AGENTS} agents, got {event.value!r}")
         extra = int(event.value)
         state.utilities.extend([0.0] * extra)
         state.active.extend([True] * extra)
@@ -319,35 +320,13 @@ def _chunked(key: list[int], method: str, *args: float):
         yield from draw(*args, size=SUBSTREAM_CHUNK).tolist()
 
 
-class _Substream:
-    """Per-agent cursor standing in for the agent's numpy Generator.
-
-    ``_Substream(key, method, *args)`` reads the chunks of `_chunked`.
-    Each call to `normal` or `random` returns the next pre-drawn value,
-    which is the value the next scalar draw would have returned.  `normal`
-    ignores its arguments: the chunks are drawn with the agent's own mean
-    and sd.
-    """
-
-    __slots__ = ("_next",)
-
-    def __init__(self, key: list[int], method: str, *args: float):
-        self._next = _chunked(key, method, *args).__next__
-
-    def normal(self, loc: float, scale: float) -> float:
-        return self._next()
-
-    def random(self) -> float:
-        return self._next()
-
-
 def step(state: GameState, decisions: Sequence[float], law: Law | None,
-         enforcement_rngs: Sequence[np.random.Generator],
+         enforcement_draws: Sequence[Callable[[], float]],
          agents: Sequence[AgentModel]) -> dict:
     """Advance one round; returns the per-round record for the trace.
 
-    An enforcement stream is read (through its ``random()`` method) only
-    for a request above the law's tolerance.
+    ``enforcement_draws[i]()`` returns agent i's next uniform draw; it is
+    called only for a request above the law's tolerance.
     """
     cfg = state.config
     active = state.active
@@ -359,7 +338,7 @@ def step(state: GameState, decisions: Sequence[float], law: Law | None,
         allowed[i] = request = float(decisions[i])
         if request > tolerance:  # only these requests draw
             allowed[i], penalties[i] = apply_law(law, request,
-                                                 enforcement_rngs[i])
+                                                 enforcement_draws[i]())
             agents[i].observe_enforcement(allowed[i] < request)
     demand = sum(allowed)
     r_before = state.resource
@@ -466,12 +445,14 @@ def run_episode(config: GameConfig, policy: PolicySpec,
     state = GameState.initial(config)
     by_round = {}
     for ev in events:
-        if ev.round > config.rounds:
-            raise RegsimError(f"event at round {ev.round} beyond horizon")
+        if not 0 <= ev.round < config.rounds:
+            raise RegsimError(f"event at round {ev.round} outside the "
+                              f"{config.rounds}-round horizon "
+                              f"(0 <= round < {config.rounds})")
         by_round.setdefault(ev.round, []).append(ev)
 
-    decision_rngs: list[_Substream] = []
-    enforcement_rngs: list[_Substream] = []
+    decision_draws: list[Callable[[], float]] = []
+    enforcement_draws: list[Callable[[], float]] = []
     rows = []
     retained = 0
     inspection = 0.0
@@ -480,22 +461,23 @@ def run_episode(config: GameConfig, policy: PolicySpec,
             inject_excession(state, ev)
         active = state.active
         # the configured agents join at round 0, influx agents on arrival
-        for i in range(len(decision_rngs), len(active)):
+        for i in range(len(decision_draws), len(active)):
             if i == len(agents):
                 agents.append(AgentModel())
-            decision_rngs.append(_Substream([config.seed, i], "normal",
-                                            agents[i].desire_mean,
-                                            agents[i].desire_sd))
-            enforcement_rngs.append(_Substream([config.seed, i, 1], "random"))
+            decision_draws.append(_chunked([config.seed, i], "normal",
+                                           agents[i].desire_mean,
+                                           agents[i].desire_sd).__next__)
+            enforcement_draws.append(
+                _chunked([config.seed, i, 1], "random").__next__)
         n_active = sum(active)
         law = policy.law_for(state.config, state.resource, n_active)
-        decisions = [agent_decide(agent, law, rng) if on else 0.0
-                     for agent, rng, on in zip(agents, decision_rngs, active)]
+        decisions = [agent_decide(agent, law, draw()) if on else 0.0
+                     for agent, draw, on in zip(agents, decision_draws, active)]
         retained += n_active
         if law is not None and state.config.inspection_cost > 0:
             inspection += (state.config.inspection_cost
                            * law.enforcement * n_active)
-        rows.append(step(state, decisions, law, enforcement_rngs, agents))
+        rows.append(step(state, decisions, law, enforcement_draws, agents))
     total_utility = float(sum(state.utilities))
     welfare = (total_utility
                + config.retention_weight * retained

@@ -479,16 +479,18 @@ def lever_metric(pcf: PolicyCostFunction) -> MetricField:
 
     h_ij = P(x_i x_j) - P(x_i) - P(x_j) + P(e) over the generator levers,
     symmetrized; the spectrum is floored at LEVER_EIGEN_FLOOR to keep the
-    field positive-definite.
+    field positive-definite.  P is read from `PolicyCostFunction.profile`,
+    so the cost must be finite on every group element, as
+    `policy_information` also requires.
     """
     group = pcf.group
-    gens = group.generators
+    gens = list(group.generators)
     if not gens:
         raise VariationalError("policy group declares no generators")
-    pe = float(pcf.cost(0, 0))
-    p1 = np.array([float(pcf.cost(0, x)) for x in gens])
-    words = group.table[np.ix_(gens, gens)].tolist()  # words[i][j] = x_i x_j
-    p2 = np.array([[float(pcf.cost(0, w)) for w in row] for row in words])
+    prof = pcf.profile()
+    pe = prof[0]
+    p1 = prof[gens]
+    p2 = prof[group.table[np.ix_(gens, gens)]]  # p2[i, j] = P(x_i x_j)
     h = p2 - p1[:, None] - p1[None, :] + pe
     sym = 0.5 * (h + h.T)
     vals, vecs = np.linalg.eigh(sym)

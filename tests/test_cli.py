@@ -1,13 +1,19 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grovekit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from grovekit.regsim import DEFAULT_SEEDS, PolicySpec, load_scenario, mean_welfare
+from grovekit.infotheory import MAX_GRID_CELLS
+from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, PolicySpec,
+                             load_scenario, mean_welfare)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -277,6 +283,11 @@ def test_simulate_rejects_invalid_fixed_law(capsys, tmp_path):
     assert err == "grovekit: permit cap must be nonnegative\n"
 
 
+SCENARIO_KEYS = ("n_agents", "capacity", "regrowth", "rounds",
+                 "outside_option", "retention_weight", "inspection_cost",
+                 "exit_window", "seed", "policy.family", "policy.theta",
+                 "agents.order")
+
 #: command, the keys its config file may set, and the lines every matrix
 #: file starts with (a short run unless the key under test is the length)
 CONFIG_KEYS = [
@@ -286,10 +297,7 @@ CONFIG_KEYS = [
     ("geodesic", "steps = 20\n",
      ("metric", "steps", "h", "dimension", "start", "velocity")),
     ("geodesic", "metric = sphere\nsteps = 20\n", ("start", "velocity")),
-    *[(command, "rounds = 20\n",
-       ("n_agents", "capacity", "regrowth", "rounds", "outside_option",
-        "retention_weight", "inspection_cost", "exit_window", "seed",
-        "policy.family", "policy.theta", "agents.order", "event.0"))
+    *[(command, "rounds = 20\n", SCENARIO_KEYS + ("event.0",))
       for command in ("simulate", "optimize")],
 ]
 EXIT_MATRIX = [(command, base, key, value)
@@ -303,6 +311,15 @@ def run_config(capsys, tmp_path, command, text):
     return run(capsys, command, "--config", str(path))
 
 
+def assert_exit_contract(code, out, err, caught):
+    # numpy's float warnings would reach a user's stderr, but never capsys
+    assert [str(w.message) for w in caught] == []
+    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
+    assert err == "" or (err.startswith("grovekit: ") and err.count("\n") == 1)
+    if code == EXIT_USAGE:
+        assert out == ""
+
+
 @pytest.mark.parametrize(
     "command,base,key,value", EXIT_MATRIX,
     ids=[f"{c}{'-' + b.split()[2] if 'functional' in b or 'metric' in b else ''}"
@@ -312,15 +329,40 @@ def test_every_config_value_keeps_the_exit_contract(
     # the matrix file sets the key once: a repeated key is its own case
     lines = [ln for ln in base.splitlines() if not ln.startswith(key + " ")]
     text = "".join(f"{ln}\n" for ln in lines) + f"{key} = {value}\n"
-    # numpy's float warnings would reach a user's stderr, but never capsys
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_config(capsys, tmp_path, command, text)
-    assert [str(w.message) for w in caught] == []
-    assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
-    assert err == "" or (err.startswith("grovekit: ") and err.count("\n") == 1)
-    if code == EXIT_USAGE:
-        assert out == ""
+    assert_exit_contract(code, out, err, caught)
+
+
+#: what the scenario fuzz draws values, event rounds and event kinds from
+FUZZ_VALUES = ("nan", "inf", "-1", "0", "1e18", "1e19", "1e200",
+               "1000000000000000000", "x", "")
+FUZZ_ROUNDS = ("-3", "0", "5", "19", "20", "1000000000000000000", "1e19", "x")
+FUZZ_KINDS = EVENT_KINDS + ("meteor",)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keys=st.dictionaries(st.sampled_from(SCENARIO_KEYS),
+                             st.sampled_from(FUZZ_VALUES),
+                             min_size=1, max_size=4),
+       events=st.lists(st.tuples(st.sampled_from(FUZZ_ROUNDS),
+                                 st.sampled_from(FUZZ_KINDS),
+                                 st.sampled_from(FUZZ_VALUES)), max_size=2))
+def test_fuzzed_scenarios_keep_the_exit_contract(keys, events):
+    text = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    text += "".join(f"event.{n} = {','.join(event)}\n"
+                    for n, event in enumerate(events))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.txt")
+        with open(path, "w") as handle:
+            handle.write(text)
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["simulate", "--rounds", "20", "--config", path])
+    assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
 
 
 @pytest.mark.parametrize("text", [
@@ -335,9 +377,16 @@ def test_every_config_value_keeps_the_exit_contract(
     "rounds = 20\nevent.0 = 5,agent_influx,inf\n",
     "rounds = 20\nevent.0 = 5,null,0\nevent.0 = 9,null,0\n",
     "rounds = 20\ninspection_cost = -1\n",
+    "rounds = 20\nevent.0 = 2,agent_influx,1e19\n",
+    "rounds = 20\nevent.0 = 2,agent_influx,1e18\n",
+    "rounds = 20\nn_agents = 1000000000000000000\n",
+    "rounds = 20\nevent.0 = -3,capacity_drop,0.5\n",
+    "rounds = 20\nevent.0 = 20,capacity_drop,0.5\n",
 ], ids=["exit-window-0", "capacity-nan", "retention-inf", "seed-negative",
         "theta-nan", "slack1d-theta-nan", "drop-nan", "drop-inf",
-        "influx-inf", "repeated-event", "inspection-cost-negative"])
+        "influx-inf", "repeated-event", "inspection-cost-negative",
+        "influx-1e19", "influx-1e18", "n-agents-1e18", "event-before-round-0",
+        "event-at-horizon"])
 def test_invalid_scenario_is_usage_error(capsys, tmp_path, text):
     code, out, err = run_config(capsys, tmp_path, "simulate", text)
     assert code == EXIT_USAGE
@@ -402,6 +451,16 @@ def test_info_scale_without_a_finite_square_is_a_usage_error(capsys, tmp_path):
     assert (code, out) == (EXIT_USAGE, "")
     assert err == ("grovekit: info: scale must be > 0 with 1/scale^2 finite "
                    "and nonzero, got 1e+200\n")
+
+
+@pytest.mark.parametrize("samples", ["100000", "1000000000"])
+def test_info_grid_too_large_is_a_failure(capsys, tmp_path, samples):
+    code, out, err = run_config(capsys, tmp_path, "info",
+                                f"samples = {samples}\n")
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert err.startswith("grovekit: grid of shape ")
+    assert err.endswith(f" cells, more than {MAX_GRID_CELLS}\n")
+    assert err.count("\n") == 1
 
 
 def test_info_huge_scale_within_range_succeeds(capsys, tmp_path):

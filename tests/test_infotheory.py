@@ -12,6 +12,7 @@ from grovekit.infotheory import (
     GridSpec,
     InfoError,
     InfoTensorBinding,
+    MAX_GRID_CELLS,
     MetricBinding,
     build_nested_distribution,
     cramer_rao_report,
@@ -42,6 +43,16 @@ def test_axis_validation():
         Axis("x", 0.0, 1.0, 4)
     with pytest.raises(InfoError):
         GridSpec((Axis("x", 0, 1, 8), Axis("x", 0, 1, 8)))
+
+
+def test_grid_cell_bound():
+    # the bound is checked before any array is made
+    assert GridSpec((Axis("x", 0, 1, MAX_GRID_CELLS),)).shape == (
+        MAX_GRID_CELLS,)
+    with pytest.raises(InfoError, match="cells"):
+        GridSpec((Axis("x", 0, 1, MAX_GRID_CELLS + 1),))
+    with pytest.raises(InfoError, match="cells"):
+        grid(("m", 0, 1, 62_500_000), ("a", 0, 1, 10 ** 9))
 
 
 def test_distribution_normalizes():

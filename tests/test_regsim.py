@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from grovekit.expr import GroveError
 from grovekit.regsim import (
     EVENT_KINDS,
+    MAX_AGENTS,
     NO_LAW,
     AgentModel,
     Excession,
@@ -15,7 +18,7 @@ from grovekit.regsim import (
     RegsimError,
     agent_decide,
     apply_law,
-    _Substream,
+    _chunked,
     default_agents,
     dump_scenario,
     inject_excession,
@@ -32,6 +35,8 @@ SEEDS = range(1, 11)
 def test_config_validation():
     with pytest.raises(RegsimError):
         GameConfig(n_agents=1)
+    with pytest.raises(RegsimError):
+        GameConfig(n_agents=MAX_AGENTS + 1)
     with pytest.raises(RegsimError):
         GameConfig(regrowth=1.5)
     with pytest.raises(RegsimError):
@@ -59,11 +64,20 @@ def test_policy_rejects_non_finite_theta(family, theta):
 @pytest.mark.parametrize("kind,value", [
     ("capacity_drop", float("nan")), ("capacity_drop", float("inf")),
     ("capacity_drop", 0.0), ("agent_influx", float("inf")),
-    ("agent_influx", float("nan")), ("agent_influx", -1.0)])
+    ("agent_influx", float("nan")), ("agent_influx", -1.0),
+    ("agent_influx", 1e19), ("agent_influx", MAX_AGENTS - 7.0)])
 def test_excession_rejects_bad_value(kind, value):
     state = GameState.initial(GameConfig())
     with pytest.raises(RegsimError):
         inject_excession(state, Excession(3, kind, value))
+
+
+def test_influx_may_fill_the_game_to_max_agents():
+    state = GameState.initial(GameConfig())
+    inject_excession(state, Excession(3, "agent_influx", MAX_AGENTS - 8.0))
+    assert len(state.active) == MAX_AGENTS
+    with pytest.raises(RegsimError):
+        inject_excession(state, Excession(4, "agent_influx", 1.0))
 
 
 def test_law_validation():
@@ -93,16 +107,16 @@ def test_fixed_policy_builds_its_law_once():
     assert PolicySpec("fixed", (0.5, 0.1, 0.8, 2.0)) == policy
 
 
-def test_zero_greed_extracts_nothing():
-    agent = AgentModel(order=0, greed=0.0)
-    rng = np.random.default_rng(0)
-    assert agent_decide(agent, None, rng) == 0.0
+def test_non_positive_draw_extracts_nothing():
+    law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
+    for draw in (0.0, -0.0, -2.5, -math.inf):
+        for order in (0, 1, 2):
+            assert agent_decide(AgentModel(order=order), law, draw) == 0.0
 
 
 def test_point_mass_desire():
     agent = AgentModel(order=0, desire_mean=1.25, desire_sd=0.0)
-    rng = np.random.default_rng(0)
-    assert agent_decide(agent, None, rng) == pytest.approx(1.25)
+    assert agent_decide(agent, None, 1.25) == 1.25
 
 
 def test_one_agent_damps_under_observed_decline():
@@ -111,7 +125,7 @@ def test_one_agent_damps_under_observed_decline():
         agent = AgentModel(order=1)
         early, late = [], []
         for t in range(100):
-            e = agent_decide(agent, None, rng)
+            e = agent_decide(agent, None, rng.normal(3.0, 0.5))
             (early if t < 20 else late).append(e)
             agent.observe(0.02)
         assert np.mean(late[-20:]) < np.mean(early)
@@ -120,31 +134,33 @@ def test_one_agent_damps_under_observed_decline():
 def test_two_agent_complies_when_violating_is_costly():
     agent = AgentModel(order=2, desire_mean=3.0, desire_sd=0.0)
     law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
-    rng = np.random.default_rng(0)
-    assert agent_decide(agent, law, rng) == pytest.approx(law.tolerance)
+    assert agent_decide(agent, law, 3.0) == pytest.approx(law.tolerance)
 
 
 def test_apply_law_within_cap_passes():
     law = Law(1.0, slack=0.5)
-    rng = np.random.default_rng(0)
-    assert apply_law(law, 1.4, rng) == (1.4, 0.0)
+    # the draw is ignored within the tolerance, even one that would enforce
+    assert apply_law(law, 1.4, 0.0) == (1.4, 0.0)
 
 
 def test_apply_law_full_enforcement_arithmetic():
     law = Law(1.0, slack=0.0, enforcement=1.0, penalty=2.0)
-    rng = np.random.default_rng(0)
-    allowed, penalty = apply_law(law, 2.0, rng)
+    allowed, penalty = apply_law(law, 2.0, 0.5)
     assert allowed == 1.0
     assert penalty == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("u,expected", [(0.0, (1.0, 2.0)), (0.6, (1.0, 2.0)),
+                                        (0.75, (2.0, 0.0)), (0.9, (2.0, 0.0))])
+def test_apply_law_enforces_when_the_draw_is_below_q(u, expected):
+    law = Law(1.0, slack=0.0, enforcement=0.75, penalty=2.0)
+    assert apply_law(law, 2.0, u) == expected
+
+
 def test_monotone_penalty():
-    rng_state = np.random.default_rng(0).bit_generator.state
     nets = []
     for beta in (0.0, 0.5, 1.0, 2.0):
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = rng_state
-        allowed, penalty = apply_law(Law(0.4, 0.0, 1.0, beta), 2.0, rng)
+        allowed, penalty = apply_law(Law(0.4, 0.0, 1.0, beta), 2.0, 0.5)
         nets.append(allowed - penalty)
     assert all(a >= b for a, b in zip(nets, nets[1:]))
 
@@ -152,12 +168,13 @@ def test_monotone_penalty():
 def test_logistic_fixed_point_and_regrowth():
     cfg = GameConfig(rounds=1)
     state = GameState.initial(cfg)
-    rngs = [np.random.default_rng([1, i, 1]) for i in range(cfg.n_agents)]
+    draws = [np.random.default_rng([1, i, 1]).random
+             for i in range(cfg.n_agents)]
     agents = default_agents(cfg)
-    step(state, [0.0] * cfg.n_agents, None, rngs, agents)
+    step(state, [0.0] * cfg.n_agents, None, draws, agents)
     assert state.resource == pytest.approx(cfg.capacity)
     state.resource = cfg.capacity / 2
-    step(state, [0.0] * cfg.n_agents, None, rngs, agents)
+    step(state, [0.0] * cfg.n_agents, None, draws, agents)
     assert state.resource > cfg.capacity / 2
 
 
@@ -239,9 +256,15 @@ def test_unknown_event_kind_rejected():
 
 
 def test_event_beyond_horizon_rejected():
-    with pytest.raises(RegsimError):
-        run_episode(GameConfig(rounds=10), NO_LAW,
-                    events=[Excession(11, "null")])
+    # a 10-round episode plays rounds 0 to 9
+    for rnd in (-3, -1, 10, 11):
+        with pytest.raises(RegsimError, match="10-round horizon"):
+            run_episode(GameConfig(rounds=10), NO_LAW,
+                        events=[Excession(rnd, "null")])
+    for rnd in (0, 9):
+        trace = run_episode(GameConfig(rounds=10), NO_LAW,
+                            events=[Excession(rnd, "null")])
+        assert trace.events == (f"{rnd}:null",)
 
 
 def test_agent_influx_adds_players():
@@ -355,12 +378,12 @@ def test_substreams_replay_scalar_draws():
         for i in range(4):
             mean, sd = 3.0 + i, 0.5 * (i + 1)
             scalar = np.random.default_rng([seed, i])
-            cursor = _Substream([seed, i], "normal", mean, sd)
-            assert [cursor.normal(mean, sd) for _ in range(draws)] == [
+            blocks = _chunked([seed, i], "normal", mean, sd)
+            assert [next(blocks) for _ in range(draws)] == [
                 scalar.normal(mean, sd) for _ in range(draws)]
             scalar = np.random.default_rng([seed, i, 1])
-            cursor = _Substream([seed, i, 1], "random")
-            assert [cursor.random() for _ in range(draws)] == [
+            blocks = _chunked([seed, i, 1], "random")
+            assert [next(blocks) for _ in range(draws)] == [
                 scalar.random() for _ in range(draws)]
 
 

@@ -481,6 +481,16 @@ def test_lever_metric_is_positive_definite():
         assert vals[0] > 0
 
 
+@pytest.mark.parametrize("bad", [2, 4], ids=["two-letter-word", "longer"])
+def test_lever_metric_needs_a_finite_cost_on_every_element(bad):
+    # in C6 the generator's one two-letter word is r2; r4 is no such word
+    pcf = PolicyCostFunction(cyclic_group(6),
+                             lambda a, b: math.nan if b == bad else 1.0)
+    with pytest.raises(VariationalError,
+                       match=f"cost is not finite at element r{bad}"):
+        lever_metric(pcf)
+
+
 def test_optimal_policy_path_runs():
     pcf = word_distance_cost(dihedral_group(4))
     path = optimal_policy_path(pcf, np.zeros(2), 50)
