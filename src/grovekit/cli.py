@@ -19,16 +19,18 @@ import math
 import os
 import sys
 import tempfile
-from importlib import resources
 
 import numpy as np
 
 from . import infotheory, regsim
 from .enumeration import (
+    SITUATIONS_FILE,
+    TABLE_FILES,
     PartitionSpec,
     enumerate_groves,
     enumerate_situations,
     enumerate_topologies,
+    table_path,
     verify_against_table,
 )
 from .expr import GroveError, parse, render
@@ -56,15 +58,12 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
-TABLE_RESOURCES = ("table0.txt", "table1.txt", "table2.txt", "situations2.txt")
-
 
 def table_digests() -> list[tuple[str, str]]:
     """The ``digest.<table>`` report fields of the shipped table files."""
-    tables = resources.files("grovekit.tables")
     return [(f"digest.{name}",
-             hashlib.sha256((tables / name).read_bytes()).hexdigest()[:12])
-            for name in TABLE_RESOURCES]
+             hashlib.sha256(table_path(name).read_bytes()).hexdigest()[:12])
+            for name in (*TABLE_FILES.values(), SITUATIONS_FILE)]
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -11,6 +11,7 @@ default model was fitted against.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -51,34 +52,24 @@ class PartitionSpec:
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise GroveError("partition parts must be non-increasing")
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
 
 def partitions_of(n: int) -> list[PartitionSpec]:
     """All partitions of n in non-increasing order, largest-first."""
     return [PartitionSpec(p) for p in _int_partitions(n, n)]
 
 
-def _int_partitions(n: int, max_parts: int) -> Iterator[tuple[int, ...]]:
+def _int_partitions(n: int, max_parts: int,
+                    _largest: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of n into at most max_parts positive parts, non-increasing."""
     if n == 0:
         yield ()
         return
     if max_parts == 0:
         return
-
-    def rec(remaining: int, cap: int, slots: int, acc: tuple[int, ...]):
-        if remaining == 0:
-            yield acc
-            return
-        if slots == 0:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            yield from rec(remaining - p, p, slots - 1, acc + (p,))
-
-    yield from rec(n, n, max_parts, ())
+    top = n if _largest is None else min(_largest, n)
+    for p in range(top, 0, -1):
+        for rest in _int_partitions(n - p, max_parts - 1, p):
+            yield (p,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +233,8 @@ def total_multiplicity(depth: int, model: CostModel | None = None) -> int:
 TABLE_FILES = {0: "table0.txt", 1: "table1.txt", 2: "table2.txt"}
 
 
-def _table_path(name: str) -> Path:
+def table_path(name: str) -> Path:
+    """Path of a shipped reference file under ``grovekit/tables``."""
     return Path(str(importlib.resources.files("grovekit") / "tables" / name))
 
 
@@ -251,7 +243,7 @@ def load_table(table: int) -> frozenset[TopologyExpr]:
     """Reference expressions for a shipped table (0 = zeroth order)."""
     if table not in TABLE_FILES:
         raise GroveError(f"unknown table {table!r}; expected 0, 1 or 2")
-    path = _table_path(TABLE_FILES[table])
+    path = table_path(TABLE_FILES[table])
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -375,13 +367,8 @@ def enumerate_situations(order: int) -> frozenset[SituationExpr]:
 
 def _compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
     """All k-tuples of non-negative ints summing to at most total."""
-    if k == 1:
-        for v in range(total + 1):
-            yield (v,)
-        return
-    for v in range(total + 1):
-        for rest in _compositions(total - v, k - 1):
-            yield (v,) + rest
+    return (c for c in itertools.product(range(total + 1), repeat=k)
+            if sum(c) <= total)
 
 
 SITUATIONS_FILE = "situations2.txt"
@@ -389,6 +376,6 @@ SITUATIONS_FILE = "situations2.txt"
 
 @lru_cache(maxsize=None)
 def load_situations_reference() -> frozenset[str]:
-    path = _table_path(SITUATIONS_FILE)
+    path = table_path(SITUATIONS_FILE)
     return frozenset(
         line.strip() for line in path.read_text().splitlines() if line.strip())

@@ -334,15 +334,13 @@ class InfoTensorBinding:
             raise InfoError(f"offsets must be {TENSOR_DIM}x{TENSOR_DIM}")
 
     def delta_matrix(self, mbar: np.ndarray, eps: float) -> np.ndarray:
-        d = np.empty((TENSOR_DIM, TENSOR_DIM))
-        for i in range(TENSOR_DIM):
-            for j in range(TENSOR_DIM):
-                z = sum(float(self.Lambda[i][j][k](mbar[k]))
-                        for k in range(TENSOR_DIM))
-                if not math.isfinite(z):
-                    raise InfoError(f"non-finite tensor component at ({i}, {j})")
-                d[i, j] = float(smoothed_delta(z, self.offsets[i, j], eps))
-        return d
+        z = np.array([[sum(float(self.Lambda[i][j][k](mbar[k]))
+                           for k in range(TENSOR_DIM))
+                       for j in range(TENSOR_DIM)] for i in range(TENSOR_DIM)])
+        if not np.isfinite(z).all():
+            i, j = np.argwhere(~np.isfinite(z))[0]
+            raise InfoError(f"non-finite tensor component at ({i}, {j})")
+        return smoothed_delta(z, self.offsets, eps)
 
 
 def information_density(binding: InfoTensorBinding, mbar, eps: float) -> float:
@@ -376,8 +374,4 @@ def information_density(binding: InfoTensorBinding, mbar, eps: float) -> float:
         dlog[i] = (np.log(binding.delta_matrix(up, eps))
                    - np.log(binding.delta_matrix(dn, eps))) / (2.0 * h)
 
-    total = 0.0
-    for i in range(TENSOR_DIM):
-        for j in range(TENSOR_DIM):
-            total += d0[i, j] * float(np.sum(dlog[i] * dlog[j]))
-    return total
+    return float(np.einsum("ij,ikl,jkl->", d0, dlog, dlog))

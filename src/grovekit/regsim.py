@@ -36,6 +36,8 @@ class RegsimError(Exception):
 
 #: most agents one game holds, configured and influx agents together
 MAX_AGENTS = 10_000
+#: most rounds one episode plays; its trace keeps a row per round
+MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class GameConfig:
             raise RegsimError("regrowth rate must lie in (0, 1)")
         if self.rounds < 0:
             raise RegsimError("round count must be nonnegative")
+        if self.rounds > MAX_ROUNDS:
+            raise RegsimError(f"at most {MAX_ROUNDS} rounds, "
+                              f"got rounds = {self.rounds}")
         if self.exit_window < 1:
             raise RegsimError("exit window must be at least 1 round")
         if self.seed < 0:
@@ -387,7 +392,6 @@ class Trace:
     total_utility: float
     retained_rounds: int
     inspection_charge: float
-    seed: int
 
     def min_resource(self) -> float:
         return min((r["resource"] for r in self.rows), default=math.inf)
@@ -483,7 +487,7 @@ def run_episode(config: GameConfig, policy: PolicySpec,
                + config.retention_weight * retained
                - inspection)
     return Trace(tuple(rows), tuple(state.events), welfare,
-                 total_utility, retained, inspection, config.seed)
+                 total_utility, retained, inspection)
 
 
 def mean_welfare(config: GameConfig, policy: PolicySpec,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .infotheory import smoothed_delta
+from .infotheory import Axis, smoothed_delta
 
 
 class VariationalError(Exception):
@@ -167,8 +167,7 @@ class MetricField:
 
 
 def euclidean_metric(dimension: int) -> MetricField:
-    eye = np.eye(dimension)
-    return MetricField(dimension, lambda p: eye, constant=True)
+    return constant_metric(np.eye(dimension))
 
 
 def constant_metric(matrix) -> MetricField:
@@ -202,6 +201,10 @@ def christoffel(g: MetricField, p) -> np.ndarray:
     # br[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
     br = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
     return 0.5 * np.einsum("kl,lij->kij", ginv, br)
+
+
+#: most RK4 steps one geodesic may take; every point is kept in memory
+MAX_GEODESIC_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -270,6 +273,9 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
     """
     if steps < 1:
         raise VariationalError("need at least one step")
+    if steps > MAX_GEODESIC_STEPS:
+        raise VariationalError(
+            f"at most {MAX_GEODESIC_STEPS} steps, got {steps}")
     if not 0 < h < math.inf:
         raise VariationalError("step h must be finite and > 0")
     x = np.asarray(start, dtype=float).copy()
@@ -450,18 +456,17 @@ def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     along each generator direction.  The group sum uses counting measure
     weighted by 1/|G|, so a constant cost yields the single-delta
     self-information, 1/eps^2, and a cost-neutral direct factor leaves the
-    value unchanged.
+    value unchanged.  Raises InfoError when the offset grid, the cost range
+    widened by 6 eps on each side, is not finite or has no width.
     """
     if eps <= 0:
         raise VariationalError("smoothing width must be > 0")
     group = pcf.group
     prof = pcf.profile()
-    lo = float(prof.min()) - 6.0 * eps
-    hi = float(prof.max()) + 6.0 * eps
-    da = (hi - lo) / POLICY_INFO_SAMPLES
-    alpha = lo + (np.arange(POLICY_INFO_SAMPLES) + 0.5) * da
-
-    f = smoothed_delta(prof[:, None], alpha[None, :], eps)  # (|G|, samples)
+    alpha = Axis("a", float(prof.min()) - 6.0 * eps,
+                 float(prof.max()) + 6.0 * eps, POLICY_INFO_SAMPLES)
+    da = alpha.spacing
+    f = smoothed_delta(prof[:, None], alpha.centers(), eps)  # (|G|, samples)
     floor = 1e-300
     logf = np.log(np.maximum(f, floor))
     dlog_a = np.gradient(logf, da, axis=1)

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from grovekit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from grovekit.infotheory import MAX_GRID_CELLS
-from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, PolicySpec,
-                             load_scenario, mean_welfare)
+from grovekit.model import EXCLUSION_RULES
+from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, MAX_ROUNDS,
+                             PolicySpec, load_scenario, mean_welfare)
+from grovekit.variational import MAX_GEODESIC_STEPS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -365,6 +367,57 @@ def test_fuzzed_scenarios_keep_the_exit_contract(keys, events):
     assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
 
 
+#: what the --model fuzz draws keys and values from
+MODEL_KEYS = ("lift_cost", "extra_arg_cost", "insert_cost", "map_subst_cost",
+              "caps.0", "caps.1", "caps.2", "caps.3", "exclusions",
+              "table2_entry27_as_printed", "colour")
+MODEL_VALUES = ("0", "-1", "1", "2", "1,1", "3,2,1,1", "1e18",
+                "1234567890123456789", "nan", "x", "",
+                next(iter(EXCLUSION_RULES)))
+FUZZ_PARTITIONS = ("1", "3", "2,1", "1,1,1", "3,3", "1,2", "0", "4", "x")
+_model_commands = st.one_of(
+    st.sampled_from(("0", "1", "2")).map(lambda d: ["enumerate", "--depth", d]),
+    st.tuples(st.sampled_from(FUZZ_PARTITIONS), st.booleans()).map(
+        lambda pu: ["enumerate", "--partition", pu[0]]
+        + ["--unpruned"] * pu[1]),
+    st.tuples(st.sampled_from(("0", "1", "2")), st.booleans()).map(
+        lambda tp: ["verify", "--table", tp[0]]
+        + ["--entry27-as-printed"] * tp[1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_model_commands,
+       lines=st.lists(st.tuples(st.sampled_from(MODEL_KEYS),
+                                st.sampled_from(MODEL_VALUES)), max_size=3))
+def test_fuzzed_model_files_keep_the_exit_contract(argv, lines):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        with open(path, "w") as handle:
+            handle.write("".join(f"{key} = {value}\n" for key, value in lines))
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([*argv, "--model", path])
+    assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
+
+
+@pytest.mark.parametrize("command,scenario,flags", [
+    ("simulate", "rounds = 1000000000000000000\n", []),
+    ("simulate", "rounds = 20\n", ["--rounds", "1000000000000000000"]),
+    ("optimize", "rounds = 1000000000000000000\n", []),
+], ids=["simulate-key", "simulate-flag", "optimize-key"])
+def test_round_count_above_the_bound_is_usage_error(
+        capsys, tmp_path, command, scenario, flags):
+    path = tmp_path / "scenario.txt"
+    path.write_text(scenario)
+    code, out, err = run(capsys, command, "--config", str(path), *flags)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: at most {MAX_ROUNDS} rounds, "
+                   f"got rounds = 1000000000000000000\n")
+
+
 @pytest.mark.parametrize("text", [
     "rounds = 20\nexit_window = 0\n",
     "rounds = 20\ncapacity = nan\n",
@@ -417,6 +470,16 @@ def test_geodesic_step_size_is_a_computation_failure(capsys, tmp_path, text):
     assert code == EXIT_FAILURE
     assert err == ""
     assert out.splitlines()[-1] == "error = step h must be finite and > 0"
+
+
+def test_geodesic_step_count_above_the_bound_is_a_computation_failure(
+        capsys, tmp_path):
+    code, out, err = run_config(capsys, tmp_path, "geodesic",
+                                "steps = 1000000000000000000\n")
+    assert (code, err) == (EXIT_FAILURE, "")
+    assert out.splitlines()[-1] == (
+        f"error = at most {MAX_GEODESIC_STEPS} steps, "
+        f"got 1000000000000000000")
 
 
 @pytest.mark.parametrize("text", ["velocity = nan,1\n",

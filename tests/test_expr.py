@@ -3,7 +3,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from grovekit.enumeration import TABLE_FILES, _table_path, enumerate_topologies
+from grovekit.enumeration import TABLE_FILES, enumerate_topologies, table_path
 from grovekit.expr import (
     TRIVIAL,
     CompositionError,
@@ -161,7 +161,7 @@ def test_validation_rejects_bad_tiers():
 
 
 TABLE_LINES = [line for name in TABLE_FILES.values()
-               for line in _table_path(name).read_text().splitlines()]
+               for line in table_path(name).read_text().splitlines()]
 
 
 @pytest.mark.parametrize("suffix", [" ", "\t", "\n"])

@@ -22,7 +22,7 @@ import re
 
 import pytest
 
-from grovekit.enumeration import TABLE_FILES, _table_path
+from grovekit.enumeration import TABLE_FILES, table_path
 from grovekit.expr import GroveParseError, parse
 
 NAMES = ["sig", "tau", "phi", "m", "op", "m1", "m2", "m0", "tau2", "op3",
@@ -78,7 +78,7 @@ def random_texts() -> list[str]:
 def table_edit_texts() -> list[str]:
     texts = []
     for name in TABLE_FILES.values():
-        for line in _table_path(name).read_text().splitlines():
+        for line in table_path(name).read_text().splitlines():
             texts += [line[:i] + line[i + 1:] for i in range(len(line))]
             texts += [line[:i] + c + line[i:] for i in range(len(line) + 1)
                       for c in INSERTS]

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from grovekit.expr import GroveError
 from grovekit.regsim import (
     EVENT_KINDS,
     MAX_AGENTS,
+    MAX_ROUNDS,
     NO_LAW,
     AgentModel,
     Excession,
@@ -41,6 +42,10 @@ def test_config_validation():
         GameConfig(regrowth=1.5)
     with pytest.raises(RegsimError):
         GameConfig(capacity=0.0)
+    assert GameConfig(rounds=MAX_ROUNDS).rounds == MAX_ROUNDS
+    for rounds in (MAX_ROUNDS + 1, 10 ** 18):
+        with pytest.raises(RegsimError, match=f"at most {MAX_ROUNDS} rounds"):
+            GameConfig(rounds=rounds)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -419,3 +424,77 @@ _events = st.lists(st.builds(
 def test_scenario_round_trip_property(config, policy, order, events):
     loaded = load_scenario(dump_scenario(config, policy, order, events))
     assert loaded == (config, policy, order, events)
+
+
+def _read_trace_csv(text):
+    """Rows and events of `Trace.to_csv` text, parsed back to trace values."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    n = (len(header) - 7) // 3  # agent columns: extraction, penalty, active
+    assert header == (["round", "resource"]
+                      + [f"{c}{i}" for c in ("extraction", "penalty", "active")
+                         for i in range(n)]
+                      + ["law_cap", "law_slack", "law_q", "law_beta", "events"])
+    rows, events = [], []
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == len(header)
+        agents = [cells[2 + k * n:2 + (k + 1) * n] for k in range(3)]
+        joined = sum(1 for cell in agents[0] if cell)
+        for column in agents:
+            # only agents that have not joined yet have empty cells
+            assert all(column[:joined]) and not any(column[joined:])
+        extraction, penalty, active = (column[:joined] for column in agents)
+        assert set(active) <= {"0", "1"}
+        law = cells[-5:-1]
+        assert all(law) or not any(law)
+        rnd = int(cells[0])
+        rows.append({
+            "round": rnd,
+            "resource": float(cells[1]),
+            "extraction": tuple(map(float, extraction)),
+            "penalty": tuple(map(float, penalty)),
+            "active": tuple(cell == "1" for cell in active),
+            "law": Law(*map(float, law)) if all(law) else None,
+        })
+        if cells[-1]:
+            events += [f"{rnd - 1}:{ev}" for ev in cells[-1].split(";")]
+    return tuple(rows), tuple(events)
+
+
+@st.composite
+def _episodes(draw):
+    config = draw(st.builds(
+        GameConfig,
+        n_agents=st.integers(2, 6),
+        capacity=st.floats(1.0, 1e4),
+        regrowth=st.floats(0.01, 0.99),
+        rounds=st.integers(0, 60),
+        outside_option=st.floats(-1.0, 5.0),
+        retention_weight=st.floats(0.0, 1.0),
+        inspection_cost=st.floats(0.0, 1.0),
+        exit_window=st.integers(1, 30),
+        seed=st.integers(0, 2 ** 32)))
+    policy = draw(st.one_of(
+        st.just(NO_LAW),
+        st.builds(PolicySpec, st.just("fixed"), st.tuples(
+            st.floats(0.0, 50.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+            st.floats(0.0, 5.0))),
+        st.builds(PolicySpec, st.just("slack1d"),
+                  st.tuples(st.floats(-1.0, 2.0)))))
+    values = {"null": st.just(0.0), "capacity_drop": st.floats(0.1, 1.0),
+              "regrowth_change": st.floats(0.01, 0.99),
+              "agent_influx": st.integers(0, 3).map(float)}
+    events = [] if config.rounds == 0 else draw(st.lists(
+        st.sampled_from(EVENT_KINDS).flatmap(lambda kind: st.builds(
+            Excession, st.integers(0, config.rounds - 1), st.just(kind),
+            values[kind])), max_size=2))
+    return config, policy, draw(st.sampled_from((0, 1, 2))), events
+
+
+@settings(max_examples=40, deadline=None)
+@given(_episodes())
+def test_trace_csv_round_trip_property(episode):
+    config, policy, order, events = episode
+    trace = run_episode(config, policy, default_agents(config, order), events)
+    assert _read_trace_csv(trace.to_csv()) == (trace.rows, trace.events)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from grovekit.infotheory import InfoError
 from grovekit.variational import (
+    MAX_GEODESIC_STEPS,
     CriticalityError,
     FiniteGroup,
     Functional,
@@ -196,6 +198,18 @@ def test_geodesic_rejects_bad_step_before_any_step(h):
     with pytest.raises(VariationalError, match="step h must be finite"):
         integrate_geodesic(metric, [0.0, 0.0], [1.0, 0.0], 10, h)
     assert calls == []
+
+
+@pytest.mark.parametrize("steps", [MAX_GEODESIC_STEPS + 1, 10 ** 18])
+def test_geodesic_step_count_is_bounded(steps):
+    calls = []
+    metric = MetricField(2, lambda p: calls.append(p) or np.eye(2))
+    message = f"at most {MAX_GEODESIC_STEPS} steps, got {steps}"
+    with pytest.raises(VariationalError, match=message):
+        integrate_geodesic(metric, [0.0, 0.0], [1.0, 0.0], steps, 0.01)
+    assert calls == []
+    with pytest.raises(VariationalError, match=message):
+        optimal_policy_path(word_distance_cost(cyclic_group(4)), [0.0], steps)
 
 
 @pytest.mark.parametrize("start,velocity", [([0.0], [1.0, 0.0]),
@@ -460,6 +474,18 @@ def test_policy_information_constant_cost_baseline():
         pcf = PolicyCostFunction(group, lambda a, b: 1.5)
         info = policy_information(pcf, eps)
         assert info == pytest.approx(1.0 / eps ** 2, rel=1e-4)
+
+
+@pytest.mark.parametrize("eps,message", [
+    (1e-200, "upper bound must exceed lower"),  # 1.5 +- 6 eps rounds to 1.5
+    (1e308, "bounds must be finite"),           # 1.5 + 6 eps overflows
+])
+def test_policy_information_offset_grid_is_checked(eps, message):
+    pcf = PolicyCostFunction(cyclic_group(4), lambda a, b: 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfoError, match=f"axis a: {message}"):
+            policy_information(pcf, eps)
 
 
 def test_policy_information_scales_with_neutral_factor():
