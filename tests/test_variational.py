@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -189,6 +190,17 @@ def test_geodesic_fourth_order_convergence():
     e1, e2, e3 = endpoint(50), endpoint(100), endpoint(200)
     ratio = np.linalg.norm(e1 - e2) / np.linalg.norm(e2 - e3)
     assert 13.0 <= ratio <= 19.0
+
+
+def test_sphere_path_bytes_are_pinned():
+    # every bit of a long path, signs of zeros included, is part of the
+    # determinism contract; a faster metric check must not move one
+    path = integrate_geodesic(sphere_metric(), [1.0, 0.5], [0.3, -0.8],
+                              1000, 0.001)
+    digest = hashlib.sha256(path.points.tobytes()
+                            + path.velocities.tobytes()).hexdigest()
+    assert digest == ("b770047b57100fa9c291c25412dc6c36"
+                      "254ea67d2b423dc77295e2d67952c099")
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.001])
