@@ -87,7 +87,7 @@ def solve_critical(F: Functional, theta0, tol: float = 1e-6,
         value = F(theta)
         for it in range(max_iter):
             grad = first_variation(F, theta, h)
-            res = float(np.linalg.norm(grad))
+            res = math.sqrt(float(grad @ grad))
             if trace is not None:
                 trace.append((it, theta.copy(), value, res))
             if res < best_res:
@@ -132,6 +132,11 @@ def critical_trace_csv(trace: Sequence[tuple]) -> str:
 MIN_EIGENVALUE = 1e-9
 
 
+def _is_diagonal(g: np.ndarray) -> bool:
+    """True when every off-diagonal entry of g is +0 or -0."""
+    return np.count_nonzero(g) == np.count_nonzero(g.diagonal())
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Pointwise symmetric positive-definite metric on lever space.
@@ -139,6 +144,11 @@ class MetricField:
     ``constant`` promises that ``matrix_at`` returns the same matrix at
     every point; `integrate_geodesic` then computes the connection once
     per path instead of at every RK4 stage.
+
+    Every call checks the matrix.  A diagonal matrix, such as the sphere
+    metric, is decided without LAPACK: its eigenvalues are its diagonal
+    entries, and `christoffel` inverts it by taking their reciprocals.
+    Both give the verdict and the bits the general route gives.
     """
 
     dimension: int
@@ -152,14 +162,22 @@ class MetricField:
             raise VariationalError(
                 f"metric returned shape {g.shape}, expected "
                 f"({self.dimension}, {self.dimension})")
-        # exact equality implies allclose, so the cheap test decides first
-        if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
-            raise VariationalError(f"metric is not symmetric at {p.tolist()}")
-        # a non-finite entry makes eigvalsh fail or return nan or inf
-        try:
-            vals = np.linalg.eigvalsh(g).tolist()
-        except np.linalg.LinAlgError:
-            vals = [math.nan]
+        diag = g.diagonal().tolist()
+        if _is_diagonal(g) and not any(map(math.isnan, diag)):
+            # symmetric, with its diagonal for eigenvalues; a nan on the
+            # diagonal goes the general way, where allclose calls it
+            # not symmetric
+            vals = sorted(diag)
+        else:
+            # exact equality implies allclose, so the cheap test decides first
+            if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
+                raise VariationalError(
+                    f"metric is not symmetric at {p.tolist()}")
+            # a non-finite entry makes eigvalsh fail or return nan or inf
+            try:
+                vals = np.linalg.eigvalsh(g).tolist()
+            except np.linalg.LinAlgError:
+                vals = [math.nan]
         if not (vals[0] > MIN_EIGENVALUE and vals[-1] < math.inf):
             kind = "positive-definite" if np.isfinite(g).all() else "finite"
             raise VariationalError(f"metric is not {kind} at {p.tolist()}")
@@ -197,7 +215,9 @@ def christoffel(g: MetricField, p) -> np.ndarray:
         up[l] += CHRISTOFFEL_H
         dn[l] -= CHRISTOFFEL_H
         dg[l] = (g(up) - g(dn)) / (2.0 * CHRISTOFFEL_H)
-    ginv = np.linalg.inv(g(p))
+    G = g(p)
+    ginv = (np.diag(1.0 / G.diagonal()) if _is_diagonal(G)
+            else np.linalg.inv(G))
     # br[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
     br = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
     return 0.5 * np.einsum("kl,lij->kij", ginv, br)
@@ -254,10 +274,19 @@ class GeodesicPath:
         lines = text.strip().splitlines()
         if not lines or not lines[0].startswith("# h="):
             raise VariationalError("missing geodesic header")
-        h = float(lines[0].split("h=")[1].split()[0])
-        rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[2:]]
+        try:
+            h = float(lines[0].split("h=")[1].split()[0])
+            rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[2:]]
+        except (IndexError, ValueError) as exc:
+            raise VariationalError(f"malformed geodesic csv: {exc}") from None
+        if not rows:
+            raise VariationalError("geodesic csv has no rows")
+        widths = sorted({len(row) for row in rows})
+        if len(widths) > 1 or widths[0] % 2:
+            raise VariationalError(
+                f"geodesic csv rows need one even column count, got {widths}")
         arr = np.array(rows)
-        d = arr.shape[1] // 2
+        d = widths[0] // 2
         return cls(arr[:, :d], arr[:, d:], h)
 
 
@@ -457,7 +486,9 @@ def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     weighted by 1/|G|, so a constant cost yields the single-delta
     self-information, 1/eps^2, and a cost-neutral direct factor leaves the
     value unchanged.  Raises InfoError when the offset grid, the cost range
-    widened by 6 eps on each side, is not finite or has no width.
+    widened by 6 eps on each side, is not finite or has no width, and
+    VariationalError when the information overflows, as it does once
+    1/eps^2 is out of range.
     """
     if eps <= 0:
         raise VariationalError("smoothing width must be > 0")
@@ -469,14 +500,21 @@ def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     f = smoothed_delta(prof[:, None], alpha.centers(), eps)  # (|G|, samples)
     floor = 1e-300
     logf = np.log(np.maximum(f, floor))
-    dlog_a = np.gradient(logf, da, axis=1)
-    score2 = dlog_a ** 2
-    for x in group.generators:
-        # the neighbours g x and g x^-1 of every element g
-        fwd, bwd = group.table[:, x], group.table[:, group.inverse(x)]
-        dlog_g = 0.5 * (logf[fwd] - logf[bwd])
-        score2 = score2 + dlog_g ** 2
-    return float(np.sum(f * score2) * da) / group.order
+    # an overflow anywhere below leaves the sum inf or nan, which is
+    # reported once as an error instead of as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        dlog_a = np.gradient(logf, da, axis=1)
+        score2 = dlog_a ** 2
+        for x in group.generators:
+            # the neighbours g x and g x^-1 of every element g
+            fwd, bwd = group.table[:, x], group.table[:, group.inverse(x)]
+            dlog_g = 0.5 * (logf[fwd] - logf[bwd])
+            score2 = score2 + dlog_g ** 2
+        info = float(np.sum(f * score2) * da) / group.order
+    if not math.isfinite(info):
+        raise VariationalError(
+            f"policy information overflows at smoothing width {eps!r}")
+    return info
 
 
 def lever_metric(pcf: PolicyCostFunction) -> MetricField:

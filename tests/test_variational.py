@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from grovekit.infotheory import InfoError
 from grovekit.variational import (
     MAX_GEODESIC_STEPS,
+    MIN_EIGENVALUE,
     CriticalityError,
     FiniteGroup,
     Functional,
@@ -345,6 +346,50 @@ def test_symmetry_verdict_matches_allclose(g):
         assert _accepted_as_symmetric(g) == np.allclose(g, g.T, atol=0.0)
 
 
+def _eigvalsh_verdict(g):
+    """The general route's complaint about g, or None when it accepts g."""
+    if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
+        return "not symmetric"
+    try:
+        vals = np.linalg.eigvalsh(g).tolist()
+    except np.linalg.LinAlgError:
+        vals = [math.nan]
+    if vals[0] > MIN_EIGENVALUE and vals[-1] < math.inf:
+        return None
+    return "not positive-definite" if np.isfinite(g).all() else "not finite"
+
+
+_DIAGONAL_ENTRIES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+    1e-9, np.nextafter(1e-9, 0.0), np.nextafter(1e-9, math.inf),
+    1.0, -1.0, 1e308, math.inf, -math.inf, math.nan)
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.one_of(st.sampled_from(_DIAGONAL_ENTRIES), st.floats()),
+             min_size=d, max_size=d),
+    arrays(bool, (d, d)))))
+@example(([1e308, np.nextafter(1e-9, math.inf)], np.zeros((2, 2), bool)))
+@example(([math.nan, 1.0], np.ones((2, 2), bool)))
+def test_diagonal_verdict_matches_eigvalsh(data):
+    diag, negative = data
+    g = np.diag(diag)
+    g[negative & ~np.eye(len(diag), dtype=bool)] = -0.0
+    with np.errstate(all="ignore"):
+        expected = _eigvalsh_verdict(g)
+    point = np.zeros(len(diag))
+    if expected is not None:
+        with pytest.raises(VariationalError) as err:
+            MetricField(len(diag), lambda p: g)(point)
+        assert str(err.value) == f"metric is {expected} at {point.tolist()}"
+        return
+    assert MetricField(len(diag), lambda p: g)(point) is g
+    # christoffel inverts an accepted diagonal by reciprocals
+    assert (np.diag(1.0 / g.diagonal()).tobytes()
+            == np.linalg.inv(g).tobytes()
+            == np.linalg.inv(np.diag(diag)).tobytes())
+
+
 @pytest.mark.parametrize("matrix", [[[math.inf, 0.0], [0.0, 1.0]],
                                     [[math.inf]],
                                     np.full((3, 3), math.inf)],
@@ -386,6 +431,20 @@ def test_geodesic_csv_round_trip_property(data):
     assert np.array_equal(restored.points, path.points)
     assert np.array_equal(restored.velocities, path.velocities)
     assert restored.h == path.h
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# h=0.1 velocity=1\np0,v0\n1,2,3\n", r"even column count, got \[3\]"),
+    ("# h=0.1 velocity=1\np0,v0\n1,2\n1,2,3,4\n",
+     r"even column count, got \[2, 4\]"),
+    ("# h=fast velocity=1\np0,v0\n1,2\n", "malformed"),
+    ("# h=\n", "malformed"),
+    ("# h=0.1 velocity=1\np0,v0\n1,x\n", "malformed"),
+    ("# h=0.1 velocity=1\np0,v0\n", "no rows"),
+], ids=["odd-columns", "ragged", "bad-h", "empty-h", "bad-entry", "no-rows"])
+def test_geodesic_csv_rejects_malformed_input(text, message):
+    with pytest.raises(VariationalError, match=message):
+        GeodesicPath.from_csv(text)
 
 
 def _christoffel_loop(g, p, h=1e-5):
@@ -497,6 +556,16 @@ def test_policy_information_offset_grid_is_checked(eps, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InfoError, match=f"axis a: {message}"):
+            policy_information(pcf, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-200, 1e-150])
+def test_policy_information_overflow_is_an_error(eps):
+    # the grid around a zero cost is fine, but 1/eps^2 is out of range
+    pcf = PolicyCostFunction(cyclic_group(4), lambda a, b: 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VariationalError, match="overflows"):
             policy_information(pcf, eps)
 
 
