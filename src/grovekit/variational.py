@@ -227,6 +227,11 @@ def christoffel(g: MetricField, p) -> np.ndarray:
 MAX_GEODESIC_STEPS = 100_000
 
 
+def _csv_columns(d: int) -> str:
+    """The column header of a d-dimensional `GeodesicPath` csv."""
+    return ",".join([f"p{i}" for i in range(d)] + [f"v{i}" for i in range(d)])
+
+
 @dataclass(frozen=True)
 class GeodesicPath:
     """Discrete geodesic: points and velocities at uniform parameter steps."""
@@ -263,8 +268,7 @@ class GeodesicPath:
         v0 = ";".join(repr(float(v)) for v in self.velocities[0])
         buf = io.StringIO()
         buf.write(f"# h={self.h!r} velocity={v0}\n")
-        buf.write(",".join([f"p{i}" for i in range(d)]
-                           + [f"v{i}" for i in range(d)]) + "\n")
+        buf.write(_csv_columns(d) + "\n")
         for p, v in zip(self.points, self.velocities):
             buf.write(",".join(repr(float(x)) for x in (*p, *v)) + "\n")
         return buf.getvalue()
@@ -285,8 +289,11 @@ class GeodesicPath:
         if len(widths) > 1 or widths[0] % 2:
             raise VariationalError(
                 f"geodesic csv rows need one even column count, got {widths}")
-        arr = np.array(rows)
         d = widths[0] // 2
+        if lines[1] != _csv_columns(d):
+            raise VariationalError(
+                f"geodesic csv needs the column header {_csv_columns(d)}")
+        arr = np.array(rows)
         return cls(arr[:, :d], arr[:, d:], h)
 
 
@@ -487,8 +494,8 @@ def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     self-information, 1/eps^2, and a cost-neutral direct factor leaves the
     value unchanged.  Raises InfoError when the offset grid, the cost range
     widened by 6 eps on each side, is not finite or has no width, and
-    VariationalError when the information overflows, as it does once
-    1/eps^2 is out of range.
+    VariationalError when the sum overflows, as its score terms, of
+    order 1/eps^2, do for eps near 1e-150 and below.
     """
     if eps <= 0:
         raise VariationalError("smoothing width must be > 0")

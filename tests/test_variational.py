@@ -441,7 +441,9 @@ def test_geodesic_csv_round_trip_property(data):
     ("# h=\n", "malformed"),
     ("# h=0.1 velocity=1\np0,v0\n1,x\n", "malformed"),
     ("# h=0.1 velocity=1\np0,v0\n", "no rows"),
-], ids=["odd-columns", "ragged", "bad-h", "empty-h", "bad-entry", "no-rows"])
+    ("# h=0.1 velocity=1\n1,2\n3,4\n", "column header p0,v0"),
+], ids=["odd-columns", "ragged", "bad-h", "empty-h", "bad-entry", "no-rows",
+        "no-column-header"])
 def test_geodesic_csv_rejects_malformed_input(text, message):
     with pytest.raises(VariationalError, match=message):
         GeodesicPath.from_csv(text)
@@ -561,7 +563,8 @@ def test_policy_information_offset_grid_is_checked(eps, message):
 
 @pytest.mark.parametrize("eps", [1e-200, 1e-150])
 def test_policy_information_overflow_is_an_error(eps):
-    # the grid around a zero cost is fine, but 1/eps^2 is out of range
+    # the grid around a zero cost is fine, but the score terms, of order
+    # 1/eps^2, overflow
     pcf = PolicyCostFunction(cyclic_group(4), lambda a, b: 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
