@@ -11,7 +11,7 @@ from grovekit import (
     optimize_slack,
     run_episode,
 )
-from grovekit.regsim import NO_LAW, default_agents
+from grovekit.regsim import NO_LAW
 
 SEEDS = range(1, 11)
 config = GameConfig()
@@ -49,7 +49,7 @@ print(f"frozen law after shock:      {wf:.1f}")
 
 print("\n== one regulated episode in detail ==")
 cfg = GameConfig(seed=3, rounds=100)
-trace = run_episode(cfg, adaptive, default_agents(cfg, 2))
+trace = run_episode(cfg, adaptive, 2)
 for row in trace.rows[::20]:
     law = row["law"]
     print(f"round {row['round']:3d}: R = {row['resource']:6.2f}, "

@@ -266,8 +266,7 @@ def _scenario_from_args(args):
 
 def cmd_simulate(args) -> CommandResult:
     config, policy, order, events = _scenario_from_args(args)
-    trace = run_episode(config, policy,
-                        regsim.default_agents(config, order), events)
+    trace = run_episode(config, policy, order, events)
     fields = [("seed", config.seed), ("rounds", config.rounds),
               ("n_agents", config.n_agents), ("policy_family", policy.family)]
     if policy.theta:

@@ -7,18 +7,21 @@ given the seed: each agent owns two numpy substreams (decisions and
 enforcement draws), so changing the law never shifts anyone's decision
 noise and a q = 0 law reproduces the lawless trace bit for bit.
 
-Agent i's decision stream is ``default_rng([seed, i]).normal(desire_mean,
-desire_sd)`` and its enforcement stream ``default_rng([seed, i, 1])
-.random()``.  `_chunked` draws each in blocks of `SUBSTREAM_CHUNK`
-values, which numpy makes equal to as many scalar draws, so traces are
-byte-identical to drawing one scalar at a time; tests/test_regsim_golden.py
-holds the digests.
+The game owns its agents: `GameState.admit` is the one place an agent
+joins, for the configured agents of one order at round 0 and for influx
+agents, always order 0, when they arrive.  Agent i's decision stream is
+``default_rng([seed, i]).normal(DESIRE_MEAN, DESIRE_SD)`` and its
+enforcement stream ``default_rng([seed, i, 1]).random()``.  `_chunked`
+draws each in blocks of `SUBSTREAM_CHUNK` values, which numpy makes equal
+to as many scalar draws, so traces are byte-identical to drawing one
+scalar at a time; tests/test_regsim_golden.py holds the digests.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from itertools import compress
 from typing import Callable, Sequence
@@ -103,6 +106,9 @@ class Law:
 DECLINE_SENSITIVITY = 8.0
 #: prior precision of the decline posterior (known unit observation precision)
 PRIOR_PRECISION = 4.0
+#: every agent's desired extraction is a normal(DESIRE_MEAN, DESIRE_SD) draw
+DESIRE_MEAN = 3.0
+DESIRE_SD = 0.5
 
 
 @dataclass
@@ -117,8 +123,6 @@ class AgentModel:
     """
 
     order: int = 0
-    desire_mean: float = 3.0
-    desire_sd: float = 0.5
     # decline posterior (normal)
     _decline_sum: float = field(default=0.0, init=False, repr=False)
     _decline_count: int = field(default=0, init=False, repr=False)
@@ -146,7 +150,7 @@ class AgentModel:
 def agent_decide(agent: AgentModel, law: Law | None, draw: float) -> float:
     """Desired extraction for this round; always >= 0.
 
-    ``draw`` is the agent's next normal(desire_mean, desire_sd) value.
+    ``draw`` is the agent's next normal(DESIRE_MEAN, DESIRE_SD) value.
     """
     desire = draw if draw > 0.0 else 0.0
     if agent.order >= 1:
@@ -264,20 +268,41 @@ class Excession:
 
 @dataclass
 class GameState:
+    """The resource, the round and every agent that ever joined the game.
+
+    Each per-agent list holds one entry per agent, in order of arrival.
+    `admit` is the only place they grow: agent i gets its model, its
+    decision and enforcement streams, and its last ``exit_window`` gains.
+    """
+
     config: GameConfig
     resource: float
     round: int = 0
+    agents: list[AgentModel] = field(default_factory=list)
+    decision_draws: list[Callable[[], float]] = field(default_factory=list)
+    enforcement_draws: list[Callable[[], float]] = field(default_factory=list)
     utilities: list[float] = field(default_factory=list)
     active: list[bool] = field(default_factory=list)
-    recent: list[list[float]] = field(default_factory=list)
+    recent: list[deque[float]] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
 
     @classmethod
-    def initial(cls, config: GameConfig) -> "GameState":
-        n = config.n_agents
-        return cls(config, config.capacity,
-                   utilities=[0.0] * n, active=[True] * n,
-                   recent=[[] for _ in range(n)])
+    def initial(cls, config: GameConfig, order: int = 0) -> "GameState":
+        state = cls(config, config.capacity)
+        state.admit(config.n_agents, order)
+        return state
+
+    def admit(self, count: int, order: int = 0) -> None:
+        seed, window = self.config.seed, self.config.exit_window
+        for i in range(len(self.agents), len(self.agents) + count):
+            self.agents.append(AgentModel(order))
+            self.decision_draws.append(_chunked(
+                [seed, i], "normal", DESIRE_MEAN, DESIRE_SD).__next__)
+            self.enforcement_draws.append(
+                _chunked([seed, i, 1], "random").__next__)
+            self.utilities.append(0.0)
+            self.active.append(True)
+            self.recent.append(deque(maxlen=window))
 
 
 def inject_excession(state: GameState, event: Excession) -> GameState:
@@ -303,9 +328,7 @@ def inject_excession(state: GameState, event: Excession) -> GameState:
             raise RegsimError(f"agent influx must lie in [0, {room}] to keep "
                               f"at most {MAX_AGENTS} agents, got {event.value!r}")
         extra = int(event.value)
-        state.utilities.extend([0.0] * extra)
-        state.active.extend([True] * extra)
-        state.recent.extend([[] for _ in range(extra)])
+        state.admit(extra)
         state.events.append(f"{state.round}:agent_influx:{extra}")
     return state
 
@@ -325,16 +348,15 @@ def _chunked(key: list[int], method: str, *args: float):
         yield from draw(*args, size=SUBSTREAM_CHUNK).tolist()
 
 
-def step(state: GameState, decisions: Sequence[float], law: Law | None,
-         enforcement_draws: Sequence[Callable[[], float]],
-         agents: Sequence[AgentModel]) -> dict:
+def step(state: GameState, decisions: Sequence[float],
+         law: Law | None) -> dict:
     """Advance one round; returns the per-round record for the trace.
 
-    ``enforcement_draws[i]()`` returns agent i's next uniform draw; it is
-    called only for a request above the law's tolerance.
+    Agent i's enforcement stream is drawn only for a request above the
+    law's tolerance.
     """
     cfg = state.config
-    active = state.active
+    agents, active = state.agents, state.active
     n = len(active)
     allowed = [0.0] * n
     penalties = [0.0] * n
@@ -342,8 +364,8 @@ def step(state: GameState, decisions: Sequence[float], law: Law | None,
     for i in compress(range(n), active):
         allowed[i] = request = float(decisions[i])
         if request > tolerance:  # only these requests draw
-            allowed[i], penalties[i] = apply_law(law, request,
-                                                 enforcement_draws[i]())
+            allowed[i], penalties[i] = apply_law(
+                law, request, state.enforcement_draws[i]())
             agents[i].observe_enforcement(allowed[i] < request)
     demand = sum(allowed)
     r_before = state.resource
@@ -365,11 +387,9 @@ def step(state: GameState, decisions: Sequence[float], law: Law | None,
         utilities[i] += gain
         history = recent[i]
         history.append(gain)
-        if len(history) > window:
-            del history[0]
         # exit checks are staggered round-robin so one departure can lift
         # the survivors' shares before the next agent reconsiders
-        if (i == turn and len(history) >= window
+        if (i == turn and len(history) == window
                 and sum(history) / window < cfg.outside_option):
             active[i] = False
             state.events.append(f"{state.round}:exit:{i}")
@@ -428,25 +448,16 @@ class Trace:
         return buf.getvalue()
 
 
-def default_agents(config: GameConfig, order: int = 0) -> list[AgentModel]:
-    return [AgentModel(order=order) for _ in range(config.n_agents)]
-
-
-def run_episode(config: GameConfig, policy: PolicySpec,
-                agents: Sequence[AgentModel] | None = None,
+def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
                 events: Sequence[Excession] = ()) -> Trace:
-    """Play one seeded episode and return its trace with welfare.
+    """Play one seeded episode of ``config.n_agents`` agents of ``order``
+    and return its trace with welfare.
 
     Welfare is total realized utility plus the retention bonus per
     agent-round spent inside the game, minus inspection costs when the
     config charges them.
     """
-    if agents is None:
-        agents = default_agents(config)
-    if len(agents) != config.n_agents:
-        raise RegsimError("one agent model per configured agent")
-    agents = [replace(a) for a in agents]
-    state = GameState.initial(config)
+    state = GameState.initial(config, order)
     by_round = {}
     for ev in events:
         if not 0 <= ev.round < config.rounds:
@@ -455,33 +466,22 @@ def run_episode(config: GameConfig, policy: PolicySpec,
                               f"(0 <= round < {config.rounds})")
         by_round.setdefault(ev.round, []).append(ev)
 
-    decision_draws: list[Callable[[], float]] = []
-    enforcement_draws: list[Callable[[], float]] = []
     rows = []
     retained = 0
     inspection = 0.0
     for t in range(config.rounds):
         for ev in by_round.get(t, ()):
             inject_excession(state, ev)
-        active = state.active
-        # the configured agents join at round 0, influx agents on arrival
-        for i in range(len(decision_draws), len(active)):
-            if i == len(agents):
-                agents.append(AgentModel())
-            decision_draws.append(_chunked([config.seed, i], "normal",
-                                           agents[i].desire_mean,
-                                           agents[i].desire_sd).__next__)
-            enforcement_draws.append(
-                _chunked([config.seed, i, 1], "random").__next__)
-        n_active = sum(active)
+        n_active = sum(state.active)
         law = policy.law_for(state.config, state.resource, n_active)
         decisions = [agent_decide(agent, law, draw()) if on else 0.0
-                     for agent, draw, on in zip(agents, decision_draws, active)]
+                     for agent, draw, on in zip(
+                         state.agents, state.decision_draws, state.active)]
         retained += n_active
         if law is not None and state.config.inspection_cost > 0:
             inspection += (state.config.inspection_cost
                            * law.enforcement * n_active)
-        rows.append(step(state, decisions, law, enforcement_draws, agents))
+        rows.append(step(state, decisions, law))
     total_utility = float(sum(state.utilities))
     welfare = (total_utility
                + config.retention_weight * retained
@@ -496,8 +496,7 @@ def mean_welfare(config: GameConfig, policy: PolicySpec,
     total = 0.0
     for s in seeds:
         cfg = replace(config, seed=int(s))
-        total += run_episode(cfg, policy, default_agents(cfg, order),
-                             events).welfare
+        total += run_episode(cfg, policy, order, events).welfare
     return total / len(seeds)
 
 

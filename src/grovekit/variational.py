@@ -130,6 +130,15 @@ def critical_trace_csv(trace: Sequence[tuple]) -> str:
 # ---------------------------------------------------------------------------
 
 MIN_EIGENVALUE = 1e-9
+#: most lever coordinates a metric may have; `christoffel` keeps a d x d x d
+#: array, 2 MiB at this bound
+MAX_METRIC_DIMENSION = 64
+
+
+def _check_metric_dimension(dimension: int) -> None:
+    if dimension > MAX_METRIC_DIMENSION:
+        raise VariationalError(f"at most {MAX_METRIC_DIMENSION} metric "
+                               f"dimensions, got {dimension}")
 
 
 def _is_diagonal(g: np.ndarray) -> bool:
@@ -154,6 +163,9 @@ class MetricField:
     dimension: int
     matrix_at: Callable[[np.ndarray], np.ndarray]
     constant: bool = False
+
+    def __post_init__(self):
+        _check_metric_dimension(self.dimension)
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -185,6 +197,7 @@ class MetricField:
 
 
 def euclidean_metric(dimension: int) -> MetricField:
+    _check_metric_dimension(dimension)
     return constant_metric(np.eye(dimension))
 
 
@@ -374,6 +387,9 @@ class FiniteGroup:
             raise VariationalError("group must be nonempty")
         if n > MAX_GROUP_ORDER:
             raise VariationalError(f"group order {n} exceeds {MAX_GROUP_ORDER}")
+        if len(self.generators) > MAX_GROUP_ORDER:
+            raise VariationalError(f"at most {MAX_GROUP_ORDER} generators, "
+                                   f"got {len(self.generators)}")
         t = np.asarray(self.table)
         if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise VariationalError("malformed composition table")

@@ -15,7 +15,7 @@ from grovekit.infotheory import MAX_GRID_CELLS
 from grovekit.model import EXCLUSION_RULES
 from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, MAX_ROUNDS,
                              PolicySpec, load_scenario, mean_welfare)
-from grovekit.variational import MAX_GEODESIC_STEPS
+from grovekit.variational import MAX_GEODESIC_STEPS, MAX_METRIC_DIMENSION
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -480,6 +480,16 @@ def test_geodesic_step_count_above_the_bound_is_a_computation_failure(
     assert out.splitlines()[-1] == (
         f"error = at most {MAX_GEODESIC_STEPS} steps, "
         f"got 1000000000000000000")
+
+
+@pytest.mark.parametrize("dimension", [MAX_METRIC_DIMENSION + 1, 3000])
+def test_geodesic_dimension_above_the_bound_is_a_computation_failure(
+        capsys, tmp_path, dimension):
+    code, out, err = run_config(capsys, tmp_path, "geodesic",
+                                f"dimension = {dimension}\nsteps = 1\n")
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert err == (f"grovekit: at most {MAX_METRIC_DIMENSION} metric "
+                   f"dimensions, got {dimension}\n")
 
 
 @pytest.mark.parametrize("text", ["velocity = nan,1\n",

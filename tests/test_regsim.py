@@ -20,7 +20,6 @@ from grovekit.regsim import (
     agent_decide,
     apply_law,
     _chunked,
-    default_agents,
     dump_scenario,
     inject_excession,
     load_scenario,
@@ -78,9 +77,15 @@ def test_excession_rejects_bad_value(kind, value):
 
 
 def test_influx_may_fill_the_game_to_max_agents():
-    state = GameState.initial(GameConfig())
+    # configured and influx agents join through one path, which grows
+    # every per-agent list together
+    state = GameState.initial(GameConfig(), 2)
     inject_excession(state, Excession(3, "agent_influx", MAX_AGENTS - 8.0))
-    assert len(state.active) == MAX_AGENTS
+    per_agent = (state.utilities, state.active, state.recent, state.agents,
+                 state.decision_draws, state.enforcement_draws)
+    assert [len(entries) for entries in per_agent] == [MAX_AGENTS] * 6
+    assert [agent.order for agent in state.agents] == (
+        [2] * 8 + [0] * (MAX_AGENTS - 8))
     with pytest.raises(RegsimError):
         inject_excession(state, Excession(4, "agent_influx", 1.0))
 
@@ -120,7 +125,7 @@ def test_non_positive_draw_extracts_nothing():
 
 
 def test_point_mass_desire():
-    agent = AgentModel(order=0, desire_mean=1.25, desire_sd=0.0)
+    agent = AgentModel(order=0)
     assert agent_decide(agent, None, 1.25) == 1.25
 
 
@@ -137,7 +142,7 @@ def test_one_agent_damps_under_observed_decline():
 
 
 def test_two_agent_complies_when_violating_is_costly():
-    agent = AgentModel(order=2, desire_mean=3.0, desire_sd=0.0)
+    agent = AgentModel(order=2)
     law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
     assert agent_decide(agent, law, 3.0) == pytest.approx(law.tolerance)
 
@@ -173,13 +178,10 @@ def test_monotone_penalty():
 def test_logistic_fixed_point_and_regrowth():
     cfg = GameConfig(rounds=1)
     state = GameState.initial(cfg)
-    draws = [np.random.default_rng([1, i, 1]).random
-             for i in range(cfg.n_agents)]
-    agents = default_agents(cfg)
-    step(state, [0.0] * cfg.n_agents, None, draws, agents)
+    step(state, [0.0] * cfg.n_agents, None)
     assert state.resource == pytest.approx(cfg.capacity)
     state.resource = cfg.capacity / 2
-    step(state, [0.0] * cfg.n_agents, None, draws, agents)
+    step(state, [0.0] * cfg.n_agents, None)
     assert state.resource > cfg.capacity / 2
 
 
@@ -204,8 +206,8 @@ def test_tragedy_depletion_all_seeds():
 def test_determinism():
     cfg = GameConfig(seed=5)
     policy = PolicySpec("slack1d", (0.2,))
-    a = run_episode(cfg, policy, default_agents(cfg, 2))
-    b = run_episode(cfg, policy, default_agents(cfg, 2))
+    a = run_episode(cfg, policy, 2)
+    b = run_episode(cfg, policy, 2)
     assert a.to_csv() == b.to_csv()
     assert a.welfare == b.welfare
 
@@ -310,16 +312,13 @@ def test_optimize_rejects_fixed_family_before_any_episode(monkeypatch):
 
 
 def test_interior_enforcement_with_inspection_cost():
-    cfg = GameConfig(inspection_cost=0.1)
-    agents = lambda c: [AgentModel(order=0, desire_mean=1.0, desire_sd=0.3)
-                        for _ in range(c.n_agents)]
     welfare = []
     for q in np.linspace(0.0, 1.0, 11):
         total = 0.0
         for seed in range(1, 6):
             c = GameConfig(inspection_cost=0.1, seed=seed)
             policy = PolicySpec("fixed", (0.45, 0.1, float(q), 0.0))
-            total += run_episode(c, policy, agents(c)).welfare
+            total += run_episode(c, policy).welfare
         welfare.append((float(q), total / 5))
     best_q = max(welfare, key=lambda p: p[1])[0]
     assert 0.0 < best_q < 1.0
@@ -496,5 +495,5 @@ def _episodes(draw):
 @given(_episodes())
 def test_trace_csv_round_trip_property(episode):
     config, policy, order, events = episode
-    trace = run_episode(config, policy, default_agents(config, order), events)
+    trace = run_episode(config, policy, order, events)
     assert _read_trace_csv(trace.to_csv()) == (trace.rows, trace.events)

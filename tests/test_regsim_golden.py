@@ -18,7 +18,6 @@ from grovekit.regsim import (
     Excession,
     GameConfig,
     PolicySpec,
-    default_agents,
     run_episode,
 )
 
@@ -43,8 +42,7 @@ MATRIX = [(seed, family, order, events)
 @lru_cache(maxsize=None)
 def episode(seed, family, order, events):
     config = GameConfig(seed=seed, inspection_cost=0.05)
-    return run_episode(config, POLICIES[family],
-                       default_agents(config, order), EVENTS[events])
+    return run_episode(config, POLICIES[family], order, EVENTS[events])
 
 
 def digest(trace) -> str:

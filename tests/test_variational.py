@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from grovekit.infotheory import InfoError
 from grovekit.variational import (
     MAX_GEODESIC_STEPS,
+    MAX_METRIC_DIMENSION,
     MIN_EIGENVALUE,
     CriticalityError,
     FiniteGroup,
@@ -529,6 +530,23 @@ def test_group_rejects_bad_table():
         FiniteGroup(("e", "a", "b"), rows_only, (1,))
     with pytest.raises(VariationalError, match="element a has no inverse"):
         FiniteGroup(("e", "a", "b"), rows_only.T, (1,))
+
+
+# only values well above the bound: between it and a few thousand, the
+# arrays of size d^2 and d^3 fit in memory and take gigabytes to fill
+@pytest.mark.parametrize("dimension", [MAX_METRIC_DIMENSION + 1, 3000])
+def test_metric_dimension_is_bounded(dimension):
+    message = f"at most {MAX_METRIC_DIMENSION} metric dimensions, got {dimension}"
+    with pytest.raises(VariationalError, match=message):
+        euclidean_metric(dimension)
+    calls = []
+    with pytest.raises(VariationalError, match=message):
+        MetricField(dimension, lambda p: calls.append(p) or np.eye(2))
+    assert calls == []
+    # each generator listed is one lever coordinate of `lever_metric`
+    group = cyclic_group(4)
+    with pytest.raises(VariationalError, match=f"got {dimension}"):
+        FiniteGroup(group.labels, group.table, (1,) * dimension)
 
 
 def test_group_order_cap():
