@@ -196,15 +196,8 @@ def enumerate_groves(
         head_set = enumerate_topologies(parts[0] - 1, model)
         rest = tuple(base_chain(p - 1) for p in parts[1:])
         return frozenset(Grove((t,) + rest) for t in head_set)
-    pools = [
-        sorted(enumerate_topologies(p - 1, model),
-               key=lambda e: e.render())
-        for p in parts
-    ]
-    groves = [()]
-    for pool in pools:
-        groves = [g + (t,) for g in groves for t in pool]
-    return frozenset(Grove(g) for g in groves)
+    pools = [enumerate_topologies(p - 1, model) for p in parts]
+    return frozenset(map(Grove, itertools.product(*pools)))
 
 
 def count_by_rank(r: int, model: CostModel | None = None) -> int:
@@ -218,11 +211,8 @@ def total_multiplicity(depth: int, model: CostModel | None = None) -> int:
     """Total pruned description size over all partitions of depth + 1."""
     if depth not in (1, 2):
         raise GroveError(f"total_multiplicity is defined for depths 1 and 2, got {depth}")
-    n = depth + 1
-    total = 0
-    for part in partitions_of(n):
-        total += len(enumerate_groves(part, model))
-    return total
+    return sum(len(enumerate_groves(part, model))
+               for part in partitions_of(depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +338,19 @@ def enumerate_situations(order: int) -> frozenset[SituationExpr]:
     if order not in (1, 2, 3):
         raise GroveError(f"order must be 1, 2 or 3, got {order}")
     found = set()
-    for chain_len in range(1, order + 2):
-        for lifts in _compositions(order, chain_len):
-            budget_left = order - sum(lifts) - (chain_len - 1)
-            if budget_left < 0:
-                continue
-            for a in range(budget_left + 1):
-                cand = SituationExpr(tuple(lifts), (a,))
-                if cand.cost() == order and _situation_valid(cand):
+    for n in range(1, order + 2):
+        for lifts in _compositions(order - n + 1, n):
+            # the operands spend what the chain leaves of the order
+            left = order - n + 1 - sum(lifts)
+            candidates = [(left,)]
+            if left == 1:
+                candidates.append((0, 0))  # forming the pair costs the one
+            if left:
+                candidates += [(a, left - a) for a in range(left + 1)]
+            for operands in candidates:
+                cand = SituationExpr(lifts, operands)
+                if _situation_valid(cand):
                     found.add(cand)
-            for a in range(budget_left + 2):
-                for b in range(budget_left + 2):
-                    cand = SituationExpr(tuple(lifts), (a, b))
-                    if cand.cost() == order and _situation_valid(cand):
-                        found.add(cand)
     return frozenset(found)
 
 

@@ -314,47 +314,28 @@ def multiply(left: TopologyExpr, right: TopologyExpr) -> TopologyExpr:
     return canonicalize(TopologyExpr(levels, right.args))
 
 
-def _sub_chain(levels: tuple[tuple[DecoratedSymbol, ...], ...],
-               args: tuple[DecoratedSymbol, ...]) -> TopologyExpr:
-    base = name_tier(min(levels[0], key=lambda s: name_tier(s.kind)).kind)
-    rebased = tuple(_shift(lv, -base) for lv in levels)
-    return canonicalize(TopologyExpr(rebased, args))
-
-
 def factor(expr: TopologyExpr) -> list[TopologyExpr]:
     """Maximal decomposition into prime (single-level) chains.
 
+    Level ``i`` is shifted down ``i`` tiers; the last level keeps the
+    argument tuple and every other one takes the undecorated unit argument.
     The product of the returned factors, folded left to right, equals the
     input.  The trivial tree factors into the empty product.
     """
-    if expr.is_trivial:
-        return []
-    factors = []
-    n = len(expr.levels)
-    for i, level in enumerate(expr.levels):
-        args = expr.args if i == n - 1 else _UNIT_ARGS
-        factors.append(_sub_chain((level,), args))
-    return factors
-
-
-def splittings(expr: TopologyExpr) -> list[tuple[TopologyExpr, TopologyExpr]]:
-    """All two-factor decompositions into non-trivial chains."""
-    if expr.is_trivial:
-        return []
-    out = []
-    for k in range(1, len(expr.levels)):
-        head = _sub_chain(expr.levels[:k], _UNIT_ARGS)
-        tail = _sub_chain(expr.levels[k:], expr.args)
-        out.append((head, tail))
-    return out
+    last = len(expr.levels) - 1
+    return [canonicalize(TopologyExpr(
+                (_shift(level, -i),), expr.args if i == last else _UNIT_ARGS))
+            for i, level in enumerate(expr.levels)]
 
 
 def is_prime(expr: TopologyExpr) -> bool:
     """True iff the only factorization is trivial * self.
 
-    The trivial tree is a unit, not a prime.
+    A cut between any two levels of a valid chain leaves two non-trivial
+    chains, so the primes are exactly the one-level chains.  The trivial
+    tree has no levels: it is a unit, not a prime.
     """
-    return not expr.is_trivial and not splittings(expr)
+    return len(expr.levels) == 1
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,9 @@ MAX_GRID_CELLS = 2 ** 24
 
 def smoothed_delta(x, center, eps: float):
     """Gaussian kernel of width eps centred at ``center``; integrates to 1."""
-    if eps <= 0:
-        raise InfoError(f"smoothing width must be > 0, got {eps}")
+    # the comparison is false for nan as well
+    if not 0 < eps < math.inf:
+        raise InfoError(f"smoothing width must lie in (0, inf), got {eps!r}")
     z = (np.asarray(x, dtype=float) - center) / eps
     # a far-out z squares to inf, and exp(-inf) is exactly the 0 it should be
     with np.errstate(over="ignore"):
@@ -117,8 +118,9 @@ class GridDistribution:
         if values.shape != grid.shape:
             raise InfoError(
                 f"value shape {values.shape} does not match grid {grid.shape}")
-        if eps <= 0:
-            raise InfoError("smoothing width must be > 0")
+        if not 0 < eps < math.inf:
+            raise InfoError(
+                f"smoothing width must lie in (0, inf), got {eps!r}")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise InfoError("density values must be finite and nonnegative")
         total = values.sum() * grid.cell_volume
@@ -354,8 +356,6 @@ def information_density(binding: InfoTensorBinding, mbar, eps: float) -> float:
     mbar = np.asarray(mbar, dtype=float)
     if mbar.shape != (TENSOR_DIM,):
         raise InfoError(f"mbar must have {TENSOR_DIM} components")
-    if eps <= 0:
-        raise InfoError("smoothing width must be > 0")
     h = max(1e-5, 1e-4 * float(np.max(np.abs(mbar)) or 1.0))
 
     d0 = binding.delta_matrix(mbar, eps)

@@ -41,6 +41,9 @@ class RegsimError(Exception):
 MAX_AGENTS = 10_000
 #: most rounds one episode plays; its trace keeps a row per round
 MAX_ROUNDS = 100_000
+#: most agents times rounds one game may hold; a trace keeps about 40 B
+#: per agent-round, so this caps it near 400 MB
+MAX_AGENT_ROUNDS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,10 @@ class GameConfig:
                 raise RegsimError(f"{name} must be finite")
         if not 0 <= self.inspection_cost < math.inf:
             raise RegsimError("inspection_cost must be nonnegative and finite")
+        if self.n_agents * self.rounds > MAX_AGENT_ROUNDS:
+            raise RegsimError(
+                f"at most {MAX_AGENT_ROUNDS} agent-rounds, got n_agents = "
+                f"{self.n_agents} and rounds = {self.rounds}")
 
 
 @dataclass(frozen=True)
@@ -322,11 +329,14 @@ def inject_excession(state: GameState, event: Excession) -> GameState:
         state.config = replace(cfg, regrowth=event.value)
         state.events.append(f"{state.round}:regrowth_change:{event.value!r}")
     elif event.kind == "agent_influx":
-        room = MAX_AGENTS - len(state.active)
+        most = min(MAX_AGENTS, MAX_AGENT_ROUNDS // max(1, cfg.rounds))
+        room = most - len(state.active)
         # the comparison is false for nan and inf as well
         if not 0 <= event.value <= room:
-            raise RegsimError(f"agent influx must lie in [0, {room}] to keep "
-                              f"at most {MAX_AGENTS} agents, got {event.value!r}")
+            raise RegsimError(
+                f"agent influx must lie in [0, {room}] to keep at most "
+                f"{most} agents (at most {MAX_AGENTS} agents and "
+                f"{MAX_AGENT_ROUNDS} agent-rounds), got {event.value!r}")
         extra = int(event.value)
         state.admit(extra)
         state.events.append(f"{state.round}:agent_influx:{extra}")

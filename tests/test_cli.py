@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from grovekit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from grovekit.infotheory import MAX_GRID_CELLS
 from grovekit.model import EXCLUSION_RULES
-from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, MAX_ROUNDS,
-                             PolicySpec, load_scenario, mean_welfare)
+from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, MAX_AGENT_ROUNDS,
+                             MAX_ROUNDS, PolicySpec, load_scenario,
+                             mean_welfare)
 from grovekit.variational import MAX_GEODESIC_STEPS, MAX_METRIC_DIMENSION
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -416,6 +417,15 @@ def test_round_count_above_the_bound_is_usage_error(
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: at most {MAX_ROUNDS} rounds, "
                    f"got rounds = 1000000000000000000\n")
+
+
+def test_agent_rounds_above_the_bound_is_usage_error(capsys, tmp_path):
+    # rejected when the scenario loads, before any round is played
+    code, out, err = run_config(capsys, tmp_path, "simulate",
+                                "n_agents = 10000\nrounds = 100000\n")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: at most {MAX_AGENT_ROUNDS} agent-rounds, "
+                   f"got n_agents = 10000 and rounds = 100000\n")
 
 
 @pytest.mark.parametrize("text", [

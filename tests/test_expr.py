@@ -1,3 +1,4 @@
+import functools
 import string
 
 import pytest
@@ -21,7 +22,6 @@ from grovekit.expr import (
     op,
     parse,
     render,
-    splittings,
 )
 from grovekit.model import charges, rank
 
@@ -128,12 +128,14 @@ def test_factor_returns_prime_levels():
     assert rebuilt == product
 
 
-def test_splittings_cover_all_cuts():
+def test_every_cut_multiplies_back():
     chain = multiply(multiply(parse("sig^(1)(m1)"), parse("sig(m1)")),
                      parse("sig(m1, m2)"))
-    cuts = splittings(chain)
-    assert len(cuts) == 2
-    for left, right in cuts:
+    primes = factor(chain)
+    assert len(primes) == 3
+    for k in range(len(primes) + 1):
+        left = functools.reduce(multiply, primes[:k], TRIVIAL)
+        right = functools.reduce(multiply, primes[k:], TRIVIAL)
         assert multiply(left, right) == chain
 
 

@@ -31,9 +31,13 @@ def test_smoothed_delta_peak_and_mass():
     assert np.trapezoid(vals, x) == pytest.approx(1.0, abs=1e-6)
 
 
+BAD_WIDTHS = (0.0, -1.0, math.nan, math.inf)
+
+
 def test_smoothed_delta_rejects_bad_width():
-    with pytest.raises(InfoError):
-        smoothed_delta(0.0, 0.0, 0.0)
+    for eps in BAD_WIDTHS:
+        with pytest.raises(InfoError, match="smoothing width"):
+            smoothed_delta(0.0, 0.0, eps)
 
 
 def test_axis_validation():
@@ -108,6 +112,14 @@ def test_distribution_loads_keeps_checks():
         GridDistribution.loads("\n".join([head, "-1.0"] + cells[1:]))
     with pytest.raises(InfoError):
         GridDistribution.loads("\n".join([head] + ["0.0"] * 8))
+    # the width is outside input too, held to the same rule
+    g = grid(("x", 0.0, 1.0, 8))
+    for eps in BAD_WIDTHS:
+        with pytest.raises(InfoError, match="smoothing width"):
+            GridDistribution(g, np.ones(8), eps)
+        with pytest.raises(InfoError, match="smoothing width"):
+            GridDistribution.loads(
+                "\n".join([head.replace("eps 0.1", f"eps {eps!r}")] + cells))
     # unnormalised text is normalised on load
     doubled = GridDistribution.loads("\n".join([head] + ["2.0"] * 8))
     assert doubled.mass == pytest.approx(1.0)
@@ -244,6 +256,13 @@ def test_information_density_underflow_guard():
     bind = _constant_binding(0.0, 50.0)  # offsets far from tensor values
     with pytest.raises(InfoError, match="eps"):
         information_density(bind, [0.0, 0.0, 0.0, 0.0], 0.5)
+
+
+def test_information_density_rejects_bad_width():
+    bind = _constant_binding(0.25, 0.0)
+    for eps in BAD_WIDTHS:
+        with pytest.raises(InfoError, match="smoothing width"):
+            information_density(bind, [0.1, 0.2, 0.3, 0.4], eps)
 
 
 def test_information_density_validates_mbar():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from grovekit.expr import GroveError
 from grovekit.regsim import (
     EVENT_KINDS,
+    MAX_AGENT_ROUNDS,
     MAX_AGENTS,
     MAX_ROUNDS,
     NO_LAW,
@@ -45,6 +46,30 @@ def test_config_validation():
     for rounds in (MAX_ROUNDS + 1, 10 ** 18):
         with pytest.raises(RegsimError, match=f"at most {MAX_ROUNDS} rounds"):
             GameConfig(rounds=rounds)
+
+
+def test_config_bounds_agent_rounds():
+    # configs at the bound are only constructed: an episode there would
+    # keep about 400 MB of trace
+    rounds = MAX_AGENT_ROUNDS // 1000
+    at_bound = GameConfig(n_agents=1000, rounds=rounds)
+    assert at_bound.n_agents * at_bound.rounds == MAX_AGENT_ROUNDS
+    with pytest.raises(RegsimError, match=(
+            f"at most {MAX_AGENT_ROUNDS} agent-rounds, "
+            f"got n_agents = 1000 and rounds = {rounds + 1}")):
+        GameConfig(n_agents=1000, rounds=rounds + 1)
+    # each field alone is still checked first, with its own message
+    with pytest.raises(RegsimError, match=f"at most {MAX_ROUNDS} rounds"):
+        GameConfig(n_agents=MAX_AGENTS, rounds=MAX_ROUNDS + 1)
+
+
+def test_influx_may_not_cross_the_agent_round_bound():
+    rounds = MAX_AGENT_ROUNDS // 1000
+    state = GameState.initial(GameConfig(rounds=rounds))
+    with pytest.raises(RegsimError, match=f"{MAX_AGENT_ROUNDS} agent-rounds"):
+        inject_excession(state, Excession(3, "agent_influx", 1000 - 7.0))
+    inject_excession(state, Excession(3, "agent_influx", 1000 - 8.0))
+    assert len(state.active) * rounds == MAX_AGENT_ROUNDS
 
 
 @pytest.mark.parametrize("field,value", [
@@ -393,18 +418,19 @@ def test_substreams_replay_scalar_draws():
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
-_configs = st.builds(
+# the round count is drawn within the agent-round bound for the agents drawn
+_configs = st.integers(2, 500).flatmap(lambda n_agents: st.builds(
     GameConfig,
-    n_agents=st.integers(2, 500),
+    n_agents=st.just(n_agents),
     capacity=st.floats(0.0, 1e9, exclude_min=True),
     regrowth=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    rounds=st.integers(0, 100_000),
+    rounds=st.integers(0, min(MAX_ROUNDS, MAX_AGENT_ROUNDS // n_agents)),
     outside_option=_finite,
     retention_weight=_finite,
     inspection_cost=st.floats(0.0, allow_infinity=False),
     exit_window=st.integers(1, 1000),
     seed=st.integers(0, 2**63),
-)
+))
 
 _policies = st.one_of(
     st.just(NO_LAW),

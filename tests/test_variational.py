@@ -320,7 +320,10 @@ def _square_matrices(draw):
         return a
     sym = np.triu(a) + np.triu(a, 1).T
     if kind == "nearly" and d > 1:
-        sym[0, 1] *= 1.0 + draw(st.floats(-1e-3, 1e-3))
+        # an entry near the float maximum may overflow to +-inf, a case the
+        # examples below cover
+        with np.errstate(over="ignore"):
+            sym[0, 1] *= 1.0 + draw(st.floats(-1e-3, 1e-3))
     return sym
 
 
