@@ -164,17 +164,26 @@ class GridDistribution:
 
     @classmethod
     def loads(cls, text: str) -> "GridDistribution":
+        """Read `dumps` text; every malformed text raises InfoError."""
         lines = text.strip().splitlines()
-        header = lines[0].split()
-        if header[0] != "axes" or header[-2] != "eps":
+        header = lines[0].split() if lines else []
+        if len(header) < 3 or header[0] != "axes" or header[-2] != "eps":
             raise InfoError("bad distribution header")
-        axes = []
-        for part in header[1:-2]:
-            name, lo, hi, count = part.split(":")
-            axes.append(Axis(name, float(lo), float(hi), int(count)))
+        try:
+            axes = []
+            for part in header[1:-2]:
+                name, lo, hi, count = part.split(":")
+                axes.append(Axis(name, float(lo), float(hi), int(count)))
+            eps = float(header[-1])
+            cells = [float(v) for v in lines[1:]]
+        except ValueError as exc:
+            raise InfoError(f"malformed distribution text: {exc}") from None
         spec = GridSpec(tuple(axes))
-        eps = float(header[-1])
-        values = np.array([float(v) for v in lines[1:]]).reshape(spec.shape)
+        size = math.prod(spec.shape)
+        if len(cells) != size:
+            raise InfoError(f"distribution text has {len(cells)} cells, "
+                            f"its grid {spec.shape} has {size}")
+        values = np.array(cells).reshape(spec.shape)
         dist = cls(spec, values, eps)
         # Dumped values are normalised already, and dividing them by their
         # mass once more would move their last bits: keep them as stored.

@@ -127,6 +127,9 @@ class AgentModel:
     as decline evidence accumulates.  Order 2 further keeps a Beta
     posterior over the regulator's enforcement probability and plays a
     one-step best response to the current law.
+
+    Every agent records every observation; `agent_decide` is the one
+    place the order is read, so only it decides which beliefs are used.
     """
 
     order: int = 0
@@ -142,16 +145,14 @@ class AgentModel:
             raise RegsimError("agent order must be 0, 1, or 2")
 
     def observe(self, fractional_decline: float) -> None:
-        if self.order >= 1:
-            self._decline_sum += fractional_decline
-            self._decline_count += 1
+        self._decline_sum += fractional_decline
+        self._decline_count += 1
 
     def observe_enforcement(self, enforced: bool) -> None:
-        if self.order >= 2:
-            if enforced:
-                self._enforced += 1.0
-            else:
-                self._unenforced += 1.0
+        if enforced:
+            self._enforced += 1.0
+        else:
+            self._unenforced += 1.0
 
 
 def agent_decide(agent: AgentModel, law: Law | None, draw: float) -> float:
@@ -312,12 +313,11 @@ class GameState:
             self.recent.append(deque(maxlen=window))
 
 
-def inject_excession(state: GameState, event: Excession) -> GameState:
+def inject_excession(state: GameState, event: Excession) -> None:
     cfg = state.config
     if event.kind == "null":
         state.events.append(f"{state.round}:null")
-        return state
-    if event.kind == "capacity_drop":
+    elif event.kind == "capacity_drop":
         new_k = cfg.capacity * event.value
         if not 0 < new_k < math.inf:
             raise RegsimError("capacity drop factor must be finite and "
@@ -340,7 +340,6 @@ def inject_excession(state: GameState, event: Excession) -> GameState:
         extra = int(event.value)
         state.admit(extra)
         state.events.append(f"{state.round}:agent_influx:{extra}")
-    return state
 
 
 #: draws taken from a substream's Generator at a time
@@ -358,12 +357,11 @@ def _chunked(key: list[int], method: str, *args: float):
         yield from draw(*args, size=SUBSTREAM_CHUNK).tolist()
 
 
-def step(state: GameState, decisions: Sequence[float],
-         law: Law | None) -> dict:
-    """Advance one round; returns the per-round record for the trace.
+def step(state: GameState, law: Law | None) -> dict:
+    """Play one round under ``law``; returns its record for the trace.
 
-    Agent i's enforcement stream is drawn only for a request above the
-    law's tolerance.
+    Each active agent decides, then is enforced: its enforcement stream
+    is drawn only for a request above the law's tolerance.
     """
     cfg = state.config
     agents, active = state.agents, state.active
@@ -372,7 +370,8 @@ def step(state: GameState, decisions: Sequence[float],
     penalties = [0.0] * n
     tolerance = math.inf if law is None else law.tolerance
     for i in compress(range(n), active):
-        allowed[i] = request = float(decisions[i])
+        allowed[i] = request = agent_decide(
+            agents[i], law, state.decision_draws[i]())
         if request > tolerance:  # only these requests draw
             allowed[i], penalties[i] = apply_law(
                 law, request, state.enforcement_draws[i]())
@@ -484,18 +483,17 @@ def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
             inject_excession(state, ev)
         n_active = sum(state.active)
         law = policy.law_for(state.config, state.resource, n_active)
-        decisions = [agent_decide(agent, law, draw()) if on else 0.0
-                     for agent, draw, on in zip(
-                         state.agents, state.decision_draws, state.active)]
         retained += n_active
         if law is not None and state.config.inspection_cost > 0:
             inspection += (state.config.inspection_cost
                            * law.enforcement * n_active)
-        rows.append(step(state, decisions, law))
+        rows.append(step(state, law))
     total_utility = float(sum(state.utilities))
     welfare = (total_utility
                + config.retention_weight * retained
                - inspection)
+    if not math.isfinite(welfare):
+        raise RegsimError(f"welfare is not finite: {welfare!r}")
     return Trace(tuple(rows), tuple(state.events), welfare,
                  total_utility, retained, inspection)
 

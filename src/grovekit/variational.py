@@ -508,13 +508,15 @@ def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     along each generator direction.  The group sum uses counting measure
     weighted by 1/|G|, so a constant cost yields the single-delta
     self-information, 1/eps^2, and a cost-neutral direct factor leaves the
-    value unchanged.  Raises InfoError when the offset grid, the cost range
-    widened by 6 eps on each side, is not finite or has no width, and
-    VariationalError when the sum overflows, as its score terms, of
-    order 1/eps^2, do for eps near 1e-150 and below.
+    value unchanged.  Raises VariationalError when eps is not in (0, inf)
+    or the sum overflows, as its score terms, of order 1/eps^2, do for eps
+    near 1e-150 and below; InfoError when the offset grid, the cost range
+    widened by 6 eps on each side, is not finite or has no width.
     """
-    if eps <= 0:
-        raise VariationalError("smoothing width must be > 0")
+    # the comparison is false for nan as well
+    if not 0 < eps < math.inf:
+        raise VariationalError(
+            f"smoothing width must lie in (0, inf), got {eps!r}")
     group = pcf.group
     prof = pcf.profile()
     alpha = Axis("a", float(prof.min()) - 6.0 * eps,

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grovekit import cli, regsim
 from grovekit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from grovekit.infotheory import MAX_GRID_CELLS
 from grovekit.model import EXCLUSION_RULES
@@ -417,6 +418,31 @@ def test_round_count_above_the_bound_is_usage_error(
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: at most {MAX_ROUNDS} rounds, "
                    f"got rounds = 1000000000000000000\n")
+
+
+FIXED_LAW = "policy.family = fixed\npolicy.theta = 0.4,0.1,0.9,1.0\n"
+
+
+@pytest.mark.parametrize("command,scenario,value", [
+    ("simulate", "retention_weight = 1e308\n", "inf"),
+    ("simulate", "retention_weight = -1e308\n", "-inf"),
+    ("simulate", "retention_weight = 1e308\ninspection_cost = 1e308\n"
+     + FIXED_LAW, "nan"),
+    ("optimize", "retention_weight = 1e308\n", "inf"),
+], ids=["simulate-inf", "simulate-minus-inf", "simulate-nan", "optimize-inf"])
+def test_welfare_that_is_not_finite_is_usage_error(
+        capsys, tmp_path, monkeypatch, command, scenario, value):
+    # optimize fails at its first episode
+    episodes = []
+    play = regsim.run_episode
+    for module in (cli, regsim):
+        monkeypatch.setattr(module, "run_episode", lambda *a, **k:
+                            episodes.append(a) or play(*a, **k))
+    code, out, err = run_config(capsys, tmp_path, command,
+                                "rounds = 50\n" + scenario)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"grovekit: welfare is not finite: {value}\n"
+    assert len(episodes) == 1
 
 
 def test_agent_rounds_above_the_bound_is_usage_error(capsys, tmp_path):

@@ -125,6 +125,26 @@ def test_distribution_loads_keeps_checks():
     assert doubled.mass == pytest.approx(1.0)
 
 
+_GOOD_HEAD = "axes x:0.0:1.0:8 eps 0.1"
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "axes\n",
+    "axes eps 0.1\n" + "1.0\n" * 8,
+    "axes x:0.0:1.0 eps 0.1\n" + "1.0\n" * 8,
+    "axes x:0.0:1.0:eight eps 0.1\n" + "1.0\n" * 8,
+    "axes x:0.0:1.0:8 eps wide\n" + "1.0\n" * 8,
+    _GOOD_HEAD + "\n" + "1.0\n" * 7 + "one\n",
+    _GOOD_HEAD + "\n" + "1.0\n" * 7,
+    _GOOD_HEAD + "\n" + "1.0\n" * 9,
+], ids=["empty", "bare-axes", "no-axis", "three-part-axis", "text-count",
+        "text-eps", "text-cell", "too-few-cells", "too-many-cells"])
+def test_malformed_distribution_text_is_an_info_error(text):
+    with pytest.raises(InfoError):
+        GridDistribution.loads(text)
+
+
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
 def test_gaussian_location_information(scale):
     span = 6 * scale

@@ -166,6 +166,24 @@ def test_one_agent_damps_under_observed_decline():
         assert np.mean(late[-20:]) < np.mean(early)
 
 
+def test_beliefs_are_read_by_order():
+    # every agent records both observations; its order picks what it reads
+    law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
+    observed = [AgentModel(order) for order in (0, 1)]
+    declines_only = AgentModel(order=1)
+    for _ in range(200):
+        for agent in observed:
+            agent.observe(0.01)
+            agent.observe_enforcement(True)
+        declines_only.observe(0.01)
+    for draw in (-1.0, 0.0, 0.3, 3.0):
+        assert agent_decide(observed[0], law, draw) == max(draw, 0.0)
+        assert (agent_decide(observed[1], law, draw)
+                == agent_decide(declines_only, law, draw))
+    # the order-1 agent does read its declines
+    assert 0.0 < agent_decide(observed[1], law, 3.0) < 3.0
+
+
 def test_two_agent_complies_when_violating_is_costly():
     agent = AgentModel(order=2)
     law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
@@ -203,10 +221,12 @@ def test_monotone_penalty():
 def test_logistic_fixed_point_and_regrowth():
     cfg = GameConfig(rounds=1)
     state = GameState.initial(cfg)
-    step(state, [0.0] * cfg.n_agents, None)
+    # every agent asks for nothing
+    state.decision_draws = [lambda: 0.0] * cfg.n_agents
+    step(state, None)
     assert state.resource == pytest.approx(cfg.capacity)
     state.resource = cfg.capacity / 2
-    step(state, [0.0] * cfg.n_agents, None)
+    step(state, None)
     assert state.resource > cfg.capacity / 2
 
 
@@ -259,6 +279,21 @@ def test_exited_agents_stay_out():
         for row in trace.rows[rnd + 1:]:
             assert row["extraction"][i] == 0.0
             assert not row["active"][i]
+
+
+@pytest.mark.parametrize("overrides,family,theta,value", [
+    ({"retention_weight": 1e308}, "none", (), "inf"),
+    ({"retention_weight": -1e308}, "none", (), "-inf"),
+    ({"inspection_cost": 1e308}, "fixed", (0.4, 0.1, 0.9, 1.0), "-inf"),
+    ({"retention_weight": 1e308, "inspection_cost": 1e308}, "fixed",
+     (0.4, 0.1, 0.9, 1.0), "nan"),
+])
+def test_welfare_that_is_not_finite_is_an_error(overrides, family, theta,
+                                                 value):
+    cfg = GameConfig(rounds=50, **overrides)
+    with pytest.raises(RegsimError,
+                       match=f"welfare is not finite: {value}$"):
+        run_episode(cfg, PolicySpec(family, theta))
 
 
 def test_empty_horizon():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -580,6 +581,15 @@ def test_policy_information_offset_grid_is_checked(eps, message):
         warnings.simplefilter("error")
         with pytest.raises(InfoError, match=f"axis a: {message}"):
             policy_information(pcf, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_policy_information_rejects_a_bad_width_by_name(eps):
+    pcf = PolicyCostFunction(cyclic_group(4), lambda a, b: 0.0)
+    with pytest.raises(VariationalError,
+                       match=re.escape(f"smoothing width must lie in "
+                                       f"(0, inf), got {eps!r}")):
+        policy_information(pcf, eps)
 
 
 @pytest.mark.parametrize("eps", [1e-200, 1e-150])
