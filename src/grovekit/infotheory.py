@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import reduce
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +33,16 @@ NORMALISED_REL_TOL = 1e-9
 
 #: Most cells a grid may hold: one float64 array over it takes 128 MiB.
 MAX_GRID_CELLS = 2 ** 24
+
+
+def offset_pairs(f: Callable, p: np.ndarray, h: float) -> Iterator[tuple]:
+    """``(f(p + h e_i), f(p - h e_i))`` for each coordinate i in order, the
+    other coordinates keeping their bits; central differences use them."""
+    for i in range(len(p)):
+        up, dn = p.copy(), p.copy()
+        up[i] += h
+        dn[i] -= h
+        yield f(up), f(dn)
 
 
 def smoothed_delta(x, center, eps: float):
@@ -56,6 +68,8 @@ class Axis:
             raise InfoError(f"axis {self.name}: bounds must be finite")
         if self.hi <= self.lo:
             raise InfoError(f"axis {self.name}: upper bound must exceed lower")
+        if not math.isfinite(self.hi - self.lo):
+            raise InfoError(f"axis {self.name}: width hi - lo must be finite")
         if self.count < 8:
             raise InfoError(f"axis {self.name}: need at least 8 samples")
 
@@ -345,8 +359,9 @@ class InfoTensorBinding:
             raise InfoError(f"offsets must be {TENSOR_DIM}x{TENSOR_DIM}")
 
     def delta_matrix(self, mbar: np.ndarray, eps: float) -> np.ndarray:
-        z = np.array([[sum(float(self.Lambda[i][j][k](mbar[k]))
-                           for k in range(TENSOR_DIM))
+        # summed left to right: the builtin sum compensates from Python 3.12
+        z = np.array([[reduce(add, (float(self.Lambda[i][j][k](mbar[k]))
+                                    for k in range(TENSOR_DIM)), 0.0)
                        for j in range(TENSOR_DIM)] for i in range(TENSOR_DIM)])
         if not np.isfinite(z).all():
             i, j = np.argwhere(~np.isfinite(z))[0]
@@ -375,12 +390,9 @@ def information_density(binding: InfoTensorBinding, mbar, eps: float) -> float:
             "offsets closer to the tensor values")
 
     # dlog[i, k, l]: derivative of ln D_kl with respect to mbar_i
-    dlog = np.empty((TENSOR_DIM, TENSOR_DIM, TENSOR_DIM))
-    for i in range(TENSOR_DIM):
-        up, dn = mbar.copy(), mbar.copy()
-        up[i] += h
-        dn[i] -= h
-        dlog[i] = (np.log(binding.delta_matrix(up, eps))
-                   - np.log(binding.delta_matrix(dn, eps))) / (2.0 * h)
+    dlog = np.array([
+        (np.log(up) - np.log(dn)) / (2.0 * h)
+        for up, dn in offset_pairs(lambda m: binding.delta_matrix(m, eps),
+                                   mbar, h)])
 
     return float(np.einsum("ij,ikl,jkl->", d0, dlog, dlog))

@@ -23,7 +23,9 @@ import io
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from itertools import compress
+from operator import add
 from typing import Callable, Sequence
 
 import numpy as np
@@ -278,9 +280,10 @@ class Excession:
 class GameState:
     """The resource, the round and every agent that ever joined the game.
 
-    Each per-agent list holds one entry per agent, in order of arrival.
-    `admit` is the only place they grow: agent i gets its model, its
-    decision and enforcement streams, and its last ``exit_window`` gains.
+    ``config`` is the game being played, and each per-agent list holds
+    its ``config.n_agents`` agents in order of arrival.  `admit` is the
+    only place they grow: agent i gets its model, its decision and
+    enforcement streams, and its last ``exit_window`` gains.
     """
 
     config: GameConfig
@@ -297,12 +300,13 @@ class GameState:
     @classmethod
     def initial(cls, config: GameConfig, order: int = 0) -> "GameState":
         state = cls(config, config.capacity)
-        state.admit(config.n_agents, order)
+        state.admit(order)
         return state
 
-    def admit(self, count: int, order: int = 0) -> None:
+    def admit(self, order: int = 0) -> None:
+        """Seat agents of ``order`` until there are ``config.n_agents``."""
         seed, window = self.config.seed, self.config.exit_window
-        for i in range(len(self.agents), len(self.agents) + count):
+        for i in range(len(self.agents), self.config.n_agents):
             self.agents.append(AgentModel(order))
             self.decision_draws.append(_chunked(
                 [seed, i], "normal", DESIRE_MEAN, DESIRE_SD).__next__)
@@ -314,32 +318,28 @@ class GameState:
 
 
 def inject_excession(state: GameState, event: Excession) -> None:
-    cfg = state.config
-    if event.kind == "null":
-        state.events.append(f"{state.round}:null")
-    elif event.kind == "capacity_drop":
-        new_k = cfg.capacity * event.value
-        if not 0 < new_k < math.inf:
-            raise RegsimError("capacity drop factor must be finite and "
-                              "leave positive capacity")
-        state.config = replace(cfg, capacity=new_k)
-        state.resource = min(state.resource, new_k)
-        state.events.append(f"{state.round}:capacity_drop:{event.value!r}")
-    elif event.kind == "regrowth_change":
-        state.config = replace(cfg, regrowth=event.value)
-        state.events.append(f"{state.round}:regrowth_change:{event.value!r}")
-    elif event.kind == "agent_influx":
-        most = min(MAX_AGENTS, MAX_AGENT_ROUNDS // max(1, cfg.rounds))
-        room = most - len(state.active)
-        # the comparison is false for nan and inf as well
-        if not 0 <= event.value <= room:
-            raise RegsimError(
-                f"agent influx must lie in [0, {room}] to keep at most "
-                f"{most} agents (at most {MAX_AGENTS} agents and "
-                f"{MAX_AGENT_ROUNDS} agent-rounds), got {event.value!r}")
-        extra = int(event.value)
-        state.admit(extra)
-        state.events.append(f"{state.round}:agent_influx:{extra}")
+    """Apply ``event`` as a new `GameConfig`, which checks it; a rejected
+    event raises RegsimError naming its kind and round."""
+    cfg, kind, value = state.config, event.kind, event.value
+    try:
+        if kind == "capacity_drop":
+            cfg = replace(cfg, capacity=cfg.capacity * value)
+        elif kind == "regrowth_change":
+            cfg = replace(cfg, regrowth=value)
+        elif kind == "agent_influx":
+            # the comparison is false for nan as well
+            if not 0 <= value < math.inf:
+                raise RegsimError(f"an influx must be a finite count >= 0, "
+                                  f"got {value!r}")
+            value = int(value)
+            cfg = replace(cfg, n_agents=cfg.n_agents + value)
+    except RegsimError as exc:
+        raise RegsimError(f"{kind} at round {state.round}: {exc}") from None
+    state.config = cfg
+    state.resource = min(state.resource, cfg.capacity)
+    state.admit()
+    state.events.append(f"{state.round}:{kind}" if kind == "null"
+                        else f"{state.round}:{kind}:{value!r}")
 
 
 #: draws taken from a substream's Generator at a time
@@ -369,6 +369,9 @@ def step(state: GameState, law: Law | None) -> dict:
     allowed = [0.0] * n
     penalties = [0.0] * n
     tolerance = math.inf if law is None else law.tolerance
+    # every float sum here adds left to right, as the builtin sum did
+    # before Python 3.12 made it compensated, so the bits never move
+    demand = 0.0
     for i in compress(range(n), active):
         allowed[i] = request = agent_decide(
             agents[i], law, state.decision_draws[i]())
@@ -376,7 +379,7 @@ def step(state: GameState, law: Law | None) -> dict:
             allowed[i], penalties[i] = apply_law(
                 law, request, state.enforcement_draws[i]())
             agents[i].observe_enforcement(allowed[i] < request)
-    demand = sum(allowed)
+        demand += allowed[i]
     r_before = state.resource
     if demand > r_before and demand > 0:
         scale = r_before / demand
@@ -398,10 +401,13 @@ def step(state: GameState, law: Law | None) -> dict:
         history.append(gain)
         # exit checks are staggered round-robin so one departure can lift
         # the survivors' shares before the next agent reconsiders
-        if (i == turn and len(history) == window
-                and sum(history) / window < cfg.outside_option):
-            active[i] = False
-            state.events.append(f"{state.round}:exit:{i}")
+        if i == turn and len(history) == window:
+            total = 0.0
+            for past in history:
+                total += past
+            if total / window < cfg.outside_option:
+                active[i] = False
+                state.events.append(f"{state.round}:exit:{i}")
     state.round += 1
     return {
         "round": state.round,
@@ -488,7 +494,8 @@ def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
             inspection += (state.config.inspection_cost
                            * law.enforcement * n_active)
         rows.append(step(state, law))
-    total_utility = float(sum(state.utilities))
+    # left to right, as `step` sums
+    total_utility = reduce(add, state.utilities, 0.0)
     welfare = (total_utility
                + config.retention_weight * retained
                - inspection)

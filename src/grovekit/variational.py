@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .infotheory import Axis, smoothed_delta
+from .infotheory import Axis, offset_pairs, smoothed_delta
 
 
 class VariationalError(Exception):
@@ -40,26 +40,28 @@ class Functional:
     dimension: int
     tag: str = ""
 
-    def __call__(self, theta) -> float:
+    def parameters(self, theta) -> np.ndarray:
+        """``theta`` as a float vector, checked to have `dimension` entries."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dimension,):
             raise VariationalError(
                 f"{self.tag or 'functional'}: expected {self.dimension} "
                 f"parameters, got shape {theta.shape}")
-        return float(self.evaluate(theta))
+        return theta
+
+    def __call__(self, theta) -> float:
+        return float(self.evaluate(self.parameters(theta)))
 
 
 def first_variation(F: Functional, theta, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of F at theta."""
     if h <= 0:
         raise VariationalError("step h must be > 0")
-    theta = np.asarray(theta, dtype=float)
+    theta = F.parameters(theta)
     grad = np.empty(F.dimension)
-    for i in range(F.dimension):
-        up, dn = theta.copy(), theta.copy()
-        up[i] += h
-        dn[i] -= h
-        fu, fd = F(up), F(dn)
+    # theta is checked, so its offset points go to F.evaluate directly
+    pairs = offset_pairs(lambda q: float(F.evaluate(q)), theta, h)
+    for i, (fu, fd) in enumerate(pairs):
         if not (math.isfinite(fu) and math.isfinite(fd)):
             raise VariationalError(
                 f"non-finite evaluation while varying component {i} at "
@@ -209,6 +211,9 @@ def constant_metric(matrix) -> MetricField:
 def sphere_metric() -> MetricField:
     """Unit 2-sphere in (theta, phi) coordinates, diag(1, sin^2 theta)."""
     def g(p):
+        if not math.isfinite(p[0]):
+            raise VariationalError(f"sphere metric needs a finite theta, "
+                                   f"got {float(p[0])!r}")
         s = math.sin(p[0])
         return np.array([[1.0, 0.0], [0.0, s * s]])
     return MetricField(2, g)
@@ -221,13 +226,9 @@ CHRISTOFFEL_H = 1e-5
 def christoffel(g: MetricField, p) -> np.ndarray:
     """Connection coefficients Gamma^k_ij by central metric differences."""
     p = np.asarray(p, dtype=float)
-    d = g.dimension
-    dg = np.empty((d, d, d))  # dg[l] = d g / d p_l
-    for l in range(d):
-        up, dn = p.copy(), p.copy()
-        up[l] += CHRISTOFFEL_H
-        dn[l] -= CHRISTOFFEL_H
-        dg[l] = (g(up) - g(dn)) / (2.0 * CHRISTOFFEL_H)
+    # dg[l] = d g / d p_l
+    dg = np.array([(up - dn) / (2.0 * CHRISTOFFEL_H)
+                   for up, dn in offset_pairs(g, p, CHRISTOFFEL_H)])
     G = g(p)
     ginv = (np.diag(1.0 / G.diagonal()) if _is_diagonal(G)
             else np.linalg.inv(G))
@@ -314,11 +315,13 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
                        h: float) -> GeodesicPath:
     """Integrate x'' = -Gamma(x)(v, v) with classical RK4.
 
-    A metric failure mid-path raises VariationalError with the partial
-    path attached as the ``partial`` attribute.  For a constant metric the
-    connection is computed once, at step 0, and reused by every stage: the
-    metric differences are exactly zero and its inverse is the same at
-    every point, so the path is bit-identical to evaluating it per stage.
+    A metric failure mid-path, or a step that leaves a point or velocity
+    that is not finite, raises VariationalError with the finite partial
+    path before it attached as the ``partial`` attribute.  For a constant
+    metric the connection is computed once, at step 0, and reused by every
+    stage: the metric differences are exactly zero and its inverse is the
+    same at every point, so the path is bit-identical to evaluating it per
+    stage.
     """
     if steps < 1:
         raise VariationalError("need at least one step")
@@ -339,29 +342,42 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
             f"{v.tolist()}")
     points, velocities = [x.copy()], [v.copy()]
     fixed = None  # a constant metric's connection, set at step 0
+    failure = None
 
     def accel(xx, vv):
         gamma = christoffel(g, xx) if fixed is None else fixed
         return -np.einsum("kij,i,j->k", gamma, vv, vv)
 
-    for n in range(steps):
-        try:
-            if g.constant and n == 0:
-                fixed = christoffel(g, x)
-            k1x, k1v = v, accel(x, v)
-            k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-            k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-            k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
-        except VariationalError as exc:
-            err = VariationalError(
-                f"metric failed at step {n}: {exc}")
-            err.partial = GeodesicPath(np.array(points), np.array(velocities), h)
-            raise err from exc
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        points.append(x.copy())
-        velocities.append(v.copy())
-    return GeodesicPath(np.array(points), np.array(velocities), h)
+    # an overflow leaves inf or nan in the path, which is reported once
+    # below instead of as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(steps):
+            try:
+                if g.constant and n == 0:
+                    fixed = christoffel(g, x)
+                k1x, k1v = v, accel(x, v)
+                k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+                k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+                k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
+            except VariationalError as exc:
+                failure = f"metric failed at step {n}: {exc}"
+                break
+            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            points.append(x.copy())
+            velocities.append(v.copy())
+    points, velocities = np.array(points), np.array(velocities)
+    finite = (np.isfinite(points) & np.isfinite(velocities)).all(axis=1)
+    if not finite.all():
+        # row 0 is the start, so row k is the end of step k - 1
+        done = int(np.argmin(finite))
+        failure = f"path is not finite at step {done - 1}"
+        points, velocities = points[:done], velocities[:done]
+    if failure is not None:
+        err = VariationalError(failure)
+        err.partial = GeodesicPath(points, velocities, h)
+        raise err
+    return GeodesicPath(points, velocities, h)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +587,5 @@ def optimal_policy_path(pcf: PolicyCostFunction, start, steps: int,
     """Geodesic of the lever metric from ``start``, leaving it along the
     unit vector of the first lever axis."""
     metric = lever_metric(pcf)
-    d = metric.dimension
-    start = np.asarray(start, dtype=float)
-    if start.shape != (d,):
-        raise VariationalError(f"start must have {d} lever coordinates")
-    return integrate_geodesic(metric, start, np.eye(d)[0], steps, h)
+    return integrate_geodesic(metric, start, np.eye(metric.dimension)[0],
+                              steps, h)

@@ -304,9 +304,12 @@ CONFIG_KEYS = [
     *[(command, "rounds = 20\n", SCENARIO_KEYS + ("event.0",))
       for command in ("simulate", "optimize")],
 ]
+#: the values the matrix sets each key to
+MATRIX_VALUES = ("nan", "inf", "-1", "0", "", "1e200", "-1e200", "1e308",
+                 "-1e308")
 EXIT_MATRIX = [(command, base, key, value)
                for command, base, keys in CONFIG_KEYS for key in keys
-               for value in ("nan", "inf", "-1", "0", "", "1e200", "-1e200")]
+               for value in MATRIX_VALUES]
 
 
 def run_config(capsys, tmp_path, command, text):
@@ -337,6 +340,47 @@ def test_every_config_value_keeps_the_exit_contract(
         warnings.simplefilter("always")
         code, out, err = run_config(capsys, tmp_path, command, text)
     assert_exit_contract(code, out, err, caught)
+
+
+#: every key of each numerics command's config file
+NUMERICS_KEYS = {
+    "info": ("scale", "samples", "span"),
+    "critical": ("functional", "tol", "center", "theta0"),
+    "geodesic": ("metric", "steps", "h", "dimension", "start", "velocity"),
+}
+_number = st.sampled_from(MATRIX_VALUES + ("5e-324",))
+_vector = st.lists(_number, max_size=5).map(",".join)
+#: what each key draws that is not a plain number: the names, vectors,
+#: and lengths kept short or past their bound, since an exit at a bound
+#: needs no long run
+NUMERICS_VALUES = {
+    "functional": st.one_of(st.sampled_from(("quadratic", "rosenbrock")),
+                            _number),
+    "metric": st.one_of(st.sampled_from(("euclidean", "sphere")), _number),
+    "steps": st.sampled_from(("0", "1", "20", str(MAX_GEODESIC_STEPS + 1))),
+    "samples": st.sampled_from(("7", "8", "64", "16385")),
+    **{key: _vector for key in ("center", "theta0", "start", "velocity")},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(NUMERICS_KEYS)), data=st.data())
+def test_fuzzed_numerics_configs_keep_the_exit_contract(command, data):
+    keys = data.draw(st.sets(st.sampled_from(NUMERICS_KEYS[command]),
+                             min_size=1))
+    values = {key: data.draw(NUMERICS_VALUES.get(key, _number))
+              for key in sorted(keys)}
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.txt")
+        with open(path, "w") as handle:
+            handle.write(text)
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path])
+    assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
 
 
 #: what the scenario fuzz draws values, event rounds and event kinds from
@@ -553,6 +597,24 @@ def test_geodesic_overflowing_energy_is_a_computation_failure(
     assert caught == []
     assert (code, err) == (EXIT_FAILURE, "")
     assert out.splitlines()[-1] == "error = energy is not finite at sample 0"
+
+
+@pytest.mark.parametrize("text,error", [
+    ("h = 1e308\n", "path is not finite at step 1"),
+    ("metric = sphere\nh = 1e308\n", "path is not finite at step 1"),
+    ("velocity = -1,1e308\n", "path is not finite at step 0"),
+    ("metric = sphere\nvelocity = -1,1e308\n",
+     "metric failed at step 0: sphere metric needs a finite theta, got inf"),
+], ids=["euclidean-h", "sphere-h", "euclidean-velocity", "sphere-velocity"])
+def test_geodesic_that_overflows_is_a_computation_failure(
+        capsys, tmp_path, text, error):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_config(capsys, tmp_path, "geodesic",
+                                    "steps = 20\n" + text)
+    assert caught == []
+    assert (code, err) == (EXIT_FAILURE, "")
+    assert out.splitlines()[-1] == f"error = {error}"
 
 
 def test_info_scale_without_a_finite_square_is_a_usage_error(capsys, tmp_path):

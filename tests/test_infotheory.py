@@ -19,8 +19,21 @@ from grovekit.infotheory import (
     fisher_information,
     grid,
     information_density,
+    offset_pairs,
     smoothed_delta,
 )
+
+
+def test_offset_pairs_move_one_coordinate_up_then_down():
+    p = np.array([1.0, -0.0])
+    calls = []
+    pairs = list(offset_pairs(lambda q: calls.append(repr(q.tolist()))
+                              or len(calls), p, 0.5))
+    assert pairs == [(1, 2), (3, 4)]
+    # the coordinate that is not moved keeps its bits, sign of zero too
+    assert calls == ["[1.5, -0.0]", "[0.5, -0.0]", "[1.0, 0.5]",
+                     "[1.0, -0.5]"]
+    assert repr(p.tolist()) == "[1.0, -0.0]"
 
 
 def test_smoothed_delta_peak_and_mass():
@@ -43,6 +56,8 @@ def test_smoothed_delta_rejects_bad_width():
 def test_axis_validation():
     with pytest.raises(InfoError):
         Axis("x", 0.0, 0.0, 16)
+    with pytest.raises(InfoError, match="axis x: width"):
+        Axis("x", -1e308, 1e308, 16)
     with pytest.raises(InfoError):
         Axis("x", 0.0, 1.0, 4)
     with pytest.raises(InfoError):
@@ -138,8 +153,10 @@ _GOOD_HEAD = "axes x:0.0:1.0:8 eps 0.1"
     _GOOD_HEAD + "\n" + "1.0\n" * 7 + "one\n",
     _GOOD_HEAD + "\n" + "1.0\n" * 7,
     _GOOD_HEAD + "\n" + "1.0\n" * 9,
+    "axes a:-1e308:1e308:8 eps 1.0\n" + "0.125\n" * 8,
 ], ids=["empty", "bare-axes", "no-axis", "three-part-axis", "text-count",
-        "text-eps", "text-cell", "too-few-cells", "too-many-cells"])
+        "text-eps", "text-cell", "too-few-cells", "too-many-cells",
+        "infinite-width"])
 def test_malformed_distribution_text_is_an_info_error(text):
     with pytest.raises(InfoError):
         GridDistribution.loads(text)
@@ -270,6 +287,14 @@ def test_information_density_sixteenfold_symmetry():
     single = sum(d0[i, j] * dlog[i] * dlog[j]
                  for i in range(4) for j in range(4))
     assert total == pytest.approx(16.0 * single, rel=1e-8)
+
+
+def test_information_density_sums_tensor_terms_left_to_right(python312_sum):
+    # at mbar the terms are (1.0, 1e100, 1.0, -1e100): their sum is 0.0
+    # left to right at every offset point, and near 2.0 compensated
+    terms = [lambda x: x, lambda x: 1e100, lambda x: 1.0, lambda x: -1e100]
+    bind = InfoTensorBinding([[terms] * 4] * 4, np.zeros((4, 4)))
+    assert information_density(bind, [1.0, 0.0, 0.0, 0.0], 1.0) == 0.0
 
 
 def test_information_density_underflow_guard():

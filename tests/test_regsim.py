@@ -101,11 +101,33 @@ def test_excession_rejects_bad_value(kind, value):
         inject_excession(state, Excession(3, kind, value))
 
 
+@pytest.mark.parametrize("kind,value,message", [
+    ("capacity_drop", 0.0, "capacity must be positive and finite"),
+    ("capacity_drop", float("inf"), "capacity must be positive and finite"),
+    ("regrowth_change", 1.5, "regrowth rate must lie in (0, 1)"),
+    ("agent_influx", -1.0, "an influx must be a finite count >= 0, got -1.0"),
+    ("agent_influx", float("nan"),
+     "an influx must be a finite count >= 0, got nan"),
+    # n_agents counts the 8 configured agents and the influx
+    ("agent_influx", MAX_AGENTS - 7.0,
+     f"at most {MAX_AGENTS} agents, got n_agents = {MAX_AGENTS + 1}"),
+])
+def test_event_failure_names_kind_and_round(kind, value, message):
+    state = GameState.initial(GameConfig())
+    state.round = 3
+    config = state.config
+    with pytest.raises(RegsimError) as err:
+        inject_excession(state, Excession(3, kind, value))
+    assert str(err.value) == f"{kind} at round 3: {message}"
+    assert state.config is config and len(state.agents) == 8
+
+
 def test_influx_may_fill_the_game_to_max_agents():
     # configured and influx agents join through one path, which grows
-    # every per-agent list together
+    # every per-agent list together, and the config counts them all
     state = GameState.initial(GameConfig(), 2)
     inject_excession(state, Excession(3, "agent_influx", MAX_AGENTS - 8.0))
+    assert state.config.n_agents == MAX_AGENTS
     per_agent = (state.utilities, state.active, state.recent, state.agents,
                  state.decision_draws, state.enforcement_draws)
     assert [len(entries) for entries in per_agent] == [MAX_AGENTS] * 6

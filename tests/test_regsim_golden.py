@@ -224,6 +224,14 @@ def test_golden_trace(case):
     assert digest(episode(*case)) == GOLDEN[case]
 
 
+def test_golden_traces_hold_under_python312_sum(python312_sum):
+    # from Python 3.12 the builtin sum compensates; 57 of these traces
+    # moved while the engine summed its floats with it
+    moved = [case for case in MATRIX
+             if digest(episode.__wrapped__(*case)) != GOLDEN[case]]
+    assert moved == []
+
+
 def test_matrix_exercises_every_branch():
     traces = [episode(*case) for case in MATRIX]
     assert any(":exit:" in ev for t in traces for ev in t.events)

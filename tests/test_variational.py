@@ -72,6 +72,13 @@ def test_first_variation_matches_analytic_on_random_polynomials():
         assert np.linalg.norm(grad - analytic) / scale < 1e-5
 
 
+@pytest.mark.parametrize("theta", [[], [0.0, 1.0]])
+def test_first_variation_rejects_wrong_length(theta):
+    F = Functional(lambda t: float(t[0]), 1, "line")
+    with pytest.raises(VariationalError, match="line: expected 1 parameters"):
+        first_variation(F, theta)
+
+
 def test_first_variation_reports_nonfinite():
     F = Functional(lambda t: math.inf if t[0] > 0 else 0.0, 1, "pole")
     with pytest.raises(VariationalError, match="component 0"):
@@ -261,6 +268,36 @@ def test_geodesic_partial_path_on_metric_failure():
                               [1.0, 0.0], done, 0.01)
     assert partial.points.tobytes() == full.points.tobytes()
     assert partial.velocities.tobytes() == full.velocities.tobytes()
+
+
+@pytest.mark.parametrize("metric,start,velocity,h,error", [
+    (euclidean_metric(2), [0.0, 0.0], [1.0, 0.0], 1e308,
+     "path is not finite at step 1"),
+    (sphere_metric(), [math.pi / 2, 0.0], [0.0, 1.0], 1e308,
+     "path is not finite at step 1"),
+    (euclidean_metric(2), [0.0, 0.0], [-1.0, 1e308], 0.001,
+     "path is not finite at step 0"),
+    (sphere_metric(), [math.pi / 2, 0.0], [-1.0, 1e308], 0.001,
+     "metric failed at step 0: sphere metric needs a finite theta, got inf"),
+], ids=["euclidean-h", "sphere-h", "euclidean-velocity", "sphere-velocity"])
+def test_geodesic_that_overflows_fails_with_its_finite_part(
+        metric, start, velocity, h, error):
+    with pytest.raises(VariationalError) as err:
+        integrate_geodesic(metric, start, velocity, 20, h)
+    assert str(err.value) == error
+    partial = err.value.partial
+    done = len(partial.points) - 1
+    assert np.isfinite(partial.points).all()
+    assert np.isfinite(partial.velocities).all()
+    if done:
+        full = integrate_geodesic(metric, start, velocity, done, h)
+        assert partial.points.tobytes() == full.points.tobytes()
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_sphere_metric_rejects_non_finite_theta(theta):
+    with pytest.raises(VariationalError, match="finite theta"):
+        sphere_metric()([theta, 0.0])
 
 
 def test_constant_indefinite_metric_fails_at_step_zero():
