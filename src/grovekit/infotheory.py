@@ -97,6 +97,10 @@ class GridSpec:
         if cells > MAX_GRID_CELLS:
             raise InfoError(f"grid of shape {self.shape} has {cells} cells, "
                             f"more than {MAX_GRID_CELLS}")
+        # finite axis widths may still multiply to an infinite volume
+        if not math.isfinite(self.cell_volume):
+            raise InfoError(f"grid cell volume must be finite, got "
+                            f"{self.cell_volume!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -132,9 +132,18 @@ class AgentModel:
 
     Every agent records every observation; `agent_decide` is the one
     place the order is read, so only it decides which beliefs are used.
+    An agent seated by `GameState.admit` also carries its two streams, its
+    last ``exit_window`` gains and its utility, outside repr and equality.
     """
 
     order: int = 0
+    decision_draw: Callable[[], float] | None = field(
+        default=None, repr=False, compare=False)
+    enforcement_draw: Callable[[], float] | None = field(
+        default=None, repr=False, compare=False)
+    recent: deque[float] = field(
+        default_factory=deque, repr=False, compare=False)
+    utility: float = field(default=0.0, repr=False, compare=False)
     # decline posterior (normal)
     _decline_sum: float = field(default=0.0, init=False, repr=False)
     _decline_count: int = field(default=0, init=False, repr=False)
@@ -280,21 +289,16 @@ class Excession:
 class GameState:
     """The resource, the round and every agent that ever joined the game.
 
-    ``config`` is the game being played, and each per-agent list holds
-    its ``config.n_agents`` agents in order of arrival.  `admit` is the
-    only place they grow: agent i gets its model, its decision and
-    enforcement streams, and its last ``exit_window`` gains.
+    ``config`` is the game being played; ``agents`` holds its
+    ``config.n_agents`` agents in order of arrival and ``active`` marks
+    those still playing.  `admit` is the only place the two grow.
     """
 
     config: GameConfig
     resource: float
     round: int = 0
     agents: list[AgentModel] = field(default_factory=list)
-    decision_draws: list[Callable[[], float]] = field(default_factory=list)
-    enforcement_draws: list[Callable[[], float]] = field(default_factory=list)
-    utilities: list[float] = field(default_factory=list)
     active: list[bool] = field(default_factory=list)
-    recent: list[deque[float]] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
 
     @classmethod
@@ -307,14 +311,12 @@ class GameState:
         """Seat agents of ``order`` until there are ``config.n_agents``."""
         seed, window = self.config.seed, self.config.exit_window
         for i in range(len(self.agents), self.config.n_agents):
-            self.agents.append(AgentModel(order))
-            self.decision_draws.append(_chunked(
-                [seed, i], "normal", DESIRE_MEAN, DESIRE_SD).__next__)
-            self.enforcement_draws.append(
-                _chunked([seed, i, 1], "random").__next__)
-            self.utilities.append(0.0)
+            self.agents.append(AgentModel(
+                order,
+                _chunked([seed, i], "normal", DESIRE_MEAN, DESIRE_SD).__next__,
+                _chunked([seed, i, 1], "random").__next__,
+                deque(maxlen=window)))
             self.active.append(True)
-            self.recent.append(deque(maxlen=window))
 
 
 def inject_excession(state: GameState, event: Excession) -> None:
@@ -372,13 +374,12 @@ def step(state: GameState, law: Law | None) -> dict:
     # every float sum here adds left to right, as the builtin sum did
     # before Python 3.12 made it compensated, so the bits never move
     demand = 0.0
-    for i in compress(range(n), active):
-        allowed[i] = request = agent_decide(
-            agents[i], law, state.decision_draws[i]())
+    for i, agent in compress(enumerate(agents), active):
+        allowed[i] = request = agent_decide(agent, law, agent.decision_draw())
         if request > tolerance:  # only these requests draw
             allowed[i], penalties[i] = apply_law(
-                law, request, state.enforcement_draws[i]())
-            agents[i].observe_enforcement(allowed[i] < request)
+                law, request, agent.enforcement_draw())
+            agent.observe_enforcement(allowed[i] < request)
         demand += allowed[i]
     r_before = state.resource
     if demand > r_before and demand > 0:
@@ -390,24 +391,21 @@ def step(state: GameState, law: Law | None) -> dict:
     state.resource = min(cfg.capacity, max(0.0, resource))
     drop = (r_before - state.resource) / cfg.capacity
 
-    window = cfg.exit_window
-    turn = state.round % n
-    utilities, recent = state.utilities, state.recent
-    for i in compress(range(n), active):
-        agents[i].observe(drop)
+    for i, agent in compress(enumerate(agents), active):
+        agent.observe(drop)
         gain = allowed[i] - penalties[i]
-        utilities[i] += gain
-        history = recent[i]
-        history.append(gain)
-        # exit checks are staggered round-robin so one departure can lift
-        # the survivors' shares before the next agent reconsiders
-        if i == turn and len(history) == window:
-            total = 0.0
-            for past in history:
-                total += past
-            if total / window < cfg.outside_option:
-                active[i] = False
-                state.events.append(f"{state.round}:exit:{i}")
+        agent.utility += gain
+        agent.recent.append(gain)
+    # only agent round % n may exit: staggered checks let one departure
+    # lift the survivors' shares before the next agent reconsiders
+    turn = state.round % n
+    if active[turn] and len(agents[turn].recent) == cfg.exit_window:
+        total = 0.0
+        for past in agents[turn].recent:
+            total += past
+        if total / cfg.exit_window < cfg.outside_option:
+            active[turn] = False
+            state.events.append(f"{state.round}:exit:{turn}")
     state.round += 1
     return {
         "round": state.round,
@@ -495,7 +493,7 @@ def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
                            * law.enforcement * n_active)
         rows.append(step(state, law))
     # left to right, as `step` sums
-    total_utility = reduce(add, state.utilities, 0.0)
+    total_utility = reduce(add, [a.utility for a in state.agents], 0.0)
     welfare = (total_utility
                + config.retention_weight * retained
                - inspection)

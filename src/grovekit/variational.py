@@ -340,7 +340,8 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
         raise VariationalError(
             f"start and velocity must be finite, got {x.tolist()} and "
             f"{v.tolist()}")
-    points, velocities = [x.copy()], [v.copy()]
+    # x and v are rebound each step, never changed in place
+    points, velocities = [x], [v]
     fixed = None  # a constant metric's connection, set at step 0
     failure = None
 
@@ -348,8 +349,8 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
         gamma = christoffel(g, xx) if fixed is None else fixed
         return -np.einsum("kij,i,j->k", gamma, vv, vv)
 
-    # an overflow leaves inf or nan in the path, which is reported once
-    # below instead of as numpy warnings
+    # an overflow leaves inf or nan in x or v, which ends the path and is
+    # reported once instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(steps):
             try:
@@ -364,15 +365,13 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
                 break
             x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
             v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            points.append(x.copy())
-            velocities.append(v.copy())
+            # a Python test is far quicker than np.isfinite on a few entries
+            if not all(map(math.isfinite, x.tolist() + v.tolist())):
+                failure = f"path is not finite at step {n}"
+                break
+            points.append(x)
+            velocities.append(v)
     points, velocities = np.array(points), np.array(velocities)
-    finite = (np.isfinite(points) & np.isfinite(velocities)).all(axis=1)
-    if not finite.all():
-        # row 0 is the start, so row k is the end of step k - 1
-        done = int(np.argmin(finite))
-        failure = f"path is not finite at step {done - 1}"
-        points, velocities = points[:done], velocities[:done]
     if failure is not None:
         err = VariationalError(failure)
         err.partial = GeodesicPath(points, velocities, h)

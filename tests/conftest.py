@@ -13,6 +13,8 @@ from grovekit import (
     variational,
 )
 
+pytest_plugins = ["pytester"]
+
 MODULES = (grovekit, cli, enumeration, expr, infotheory, model, regsim,
            variational)
 

@@ -62,6 +62,9 @@ def test_axis_validation():
         Axis("x", 0.0, 1.0, 4)
     with pytest.raises(InfoError):
         GridSpec((Axis("x", 0, 1, 8), Axis("x", 0, 1, 8)))
+    # each width is finite, their cell volume is not
+    with pytest.raises(InfoError, match="cell volume must be finite"):
+        GridSpec((Axis("a", -1e300, 1e300, 8), Axis("b", -1e300, 1e300, 8)))
 
 
 def test_grid_cell_bound():
@@ -154,9 +157,10 @@ _GOOD_HEAD = "axes x:0.0:1.0:8 eps 0.1"
     _GOOD_HEAD + "\n" + "1.0\n" * 7,
     _GOOD_HEAD + "\n" + "1.0\n" * 9,
     "axes a:-1e308:1e308:8 eps 1.0\n" + "0.125\n" * 8,
+    "axes a:-1e300:1e300:8 b:-1e300:1e300:8 eps 1.0\n" + "1.0\n" * 64,
 ], ids=["empty", "bare-axes", "no-axis", "three-part-axis", "text-count",
         "text-eps", "text-cell", "too-few-cells", "too-many-cells",
-        "infinite-width"])
+        "infinite-width", "infinite-cell-volume"])
 def test_malformed_distribution_text_is_an_info_error(text):
     with pytest.raises(InfoError):
         GridDistribution.loads(text)

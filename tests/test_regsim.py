@@ -123,14 +123,18 @@ def test_event_failure_names_kind_and_round(kind, value, message):
 
 
 def test_influx_may_fill_the_game_to_max_agents():
-    # configured and influx agents join through one path, which grows
-    # every per-agent list together, and the config counts them all
+    # configured and influx agents join through one path, which seats
+    # each with its own record, and the config counts them all
     state = GameState.initial(GameConfig(), 2)
     inject_excession(state, Excession(3, "agent_influx", MAX_AGENTS - 8.0))
     assert state.config.n_agents == MAX_AGENTS
-    per_agent = (state.utilities, state.active, state.recent, state.agents,
-                 state.decision_draws, state.enforcement_draws)
-    assert [len(entries) for entries in per_agent] == [MAX_AGENTS] * 6
+    assert len(state.agents) == len(state.active) == MAX_AGENTS
+    # every agent has its own two streams
+    streams = {id(draw.__self__) for a in state.agents
+               for draw in (a.decision_draw, a.enforcement_draw)}
+    assert len(streams) == 2 * MAX_AGENTS
+    assert {a.recent.maxlen for a in state.agents} == {
+        state.config.exit_window}
     assert [agent.order for agent in state.agents] == (
         [2] * 8 + [0] * (MAX_AGENTS - 8))
     with pytest.raises(RegsimError):
@@ -244,12 +248,26 @@ def test_logistic_fixed_point_and_regrowth():
     cfg = GameConfig(rounds=1)
     state = GameState.initial(cfg)
     # every agent asks for nothing
-    state.decision_draws = [lambda: 0.0] * cfg.n_agents
+    for agent in state.agents:
+        agent.decision_draw = lambda: 0.0
     step(state, None)
     assert state.resource == pytest.approx(cfg.capacity)
     state.resource = cfg.capacity / 2
     step(state, None)
     assert state.resource > cfg.capacity / 2
+
+
+def test_only_the_turn_agent_may_exit():
+    cfg = GameConfig()
+    state = GameState.initial(cfg)
+    state.round = 11
+    # every agent's window is full of gains below its outside option
+    for agent in state.agents:
+        agent.recent.extend([cfg.outside_option / 2] * cfg.exit_window)
+    step(state, None)
+    turn = 11 % cfg.n_agents
+    assert state.events == [f"11:exit:{turn}"]
+    assert state.active == [i != turn for i in range(cfg.n_agents)]
 
 
 def test_resource_bounds_and_growth_cap():

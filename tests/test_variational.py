@@ -294,6 +294,21 @@ def test_geodesic_that_overflows_fails_with_its_finite_part(
         assert partial.points.tobytes() == full.points.tobytes()
 
 
+def test_geodesic_stops_at_its_first_non_finite_step():
+    calls = []
+    # an identity metric that is not declared constant, so every RK4
+    # stage asks it again
+    metric = MetricField(2, lambda p: calls.append(p) or np.eye(2))
+    integrate_geodesic(metric, [0.0, 0.0], [1.0, 0.0], 1, 0.01)
+    per_step = len(calls)
+    calls.clear()
+    with pytest.raises(VariationalError) as err:
+        integrate_geodesic(metric, [0.0, 0.0], [1.0, 0.0], 1000, 1e308)
+    assert str(err.value) == "path is not finite at step 1"
+    assert len(err.value.partial.points) == 2
+    assert 0 < len(calls) <= 2 * per_step
+
+
 @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
 def test_sphere_metric_rejects_non_finite_theta(theta):
     with pytest.raises(VariationalError, match="finite theta"):
