@@ -24,9 +24,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import reduce
-from itertools import compress
-from operator import add
-from typing import Callable, Sequence
+from itertools import chain
+from operator import add, index
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +61,13 @@ class GameConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("n_agents", "rounds", "exit_window", "seed"):
+            value = getattr(self, name)
+            try:
+                index(value)
+            except TypeError:
+                raise RegsimError(
+                    f"{name} must be an integer, got {value!r}") from None
         if self.n_agents < 2:
             raise RegsimError("need at least 2 agents")
         if self.n_agents > MAX_AGENTS:
@@ -109,6 +116,25 @@ class Law:
         if self.penalty < 0:
             raise RegsimError("penalty multiplier must be nonnegative")
         object.__setattr__(self, "tolerance", self.cap * (1.0 + self.slack))
+
+    def with_cap(self, cap: float) -> "Law":
+        """This law with permit cap ``cap`` >= 0.
+
+        The other fields were checked when this law was made, so the copy
+        skips `__post_init__`; it is equal to, and has the repr and the
+        tolerance of, ``Law(cap, slack, enforcement, penalty)``.
+        """
+        law = object.__new__(Law)
+        # set one by one in field order, as __init__ does, so the copy
+        # stores its values as compactly as a checked law (a copied
+        # __dict__ costs 64 B more per law, and a trace keeps one per row)
+        setattr_ = object.__setattr__
+        setattr_(law, "cap", cap)
+        setattr_(law, "slack", self.slack)
+        setattr_(law, "enforcement", self.enforcement)
+        setattr_(law, "penalty", self.penalty)
+        setattr_(law, "tolerance", cap * (1.0 + self.slack))
+        return law
 
 
 #: damping of an order >= 1 agent's desire per unit of believed decline
@@ -229,13 +255,14 @@ class PolicySpec:
       slack1d  -- theta = (slack,); the cap is a feedback rule that
                   harvests regrowth plus a correction steering the stock
                   toward TARGET_FRACTION x K, split over active agents.
-                  The single lever is slack.
+                  The single lever is slack, clamped to [0, 1].
     """
 
     family: str
     theta: tuple[float, ...] = ()
-    #: the ``fixed`` family's constant law, built and validated once;
-    #: None for the other families
+    #: the law built and checked once: the ``fixed`` family's constant
+    #: law, or the ``slack1d`` law at cap 0, whose cap `law_for` sets each
+    #: round; None for the ``none`` family
     law: Law | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -247,19 +274,24 @@ class PolicySpec:
             raise RegsimError("slack1d family takes a single slack lever")
         if not all(map(math.isfinite, self.theta)):
             raise RegsimError("policy theta entries must be finite")
-        object.__setattr__(self, "law", Law(*self.theta)
-                           if self.family == "fixed" else None)
+        law = None
+        if self.family == "fixed":
+            law = Law(*self.theta)
+        elif self.family == "slack1d":
+            law = Law(0.0, min(1.0, max(0.0, self.theta[0])),
+                      SLACK1D_ENFORCEMENT, SLACK1D_PENALTY)
+        object.__setattr__(self, "law", law)
 
     def law_for(self, config: GameConfig, resource: float,
                 active: int) -> Law | None:
         if self.family != "slack1d":
             return self.law
-        slack = min(1.0, max(0.0, self.theta[0]))
-        regrow = config.regrowth * resource * (1.0 - resource / config.capacity)
-        correction = FEEDBACK_GAIN * (
-            resource - TARGET_FRACTION * config.capacity)
-        cap = max(0.0, regrow + correction) / max(1, active)
-        return Law(cap, slack, SLACK1D_ENFORCEMENT, SLACK1D_PENALTY)
+        capacity = config.capacity
+        regrow = config.regrowth * resource * (1.0 - resource / capacity)
+        cap = regrow + FEEDBACK_GAIN * (resource - TARGET_FRACTION * capacity)
+        # max(0.0, cap) / max(1, active), without the slower builtin calls
+        return self.law.with_cap((cap if cap > 0.0 else 0.0)
+                                 / (active if active > 1 else 1))
 
 
 NO_LAW = PolicySpec("none")
@@ -291,7 +323,9 @@ class GameState:
 
     ``config`` is the game being played; ``agents`` holds its
     ``config.n_agents`` agents in order of arrival and ``active`` marks
-    those still playing.  `admit` is the only place the two grow.
+    those still playing.  ``playing`` lists the ``(index, agent)`` pairs
+    of the active agents in index order, so a round walks only them.
+    `admit` and the exit in `step` are the only places these change.
     """
 
     config: GameConfig
@@ -299,6 +333,7 @@ class GameState:
     round: int = 0
     agents: list[AgentModel] = field(default_factory=list)
     active: list[bool] = field(default_factory=list)
+    playing: list[tuple[int, AgentModel]] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
 
     @classmethod
@@ -311,12 +346,14 @@ class GameState:
         """Seat agents of ``order`` until there are ``config.n_agents``."""
         seed, window = self.config.seed, self.config.exit_window
         for i in range(len(self.agents), self.config.n_agents):
-            self.agents.append(AgentModel(
+            agent = AgentModel(
                 order,
                 _chunked([seed, i], "normal", DESIRE_MEAN, DESIRE_SD).__next__,
                 _chunked([seed, i, 1], "random").__next__,
-                deque(maxlen=window)))
+                deque(maxlen=window))
+            self.agents.append(agent)
             self.active.append(True)
+            self.playing.append((i, agent))
 
 
 def inject_excession(state: GameState, event: Excession) -> None:
@@ -348,25 +385,30 @@ def inject_excession(state: GameState, event: Excession) -> None:
 SUBSTREAM_CHUNK = 256
 
 
-def _chunked(key: list[int], method: str, *args: float):
+def _chunked(key: list[int], method: str, *args: float) -> Iterator[float]:
     """Endless draws of ``default_rng(key).<method>(*args)``, in chunks.
 
     The Generator is made at the first draw, so a substream that is never
-    read costs nothing.
+    read costs nothing.  `chain` hands out each chunk's values in C, so a
+    draw does not resume a Python generator.
     """
-    draw = getattr(np.random.default_rng(key), method)
-    while True:
-        yield from draw(*args, size=SUBSTREAM_CHUNK).tolist()
+    def chunks():
+        draw = getattr(np.random.default_rng(key), method)
+        while True:
+            yield draw(*args, size=SUBSTREAM_CHUNK).tolist()
+    return chain.from_iterable(chunks())
 
 
 def step(state: GameState, law: Law | None) -> dict:
     """Play one round under ``law``; returns its record for the trace.
 
     Each active agent decides, then is enforced: its enforcement stream
-    is drawn only for a request above the law's tolerance.
+    is drawn only for a request above the law's tolerance.  The loops walk
+    ``state.playing``, so a round costs in proportion to the agents still
+    playing; only the row's tuples span every agent that ever joined.
     """
     cfg = state.config
-    agents, active = state.agents, state.active
+    agents, active, playing = state.agents, state.active, state.playing
     n = len(active)
     allowed = [0.0] * n
     penalties = [0.0] * n
@@ -374,24 +416,31 @@ def step(state: GameState, law: Law | None) -> dict:
     # every float sum here adds left to right, as the builtin sum did
     # before Python 3.12 made it compensated, so the bits never move
     demand = 0.0
-    for i, agent in compress(enumerate(agents), active):
-        allowed[i] = request = agent_decide(agent, law, agent.decision_draw())
+    for i, agent in playing:
+        request = agent_decide(agent, law, agent.decision_draw())
         if request > tolerance:  # only these requests draw
-            allowed[i], penalties[i] = apply_law(
+            granted, penalties[i] = apply_law(
                 law, request, agent.enforcement_draw())
-            agent.observe_enforcement(allowed[i] < request)
-        demand += allowed[i]
+            agent.observe_enforcement(granted < request)
+            request = granted
+        allowed[i] = request
+        demand += request
     r_before = state.resource
     if demand > r_before and demand > 0:
+        # scale lies in [0, 1), so the inactive agents' 0.0 stay 0.0
         scale = r_before / demand
-        allowed = [a * scale for a in allowed]
+        for i, _ in playing:
+            allowed[i] *= scale
         demand = r_before
+    capacity = cfg.capacity
     resource = r_before - demand
-    resource += cfg.regrowth * resource * (1.0 - resource / cfg.capacity)
-    state.resource = min(cfg.capacity, max(0.0, resource))
-    drop = (r_before - state.resource) / cfg.capacity
+    resource += cfg.regrowth * resource * (1.0 - resource / capacity)
+    # min(capacity, max(0.0, resource)), without the slower builtin calls
+    resource = resource if resource > 0.0 else 0.0
+    state.resource = resource = resource if resource < capacity else capacity
+    drop = (r_before - resource) / capacity
 
-    for i, agent in compress(enumerate(agents), active):
+    for i, agent in playing:
         agent.observe(drop)
         gain = allowed[i] - penalties[i]
         agent.utility += gain
@@ -405,11 +454,12 @@ def step(state: GameState, law: Law | None) -> dict:
             total += past
         if total / cfg.exit_window < cfg.outside_option:
             active[turn] = False
+            playing.remove((turn, agents[turn]))
             state.events.append(f"{state.round}:exit:{turn}")
     state.round += 1
     return {
         "round": state.round,
-        "resource": state.resource,
+        "resource": resource,
         "extraction": tuple(allowed),
         "penalty": tuple(penalties),
         "active": tuple(active),
@@ -485,7 +535,7 @@ def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
     for t in range(config.rounds):
         for ev in by_round.get(t, ()):
             inject_excession(state, ev)
-        n_active = sum(state.active)
+        n_active = len(state.playing)
         law = policy.law_for(state.config, state.resource, n_active)
         retained += n_active
         if law is not None and state.config.inspection_cost > 0:
@@ -506,6 +556,8 @@ def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
 def mean_welfare(config: GameConfig, policy: PolicySpec,
                  seeds: Sequence[int], order: int = 0,
                  events: Sequence[Excession] = ()) -> float:
+    if len(seeds) == 0:
+        raise RegsimError("need at least one seed")
     total = 0.0
     for s in seeds:
         cfg = replace(config, seed=int(s))
@@ -542,8 +594,8 @@ def optimize_slack(config: GameConfig, family: str = "slack1d",
     A coarse bracket scan seeds a damped-descent refinement of the
     negative welfare; the better of the two candidates wins.  Every
     episode plays ``events``.  The ``none`` family has no levers and is
-    returned as-is; a family outside OPTIMIZABLE_FAMILIES raises
-    RegsimError before any episode runs.
+    returned as-is; a family outside OPTIMIZABLE_FAMILIES, or an empty
+    seed set, raises RegsimError before any episode runs.
     """
     if family not in OPTIMIZABLE_FAMILIES:
         raise RegsimError(

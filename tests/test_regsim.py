@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grovekit import regsim
 from grovekit.expr import GroveError
 from grovekit.regsim import (
     EVENT_KINDS,
+    FEEDBACK_GAIN,
     MAX_AGENT_ROUNDS,
     MAX_AGENTS,
     MAX_ROUNDS,
@@ -18,6 +20,9 @@ from grovekit.regsim import (
     Law,
     PolicySpec,
     RegsimError,
+    SLACK1D_ENFORCEMENT,
+    SLACK1D_PENALTY,
+    TARGET_FRACTION,
     agent_decide,
     apply_law,
     _chunked,
@@ -80,6 +85,16 @@ def test_influx_may_not_cross_the_agent_round_bound():
 def test_config_rejects_invalid_field(field, value):
     with pytest.raises(RegsimError):
         GameConfig(**{field: value})
+
+
+def test_config_rejects_non_integral_counts():
+    for name in ("n_agents", "rounds", "exit_window", "seed"):
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(RegsimError,
+                               match=f"^{name} must be an integer, got "):
+                GameConfig(**{name: value})
+        # numpy integers index like ints
+        assert getattr(GameConfig(**{name: np.int64(3)}), name) == 3
 
 
 @pytest.mark.parametrize("family,theta", [
@@ -411,6 +426,19 @@ def test_optimize_rejects_fixed_family_before_any_episode(monkeypatch):
         optimize_slack(GameConfig(rounds=50), family="fixed", seeds=(1,))
 
 
+def test_empty_seed_set_is_an_error_before_any_episode(monkeypatch):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran")
+    monkeypatch.setattr("grovekit.regsim.run_episode", no_episodes)
+    config = GameConfig(rounds=50)
+    for seeds in ((), [], range(0), np.array([], dtype=int)):
+        with pytest.raises(RegsimError, match="need at least one seed"):
+            mean_welfare(config, PolicySpec("slack1d", (0.2,)), seeds)
+        for family in ("none", "slack1d"):
+            with pytest.raises(RegsimError, match="need at least one seed"):
+                optimize_slack(config, family=family, seeds=seeds)
+
+
 def test_interior_enforcement_with_inspection_cost():
     welfare = []
     for q in np.linspace(0.0, 1.0, 11):
@@ -598,3 +626,64 @@ def test_trace_csv_round_trip_property(episode):
     config, policy, order, events = episode
     trace = run_episode(config, policy, order, events)
     assert _read_trace_csv(trace.to_csv()) == (trace.rows, trace.events)
+
+
+def _never():
+    raise AssertionError("an agent that left was drawn")
+
+
+def _run_checking_each_round(episode, check):
+    """Play ``episode`` through `run_episode`, calling ``check(state)``
+    after every round."""
+    config, policy, order, events = episode
+    played = regsim.step
+
+    def step(state, law):
+        row = played(state, law)
+        check(state)
+        return row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regsim, "step", step)
+        return run_episode(config, policy, order, events)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_episodes())
+def test_playing_lists_the_active_agents_in_index_order(episode):
+    def check(state):
+        # the same agent objects, not only equal ones
+        assert [(i, id(agent)) for i, agent in state.playing] == [
+            (i, id(agent)) for i, agent in enumerate(state.agents)
+            if state.active[i]]
+
+    _run_checking_each_round(episode, check)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_episodes())
+def test_an_agent_that_left_is_never_drawn_again(episode):
+    def check(state):
+        for agent, active in zip(state.agents, state.active):
+            if not active:
+                agent.decision_draw = agent.enforcement_draw = _never
+
+    _run_checking_each_round(episode, check)
+
+
+@given(st.floats(1e-3, 1e6), st.floats(0.0, 1.0, exclude_min=True,
+                                        exclude_max=True),
+       st.floats(0.0, 1.0), st.integers(0, MAX_AGENTS), _finite)
+def test_slack1d_law_equals_the_checked_law(capacity, regrowth, fill, active,
+                                            slack):
+    config = GameConfig(capacity=capacity, regrowth=regrowth)
+    resource = fill * capacity
+    law = PolicySpec("slack1d", (slack,)).law_for(config, resource, active)
+    regrow = regrowth * resource * (1.0 - resource / capacity)
+    correction = FEEDBACK_GAIN * (resource - TARGET_FRACTION * capacity)
+    checked = Law(max(0.0, regrow + correction) / max(1, active),
+                  min(1.0, max(0.0, slack)), SLACK1D_ENFORCEMENT,
+                  SLACK1D_PENALTY)
+    assert type(law) is Law and law == checked
+    assert repr(law) == repr(checked)
+    assert repr(law.tolerance) == repr(checked.tolerance)

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import pytest
 
+from grovekit import regsim
 from grovekit.regsim import (
     Excession,
     GameConfig,
@@ -239,3 +240,37 @@ def test_matrix_exercises_every_branch():
                for p in row["penalty"])
     assert any(":agent_influx:" in ev for t in traces for ev in t.events)
     assert any(t.inspection_charge > 0 for t in traces)
+
+
+#: 3200-round order-1 slack1d episodes whose 8 agents all leave by round 31
+ALL_LEAVE = {
+    1: "20d7d0602ea91119101ee7e0c9d03a4e476f47ad557611896bccfb02b954a72f",
+    2: "99469a2a26c656803f5e7925134b850220adc722e09a7e4a11dcf46258e17918",
+    3: "4846f7161a682e0a8f6683760f6e534b2325113d32068569b00f4b26d42a4e3f",
+}
+
+
+def _never():
+    raise AssertionError("a stream was read after the last exit")
+
+
+@pytest.mark.parametrize("seed", sorted(ALL_LEAVE))
+def test_rounds_after_the_last_exit_read_no_stream(seed, monkeypatch):
+    # once no agent plays, every agent's streams raise when read; the
+    # remaining rounds only regrow the resource and keep their bytes
+    played = regsim.step
+
+    def step(state, law):
+        row = played(state, law)
+        if not state.playing:
+            for agent in state.agents:
+                agent.decision_draw = agent.enforcement_draw = _never
+        return row
+
+    monkeypatch.setattr(regsim, "step", step)
+    trace = run_episode(GameConfig(seed=seed, rounds=3200),
+                        PolicySpec("slack1d", (0.2,)), 1)
+    exits = [ev for ev in trace.events if ":exit:" in ev]
+    assert len(exits) == 8 and int(exits[-1].split(":")[0]) == 31
+    assert not any(trace.rows[32]["active"])
+    assert digest(trace) == ALL_LEAVE[seed]
