@@ -7,6 +7,8 @@ never change: any change to the engine that moves a single draw, sum or
 row shows up here.  The matrix covers seeds x policy families x agent
 orders x excession events, and `test_matrix_exercises_every_branch`
 keeps it from silently losing exits, penalties or influx agents.
+`CSV_GOLDEN` and `CSV_EDGE_GOLDEN` pin the bytes of `Trace.to_csv` the
+same way.
 """
 
 import hashlib
@@ -231,6 +233,209 @@ def test_golden_traces_hold_under_python312_sum(python312_sum):
     moved = [case for case in MATRIX
              if digest(episode.__wrapped__(*case)) != GOLDEN[case]]
     assert moved == []
+
+
+#: sha256 of each matrix episode's `Trace.to_csv` text, taken before the
+#: serialiser rendered each distinct value once
+CSV_GOLDEN = {
+    (1, 'none', 0, 'none'):
+        "097ab8672cffa611e87912bd491c5d89ca65f5d021124622534f54a0559b2cb6",
+    (1, 'none', 0, 'influx'):
+        "ccad76cc8e76c070efb751e31f5f9b9822efd734c26f8c365357d553b49379b2",
+    (1, 'none', 0, 'shock'):
+        "5599d501d62fdbe7c253003ac2e6a2aaee12b9f603bdd10f7e086581bf67f838",
+    (1, 'none', 1, 'none'):
+        "bf6cb6553d0ac1eb28d23fb0149c2719071c9c5b6bd86dbbf8cf1b70647fb9b7",
+    (1, 'none', 1, 'influx'):
+        "5e959508cbf693cf4a79a4ed18b8051cce5fab1a22383aa58abc3ac0fec3bdca",
+    (1, 'none', 1, 'shock'):
+        "c79ea1160fcefd2a710a54b507dee75f6acac247621fbef6c8225ef956f4257c",
+    (1, 'none', 2, 'none'):
+        "bf6cb6553d0ac1eb28d23fb0149c2719071c9c5b6bd86dbbf8cf1b70647fb9b7",
+    (1, 'none', 2, 'influx'):
+        "5e959508cbf693cf4a79a4ed18b8051cce5fab1a22383aa58abc3ac0fec3bdca",
+    (1, 'none', 2, 'shock'):
+        "c79ea1160fcefd2a710a54b507dee75f6acac247621fbef6c8225ef956f4257c",
+    (1, 'fixed', 0, 'none'):
+        "fa5393a22a3d180ae218b540cf20d92a4a964d1263ff0f370b2e7bda5a39cb24",
+    (1, 'fixed', 0, 'influx'):
+        "5b399882a462f239339136a0cefa341aa3009c11b5bc6f30b68e8dfc3ef1d70e",
+    (1, 'fixed', 0, 'shock'):
+        "957f7da5a4f7884f6a26c56f9e0544532bf2655024bfd74556a3cf486cc36452",
+    (1, 'fixed', 1, 'none'):
+        "d3a3a973abd95caf4954bd9f310c56b0254885eba48cd832930c854b31e4d065",
+    (1, 'fixed', 1, 'influx'):
+        "071ae0826b9344409cdb2b351e72203be9ff3285e47385e77f5c0a9cc1096d41",
+    (1, 'fixed', 1, 'shock'):
+        "4dce6fccdc478bf5a5ffffbe518374a82a9a73841549a33fd26cc54c10dbd613",
+    (1, 'fixed', 2, 'none'):
+        "1bb041cdc8e1cfcd6e738f2a078c9c8c2a29c48351129fba15ba99ef75ceca79",
+    (1, 'fixed', 2, 'influx'):
+        "fe9a5b7a2ba33b97dfce973396d69b6c034568144bfbf3a4af7b730bb0ccc7e9",
+    (1, 'fixed', 2, 'shock'):
+        "588b1b85d9df6dacb666122667420bec961080ce3080c935ec3fe29ff6db7159",
+    (1, 'slack1d', 0, 'none'):
+        "d6ff282776847fdee2582692b5c6aa6f45713384fa456e89b27c6f91bb25edea",
+    (1, 'slack1d', 0, 'influx'):
+        "4e03f74ffc81f405093cfa49f94dcaa65a3c6814c59eabcb976f00f791df2ecc",
+    (1, 'slack1d', 0, 'shock'):
+        "19cee3ad8b98902ef1d19439df79f420ed8fa339d77aaf4884ec50c1c8c08619",
+    (1, 'slack1d', 1, 'none'):
+        "85ff435087303a1cb83546c635452410840824544c8b107fb93b844f583f2906",
+    (1, 'slack1d', 1, 'influx'):
+        "dc16b743c880a8f8fb0cbd4c058d76ab29c99d08e7e6bd41520763ae637613ce",
+    (1, 'slack1d', 1, 'shock'):
+        "a9e23cbcbe52bd54d02dbb793ecd947c8e8127e2040fadd08e27ac6dec70c347",
+    (1, 'slack1d', 2, 'none'):
+        "28552206dee01015009cc1839998fedcabdf195edc30b7aa00ecf321073cd3ee",
+    (1, 'slack1d', 2, 'influx'):
+        "738923ef22062c049ee08f03a809da1edfb1f58a8dad29802029978d8a0be99c",
+    (1, 'slack1d', 2, 'shock'):
+        "3dcf3bd4c0dab29d303aba35f5fee90cfcbbd6989b44e35b922c8d81072e0da3",
+    (2, 'none', 0, 'none'):
+        "9281fba139c4419c729523f7c318d070e5c7a81acb1271d20537b97c4af031f2",
+    (2, 'none', 0, 'influx'):
+        "9a7887cc7ef3e1b1d0aa5c245c45f65b0ea244370a0774611b4b58cb3badf3df",
+    (2, 'none', 0, 'shock'):
+        "64cf122c87ce14e04ed3dc031a16c88f7ad14bfe7f4d0af4b9bb733719e75de2",
+    (2, 'none', 1, 'none'):
+        "a4e7769bc28793c319defafec2fd77c09879697b959d1a7ce3f4cce1cb915834",
+    (2, 'none', 1, 'influx'):
+        "8fea1747a578bd858a379220c935a709fc1ed5e5dd7c5b2839f9dacfd86eeab7",
+    (2, 'none', 1, 'shock'):
+        "a1ad83b4f8974bc4ae6264c3f14c690a75cb9a3d3a3096602711cfd34a93bef9",
+    (2, 'none', 2, 'none'):
+        "a4e7769bc28793c319defafec2fd77c09879697b959d1a7ce3f4cce1cb915834",
+    (2, 'none', 2, 'influx'):
+        "8fea1747a578bd858a379220c935a709fc1ed5e5dd7c5b2839f9dacfd86eeab7",
+    (2, 'none', 2, 'shock'):
+        "a1ad83b4f8974bc4ae6264c3f14c690a75cb9a3d3a3096602711cfd34a93bef9",
+    (2, 'fixed', 0, 'none'):
+        "d715a4133986214a13069b33e598ec473c4266acf7526c5098e2e6a7fbf10afb",
+    (2, 'fixed', 0, 'influx'):
+        "1f8eefe9134e975215ac558e6f27562852d692427f49a33ce26a65a85b3ed067",
+    (2, 'fixed', 0, 'shock'):
+        "7e4ccc2af695c8be86a0b137962c27d2b26206064d7d057eb16c82e391798247",
+    (2, 'fixed', 1, 'none'):
+        "6e1e06ca1ab37c1005433442967fb8dbdc2589c911b3fea7edbe554e20ceebc9",
+    (2, 'fixed', 1, 'influx'):
+        "0da44b4cc28587cb2c284938eaff923d9fdbbc4bea74e0ae3c854aeefee6cf05",
+    (2, 'fixed', 1, 'shock'):
+        "443a3f681c62bef4b2b779aab2ec7c2c2bb7c3ac06a6d7e4998b3985bd905392",
+    (2, 'fixed', 2, 'none'):
+        "1bb041cdc8e1cfcd6e738f2a078c9c8c2a29c48351129fba15ba99ef75ceca79",
+    (2, 'fixed', 2, 'influx'):
+        "683508c6255d5fb1b5c9c091bc92e5577e380824dde2ea03c8c4536cb792c852",
+    (2, 'fixed', 2, 'shock'):
+        "588b1b85d9df6dacb666122667420bec961080ce3080c935ec3fe29ff6db7159",
+    (2, 'slack1d', 0, 'none'):
+        "c0ca96f9b1b2f8f56608c0c610763424a9bff92c20cb4526e4d8de77fbac7646",
+    (2, 'slack1d', 0, 'influx'):
+        "a5d41ff18d71addce17971934efe3a3130f66eb4eba6235dd6f187ebd2e60529",
+    (2, 'slack1d', 0, 'shock'):
+        "69e2bb92d43cfe1faa43b43f18adbff9aad880a8363c6c2308dcb36ff60808e9",
+    (2, 'slack1d', 1, 'none'):
+        "2080ff9d42cb24433c11250e25bcbfbacf40202258f920cbd7deb6e40105c83d",
+    (2, 'slack1d', 1, 'influx'):
+        "975d615134a254e12d772be7ea01518766d4d682e35efe1174368345ee38a41b",
+    (2, 'slack1d', 1, 'shock'):
+        "31e418cfd92f661eca8673cf246b3ce7bbbd14f5a2739bd270e2f14d40b3df9f",
+    (2, 'slack1d', 2, 'none'):
+        "28552206dee01015009cc1839998fedcabdf195edc30b7aa00ecf321073cd3ee",
+    (2, 'slack1d', 2, 'influx'):
+        "10f190b25814cab21b174a40aaeee0b347d0fc0605505822d9afafb802949128",
+    (2, 'slack1d', 2, 'shock'):
+        "b07f117e4bfaf234df7eec7124c3559dd14d6cea19831109038b0230ecf45b6a",
+    (7, 'none', 0, 'none'):
+        "2fd5506f7affe3c5c80a21001da825e8bc88647fbfdba85458660117a54ac0ba",
+    (7, 'none', 0, 'influx'):
+        "ceb849eccb4a66141744b640f0d245bae275b0e11bbba05f2e158a3dce54786b",
+    (7, 'none', 0, 'shock'):
+        "1ba6e4bf7cd2a83d949cdc7a3691175aa750a61c75129385502f8a8c8e9fa9ac",
+    (7, 'none', 1, 'none'):
+        "04dc58a6a3c7009326d1fd512a8db2e3e715154457ba27187f25ff83373887e8",
+    (7, 'none', 1, 'influx'):
+        "35fa8283ea4587e7a83f7ee3658494140ff2218e30f0851c3ea3038b1705c964",
+    (7, 'none', 1, 'shock'):
+        "a8aa21dec3bf1715df80bd201c7787d19570c8659fb0415e78f5cd0b8711fd62",
+    (7, 'none', 2, 'none'):
+        "04dc58a6a3c7009326d1fd512a8db2e3e715154457ba27187f25ff83373887e8",
+    (7, 'none', 2, 'influx'):
+        "35fa8283ea4587e7a83f7ee3658494140ff2218e30f0851c3ea3038b1705c964",
+    (7, 'none', 2, 'shock'):
+        "a8aa21dec3bf1715df80bd201c7787d19570c8659fb0415e78f5cd0b8711fd62",
+    (7, 'fixed', 0, 'none'):
+        "e50ee2ed620c3587596001f957edf6bf53549019a443dd4c02af27d43edc72d3",
+    (7, 'fixed', 0, 'influx'):
+        "b400dcf6c15f48eeb0dac0e80852e9f3c495d932a5d093c5aa68bdfacceb0b4b",
+    (7, 'fixed', 0, 'shock'):
+        "7a10277feb620513d6e30653d0dd6b3562cd1f8d1240c0d8d71513d964b7cd16",
+    (7, 'fixed', 1, 'none'):
+        "1a626919988dd9e96332505b2a713838d7b0ac8be9e1a59b428d5181cf8e6793",
+    (7, 'fixed', 1, 'influx'):
+        "fc519bf19cce206f5912688fadf75e2100a8e2a339a975d63425be1f177b21a9",
+    (7, 'fixed', 1, 'shock'):
+        "f0043233b11baba80af9be0d86800dcd879944add5a2a63a291ed209e353dc5f",
+    (7, 'fixed', 2, 'none'):
+        "1bb041cdc8e1cfcd6e738f2a078c9c8c2a29c48351129fba15ba99ef75ceca79",
+    (7, 'fixed', 2, 'influx'):
+        "2d1370262a9724e7e1b155c6df8411d8bcbc2163347469d95819bd8dae64df00",
+    (7, 'fixed', 2, 'shock'):
+        "588b1b85d9df6dacb666122667420bec961080ce3080c935ec3fe29ff6db7159",
+    (7, 'slack1d', 0, 'none'):
+        "f64fe1a5c88dfab8ec0442b05eda17f02fb7987c3b91c693e14237c784766315",
+    (7, 'slack1d', 0, 'influx'):
+        "964155a3706569313ff3740a506c72b757a0aedd19b694cad056734f542f5dd4",
+    (7, 'slack1d', 0, 'shock'):
+        "1167e7c6601872ecfa711c0237cf8973fcab778bbc88f7eed7b5ce8054b9becb",
+    (7, 'slack1d', 1, 'none'):
+        "a3c96487ff666e85672c40f2024254ac4185fa2e18c1f7086f806a158af9f396",
+    (7, 'slack1d', 1, 'influx'):
+        "13dc3ac1033d16aa1f4c2b288c7845909b793b575ba4ea99701c9da0c65aa445",
+    (7, 'slack1d', 1, 'shock'):
+        "f667385a91280d409e9fa4de0f1074e0f8719cce870abb33add0ddb4177f28fb",
+    (7, 'slack1d', 2, 'none'):
+        "28552206dee01015009cc1839998fedcabdf195edc30b7aa00ecf321073cd3ee",
+    (7, 'slack1d', 2, 'influx'):
+        "ae4032c13f3b0477bc475bf1a318071daf153190968e7b26e948f4510a33362b",
+    (7, 'slack1d', 2, 'shock'):
+        "5afcb555d1337b9e80c31e64d71d119e0ba0ccbbed4986d9b175a605f765d84a",
+}
+
+#: episodes whose cells hold values that are equal but render apart: an
+#: int law cap beside equal floats, a -0.0 cap and an int capacity
+CSV_EDGES = {
+    "int-theta": (GameConfig(rounds=60), PolicySpec("fixed", (3, 0, 1, 1)),
+                  2),
+    "negative-zero-cap": (GameConfig(rounds=60),
+                          PolicySpec("fixed", (-0.0, 0.2, 0.9, 1.0)), 2),
+    "int-capacity": (GameConfig(capacity=100), PolicySpec("slack1d", (0.2,)),
+                     1),
+}
+
+CSV_EDGE_GOLDEN = {
+    "int-theta":
+        "abf45b275aea45b7a00acfea373ea4f97654370f57b4d1414e038d456ae20892",
+    "negative-zero-cap":
+        "c67a82dbae0e4a09a55c767f3181ecb4c2df5e3b04d30f98240434be35354e4d",
+    "int-capacity":
+        "85ff435087303a1cb83546c635452410840824544c8b107fb93b844f583f2906",
+}
+
+
+def csv_digest(trace) -> str:
+    return hashlib.sha256(trace.to_csv().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", MATRIX,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_golden_csv(case):
+    assert csv_digest(episode(*case)) == CSV_GOLDEN[case]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_EDGES))
+def test_golden_csv_edge_cases(name):
+    assert csv_digest(run_episode(*CSV_EDGES[name])) == CSV_EDGE_GOLDEN[name]
 
 
 def test_matrix_exercises_every_branch():
