@@ -22,7 +22,13 @@ from __future__ import annotations
 import io
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import (
+    FrozenInstanceError,
+    dataclass,
+    field,
+    fields,
+    replace,
+)
 from functools import reduce
 from itertools import chain
 from operator import add, index
@@ -97,7 +103,7 @@ class GameConfig:
                 f"{self.n_agents} and rounds = {self.rounds}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Law:
     cap: float
     slack: float = 0.0
@@ -125,16 +131,29 @@ class Law:
         tolerance of, ``Law(cap, slack, enforcement, penalty)``.
         """
         law = object.__new__(Law)
-        # set one by one in field order, as __init__ does, so the copy
-        # stores its values as compactly as a checked law (a copied
-        # __dict__ costs 64 B more per law, and a trace keeps one per row)
-        setattr_ = object.__setattr__
-        setattr_(law, "cap", cap)
-        setattr_(law, "slack", self.slack)
-        setattr_(law, "enforcement", self.enforcement)
-        setattr_(law, "penalty", self.penalty)
-        setattr_(law, "tolerance", cap * (1.0 + self.slack))
+        set_cap, set_slack, set_q, set_beta, set_tolerance = _LAW_SLOTS
+        set_cap(law, cap)
+        set_slack(law, self.slack)
+        set_q(law, self.enforcement)
+        set_beta(law, self.penalty)
+        set_tolerance(law, cap * (1.0 + self.slack))
         return law
+
+
+#: the setters of `Law`'s slots in field order; they write past the
+#: frozen class's __setattr__, as its __init__ does
+_LAW_SLOTS = tuple(getattr(Law, f.name).__set__ for f in fields(Law))
+
+
+def _refuse(law, name, *value):
+    raise FrozenInstanceError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# dataclass(frozen=True, slots=True) refuses a field with
+# FrozenInstanceError but any other name with a TypeError from super()
+# (CPython 3.10 to 3.13); a law refuses every name the same way
+Law.__setattr__ = Law.__delattr__ = _refuse
 
 
 #: damping of an order >= 1 agent's desire per unit of believed decline
@@ -146,7 +165,21 @@ DESIRE_MEAN = 3.0
 DESIRE_SD = 0.5
 
 
-@dataclass
+@dataclass(slots=True)
+class Decline:
+    """Normal posterior over the resource's fractional decline per round:
+    the sum and count of the declines observed, read against the prior
+    precision `PRIOR_PRECISION` with the prior mean at 0."""
+
+    total: float = 0.0
+    count: int = 0
+
+    def observe(self, fractional_decline: float) -> None:
+        self.total += fractional_decline
+        self.count += 1
+
+
+@dataclass(slots=True)
 class AgentModel:
     """Extractor with order-many auxiliary belief distributions.
 
@@ -159,7 +192,8 @@ class AgentModel:
     Every agent records every observation; `agent_decide` is the one
     place the order is read, so only it decides which beliefs are used.
     An agent seated by `GameState.admit` also carries its two streams, its
-    last ``exit_window`` gains and its utility, outside repr and equality.
+    last ``exit_window`` gains and its utility, outside repr and equality,
+    and shares its `Decline` with the agents seated in the same call.
     """
 
     order: int = 0
@@ -170,9 +204,7 @@ class AgentModel:
     recent: deque[float] = field(
         default_factory=deque, repr=False, compare=False)
     utility: float = field(default=0.0, repr=False, compare=False)
-    # decline posterior (normal)
-    _decline_sum: float = field(default=0.0, init=False, repr=False)
-    _decline_count: int = field(default=0, init=False, repr=False)
+    decline: Decline = field(default_factory=Decline, repr=False)
     # enforcement posterior (Beta)
     _enforced: float = field(default=1.0, init=False, repr=False)
     _unenforced: float = field(default=1.0, init=False, repr=False)
@@ -182,8 +214,7 @@ class AgentModel:
             raise RegsimError("agent order must be 0, 1, or 2")
 
     def observe(self, fractional_decline: float) -> None:
-        self._decline_sum += fractional_decline
-        self._decline_count += 1
+        self.decline.observe(fractional_decline)
 
     def observe_enforcement(self, enforced: bool) -> None:
         if enforced:
@@ -200,8 +231,8 @@ def agent_decide(agent: AgentModel, law: Law | None, draw: float) -> float:
     desire = draw if draw > 0.0 else 0.0
     if agent.order >= 1:
         # posterior mean of the fractional per-round decline, prior at 0
-        decline = agent._decline_sum / (PRIOR_PRECISION
-                                        + agent._decline_count)
+        posterior = agent.decline
+        decline = posterior.total / (PRIOR_PRECISION + posterior.count)
         damp = 1.0 - DECLINE_SENSITIVITY * (
             decline if decline > 0.0 else 0.0)
         desire *= damp if damp > 0.0 else 0.0
@@ -326,6 +357,10 @@ class GameState:
     those still playing.  ``playing`` lists the ``(index, agent)`` pairs
     of the active agents in index order, so a round walks only them.
     `admit` and the exit in `step` are the only places these change.
+    ``declines`` holds one `Decline` per `admit` call that seated agents
+    some of whom still play, shared by the agents of that call: they all
+    start at 0 and observe the same drops while they play, and an agent
+    that left never decides again.
     """
 
     config: GameConfig
@@ -334,6 +369,7 @@ class GameState:
     agents: list[AgentModel] = field(default_factory=list)
     active: list[bool] = field(default_factory=list)
     playing: list[tuple[int, AgentModel]] = field(default_factory=list)
+    declines: list[Decline] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
 
     @classmethod
@@ -345,12 +381,17 @@ class GameState:
     def admit(self, order: int = 0) -> None:
         """Seat agents of ``order`` until there are ``config.n_agents``."""
         seed, window = self.config.seed, self.config.exit_window
-        for i in range(len(self.agents), self.config.n_agents):
+        seats = range(len(self.agents), self.config.n_agents)
+        if not seats:
+            return
+        decline = Decline()
+        self.declines.append(decline)
+        for i in seats:
             agent = AgentModel(
                 order,
                 _chunked([seed, i], "normal", DESIRE_MEAN, DESIRE_SD).__next__,
                 _chunked([seed, i, 1], "random").__next__,
-                deque(maxlen=window))
+                deque(maxlen=window), decline=decline)
             self.agents.append(agent)
             self.active.append(True)
             self.playing.append((i, agent))
@@ -369,6 +410,9 @@ def inject_excession(state: GameState, event: Excession) -> None:
             # the comparison is false for nan as well
             if not 0 <= value < math.inf:
                 raise RegsimError(f"an influx must be a finite count >= 0, "
+                                  f"got {value!r}")
+            if value != int(value):
+                raise RegsimError(f"an influx must be a whole count, "
                                   f"got {value!r}")
             value = int(value)
             cfg = replace(cfg, n_agents=cfg.n_agents + value)
@@ -440,8 +484,9 @@ def step(state: GameState, law: Law | None) -> dict:
     state.resource = resource = resource if resource < capacity else capacity
     drop = (r_before - resource) / capacity
 
+    for decline in state.declines:
+        decline.observe(drop)
     for i, agent in playing:
-        agent.observe(drop)
         gain = allowed[i] - penalties[i]
         agent.utility += gain
         agent.recent.append(gain)
@@ -455,6 +500,10 @@ def step(state: GameState, law: Law | None) -> dict:
         if total / cfg.exit_window < cfg.outside_option:
             active[turn] = False
             playing.remove((turn, agents[turn]))
+            # a decline that no playing agent reads is no longer observed
+            left = agents[turn].decline
+            if all(agent.decline is not left for _, agent in playing):
+                state.declines = [d for d in state.declines if d is not left]
             state.events.append(f"{state.round}:exit:{turn}")
     state.round += 1
     return {
@@ -482,7 +531,20 @@ class Trace:
     def to_csv(self) -> str:
         """One line per round.  The agent columns cover every agent that
         ever played; rounds before an influx leave the newcomers' cells
-        empty, so every line has the header's cell count."""
+        empty, so every line has the header's cell count.
+
+        Every value cell is its value's ``repr``.  A float other than
+        +-0.0 is rendered once per call and looked up after that: equal
+        floats of that kind share one repr, but 0.0 and -0.0, or 3 and
+        3.0, are equal keys that render apart, so zeros and values of
+        any other type bypass the memo.
+        """
+        memo = _Reprs()
+
+        def cells(values):
+            return [memo[x] if x and type(x) is float else repr(x)
+                    for x in values]
+
         buf = io.StringIO()
         n = max((len(row["extraction"]) for row in self.rows), default=0)
         cols = ["round", "resource"]
@@ -497,18 +559,33 @@ class Trace:
             per_round_events.setdefault(rnd, []).append(ev.split(":", 1)[1])
         for row in self.rows:
             law = row["law"]
-            law_cols = ("", "", "", "") if law is None else (
-                repr(law.cap), repr(law.slack),
-                repr(law.enforcement), repr(law.penalty))
             evs = ";".join(per_round_events.get(row["round"] - 1, []))
             absent = [""] * (n - len(row["extraction"]))
-            cells = [str(row["round"]), repr(row["resource"])]
-            cells += [repr(x) for x in row["extraction"]] + absent
-            cells += [repr(x) for x in row["penalty"]] + absent
-            cells += ["1" if a else "0" for a in row["active"]] + absent
-            cells += list(law_cols) + [evs]
-            buf.write(",".join(cells) + "\n")
+            line = [str(row["round"]), *cells((row["resource"],))]
+            line += cells(row["extraction"]) + absent
+            line += cells(row["penalty"]) + absent
+            line += ["1" if a else "0" for a in row["active"]] + absent
+            line += ["", "", "", ""] if law is None else cells(
+                (law.cap, law.slack, law.enforcement, law.penalty))
+            line.append(evs)
+            buf.write(",".join(line) + "\n")
         return buf.getvalue()
+
+
+class _Reprs(dict):
+    """``repr`` of each key, made at the key's first lookup.  It stops
+    storing at `MAX_REPRS` keys, so a trace of distinct values does not
+    keep a second copy of its text."""
+
+    def __missing__(self, value):
+        text = repr(value)
+        if len(self) < MAX_REPRS:
+            self[value] = text
+        return text
+
+
+#: most renderings one `Trace.to_csv` call keeps
+MAX_REPRS = 1 << 16
 
 
 def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
@@ -645,6 +722,15 @@ def optimize_slack(config: GameConfig, family: str = "slack1d",
 _CONFIG_FIELDS = {f.name: type(f.default) for f in fields(GameConfig)}
 
 
+def _theta(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _event(text: str) -> Excession:
+    rnd, kind, value = (v.strip() for v in text.split(","))
+    return Excession(int(rnd), kind, float(value))
+
+
 def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
                                       list[Excession]]:
     """Parse a flat key-value scenario: config fields, policy, events.
@@ -654,16 +740,30 @@ def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
     order: ``agents.order``.  Events: ``event.<n> = round,kind,value``.
     """
     cfg = parse_config(text, "scenario")
-    settings = {key: kind(cfg.pop(key))
+
+    def read(key, parse, expected, default=None):
+        """``parse`` of the value of ``key``; a value it cannot parse
+        raises RegsimError naming the key and the value."""
+        if key not in cfg:
+            return default
+        value = cfg.pop(key)
+        try:
+            return parse(value)
+        except ValueError:
+            reason = f"expected {expected}"
+        except RegsimError as exc:
+            reason = str(exc)
+        raise RegsimError(f"scenario: {key} = {value!r}: {reason}")
+
+    settings = {key: read(key, kind,
+                          "an integer" if kind is int else "a number")
                 for key, kind in _CONFIG_FIELDS.items() if key in cfg}
     family = cfg.pop("policy.family", "none")
-    theta = tuple(float(v) for v in cfg.pop("policy.theta", "").split(",")
-                  if v.strip())
-    order = int(cfg.pop("agents.order", "0"))
-    events = []
-    for key in [k for k in cfg if k.startswith("event.")]:
-        rnd, kind, value = (v.strip() for v in cfg.pop(key).split(","))
-        events.append(Excession(int(rnd), kind, float(value)))
+    theta = read("policy.theta", _theta, "numbers separated by commas", ())
+    order = read("agents.order", int, "an integer", 0)
+    events = [read(key, _event, "round,kind,value with an integer round "
+                   "and a number value")
+              for key in [k for k in cfg if k.startswith("event.")]]
     if cfg:
         raise RegsimError(f"scenario: unknown key {next(iter(cfg))!r}")
     return GameConfig(**settings), PolicySpec(family, theta), order, events

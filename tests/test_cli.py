@@ -498,6 +498,13 @@ def test_agent_rounds_above_the_bound_is_usage_error(capsys, tmp_path):
                    f"got n_agents = 10000 and rounds = 100000\n")
 
 
+#: scenario lines whose value does not parse
+SCENARIO_PARSE_ERRORS = ["agents.order = x\n", "rounds = 1e3\n",
+                         "event.0 = 1.5,null,0\n", "event.0 = 3,agent_influx\n"]
+EVENT_SHAPE = ("expected round,kind,value with an integer round and a number "
+               "value")
+
+
 @pytest.mark.parametrize("text", [
     "rounds = 20\nexit_window = 0\n",
     "rounds = 20\ncapacity = nan\n",
@@ -515,16 +522,48 @@ def test_agent_rounds_above_the_bound_is_usage_error(capsys, tmp_path):
     "rounds = 20\nn_agents = 1000000000000000000\n",
     "rounds = 20\nevent.0 = -3,capacity_drop,0.5\n",
     "rounds = 20\nevent.0 = 20,capacity_drop,0.5\n",
+    "rounds = 20\nevent.0 = 3,agent_influx,2.7\n",
+    *SCENARIO_PARSE_ERRORS,
 ], ids=["exit-window-0", "capacity-nan", "retention-inf", "seed-negative",
         "theta-nan", "slack1d-theta-nan", "drop-nan", "drop-inf",
         "influx-inf", "repeated-event", "inspection-cost-negative",
         "influx-1e19", "influx-1e18", "n-agents-1e18", "event-before-round-0",
-        "event-at-horizon"])
+        "event-at-horizon", "influx-fraction",
+        *[text.split(" =")[0] + "-unparsed" for text in SCENARIO_PARSE_ERRORS]])
 def test_invalid_scenario_is_usage_error(capsys, tmp_path, text):
     code, out, err = run_config(capsys, tmp_path, "simulate", text)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("grovekit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,message", [
+    ("agents.order = x", "agents.order = 'x': expected an integer"),
+    ("rounds = 1e3", "rounds = '1e3': expected an integer"),
+    ("capacity = lots", "capacity = 'lots': expected a number"),
+    ("policy.theta = 0.2,x",
+     "policy.theta = '0.2,x': expected numbers separated by commas"),
+    ("event.0 = 1.5,null,0", "event.0 = '1.5,null,0': " + EVENT_SHAPE),
+    ("event.0 = 3,agent_influx", "event.0 = '3,agent_influx': " + EVENT_SHAPE),
+    ("event.0 = 3,flood,1", "event.0 = '3,flood,1': "
+     "unknown excession kind 'flood'"),
+])
+def test_scenario_parse_error_names_key_and_value(capsys, tmp_path, text,
+                                                  message):
+    code, out, err = run_config(capsys, tmp_path, "simulate", text + "\n")
+    assert (code, out, err) == (EXIT_USAGE, "",
+                                f"grovekit: scenario: {message}\n")
+
+
+def test_influx_must_be_a_whole_count(capsys, tmp_path):
+    code, out, err = run_config(capsys, tmp_path, "simulate",
+                                "event.0 = 3,agent_influx,2.7\n")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("grovekit: agent_influx at round 3: an influx must be a "
+                   "whole count, got 2.7\n")
+    code, out, err = run_config(capsys, tmp_path, "simulate",
+                                "rounds = 20\nevent.0 = 3,agent_influx,6.0\n")
+    assert (code, err) == (EXIT_OK, "")
 
 
 def test_repeated_key_names_key_and_line(capsys, tmp_path):

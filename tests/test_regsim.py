@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from grovekit.regsim import (
     MAX_ROUNDS,
     NO_LAW,
     AgentModel,
+    Decline,
     Excession,
     GameConfig,
     GameState,
@@ -125,6 +126,7 @@ def test_excession_rejects_bad_value(kind, value):
     ("agent_influx", -1.0, "an influx must be a finite count >= 0, got -1.0"),
     ("agent_influx", float("nan"),
      "an influx must be a finite count >= 0, got nan"),
+    ("agent_influx", 2.7, "an influx must be a whole count, got 2.7"),
     # n_agents counts the 8 configured agents and the influx
     ("agent_influx", MAX_AGENTS - 7.0,
      f"at most {MAX_AGENTS} agents, got n_agents = {MAX_AGENTS + 1}"),
@@ -137,6 +139,14 @@ def test_event_failure_names_kind_and_round(kind, value, message):
         inject_excession(state, Excession(3, kind, value))
     assert str(err.value) == f"{kind} at round 3: {message}"
     assert state.config is config and len(state.agents) == 8
+
+
+def test_whole_float_influx_seats_its_count():
+    state = GameState.initial(GameConfig())
+    state.round = 3
+    inject_excession(state, Excession(3, "agent_influx", 6.0))
+    assert len(state.agents) == state.config.n_agents == 14
+    assert state.events == ["3:agent_influx:6"]
 
 
 def test_influx_may_fill_the_game_to_max_agents():
@@ -225,6 +235,40 @@ def test_beliefs_are_read_by_order():
                 == agent_decide(declines_only, law, draw))
     # the order-1 agent does read its declines
     assert 0.0 < agent_decide(observed[1], law, 3.0) < 3.0
+
+
+def test_records_take_no_unknown_attribute():
+    agent, decline, law = AgentModel(), Decline(), Law(1.0)
+    with pytest.raises(AttributeError):
+        agent.utilty = 1.0
+    with pytest.raises(AttributeError):
+        decline.totl = 1.0
+    with pytest.raises(AttributeError):
+        law.capp = 1.0
+    # a law has no __dict__ to take a field its __setattr__ would refuse
+    with pytest.raises(AttributeError):
+        object.__setattr__(law, "capp", 1.0)
+    with pytest.raises(FrozenInstanceError):
+        law.cap = 2.0
+    assert law == Law(1.0)
+
+
+def test_agents_seated_together_share_one_decline():
+    state = GameState.initial(GameConfig(), 1)
+    assert len(state.declines) == 1
+    assert {id(agent.decline) for agent in state.agents} == {
+        id(state.declines[0])}
+    # an event that seats no one adds no record
+    inject_excession(state, Excession(0, "null"))
+    assert len(state.declines) == 1
+    inject_excession(state, Excession(0, "agent_influx", 2))
+    assert len(state.declines) == 2
+    assert state.agents[8].decline is state.agents[9].decline
+    assert state.agents[8].decline is not state.agents[0].decline
+    # a standalone agent keeps its own, and observe delegates to it
+    agent = AgentModel(order=1)
+    agent.observe(0.25)
+    assert agent.decline == Decline(0.25, 1) != AgentModel().decline
 
 
 def test_two_agent_complies_when_violating_is_costly():
@@ -737,6 +781,33 @@ def test_an_agent_that_left_is_never_drawn_again(episode):
                 agent.decision_draw = agent.enforcement_draw = _never
 
     _run_checking_each_round(episode, check)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_episodes())
+def test_a_shared_decline_equals_one_per_agent(episode):
+    # each agent's posterior is what observing every drop itself while it
+    # plays would give, bit for bit; a record no one plays under is dropped
+    config, policy, order, events = episode
+    played, own = regsim.step, {}
+
+    def step(state, law):
+        before, r_before = list(state.playing), state.resource
+        row = played(state, law)
+        drop = (r_before - state.resource) / state.config.capacity
+        for _, agent in before:
+            total, count = own.get(id(agent), (0.0, 0))
+            own[id(agent)] = (total + drop, count + 1)
+        for _, agent in state.playing:
+            assert (repr(agent.decline.total), agent.decline.count) == (
+                repr(own[id(agent)][0]), own[id(agent)][1])
+        assert {id(a.decline) for _, a in state.playing} == {
+            id(d) for d in state.declines}
+        return row
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regsim, "step", step)
+        run_episode(config, policy, order, events)
 
 
 @given(st.floats(1e-3, 1e6), st.floats(0.0, 1.0, exclude_min=True,
