@@ -22,13 +22,7 @@ from __future__ import annotations
 import io
 import math
 from collections import deque
-from dataclasses import (
-    FrozenInstanceError,
-    dataclass,
-    field,
-    fields,
-    replace,
-)
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from functools import reduce
 from itertools import chain
 from operator import add, index
@@ -533,11 +527,10 @@ class Trace:
         ever played; rounds before an influx leave the newcomers' cells
         empty, so every line has the header's cell count.
 
-        Every value cell is its value's ``repr``.  A float other than
-        +-0.0 is rendered once per call and looked up after that: equal
-        floats of that kind share one repr, but 0.0 and -0.0, or 3 and
-        3.0, are equal keys that render apart, so zeros and values of
-        any other type bypass the memo.
+        Every value cell is its value's ``repr``.  A nonzero float is
+        rendered once and looked up after that: equal floats share one
+        repr, but 0.0 and -0.0, or 3 and 3.0, are equal keys that render
+        apart, so zeros and values of any other type bypass the memo.
         """
         memo = _Reprs()
 
@@ -573,19 +566,19 @@ class Trace:
 
 
 class _Reprs(dict):
-    """``repr`` of each key, made at the key's first lookup.  It stops
-    storing at `MAX_REPRS` keys, so a trace of distinct values does not
-    keep a second copy of its text."""
+    """``repr`` of each key, made at the key's first lookup.  A trace's
+    equal values recur within a row or the next, so it starts over at
+    `MAX_REPRS` keys instead of keeping every distinct value."""
 
     def __missing__(self, value):
-        text = repr(value)
-        if len(self) < MAX_REPRS:
-            self[value] = text
+        if len(self) >= MAX_REPRS:
+            self.clear()
+        text = self[value] = repr(value)
         return text
 
 
-#: most renderings one `Trace.to_csv` call keeps
-MAX_REPRS = 1 << 16
+#: most renderings one `Trace.to_csv` call keeps at a time
+MAX_REPRS = 1024
 
 
 def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,

@@ -740,6 +740,14 @@ def test_trace_csv_renders_each_cell_by_repr(episode):
     assert trace.to_csv() == _reference_csv(trace)
 
 
+@pytest.mark.parametrize("limit", [1, 2, 5])
+def test_trace_csv_memo_may_start_over(limit, monkeypatch):
+    trace = run_episode(GameConfig(rounds=60), PolicySpec("fixed",
+                                                          (3, 0, 1, 1)), 2)
+    monkeypatch.setattr(regsim, "MAX_REPRS", limit)
+    assert trace.to_csv() == _reference_csv(trace)
+
+
 def _never():
     raise AssertionError("an agent that left was drawn")
 
