@@ -225,6 +225,9 @@ def cmd_geodesic(args) -> CommandResult:
     h = float(cfg.pop("h", "0.001"))
     if kind == "euclidean":
         dim = int(cfg.pop("dimension", "2"))
+        if dim < 1:
+            raise CliConfigError(
+                f"geodesic: dimension must be >= 1, got {dim}")
         metric = euclidean_metric(dim)
         start = _parse_vector(cfg.pop("start", ",".join("0" * dim)))
         velocity = _parse_vector(cfg.pop("velocity", ",".join(["1"] + ["0"] * (dim - 1))))

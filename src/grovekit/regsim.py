@@ -48,6 +48,12 @@ MAX_ROUNDS = 100_000
 MAX_AGENT_ROUNDS = 10_000_000
 
 
+def _plain(value):
+    """``value``, or the Python number of a numpy scalar, so that traces,
+    events and scenario text hold Python reprs."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class GameConfig:
     n_agents: int = 8
@@ -61,6 +67,8 @@ class GameConfig:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
         for name in ("n_agents", "rounds", "exit_window", "seed"):
             value = getattr(self, name)
             try:
@@ -160,34 +168,19 @@ DESIRE_SD = 0.5
 
 
 @dataclass(slots=True)
-class Decline:
-    """Normal posterior over the resource's fractional decline per round:
-    the sum and count of the declines observed, read against the prior
-    precision `PRIOR_PRECISION` with the prior mean at 0."""
-
-    total: float = 0.0
-    count: int = 0
-
-    def observe(self, fractional_decline: float) -> None:
-        self.total += fractional_decline
-        self.count += 1
-
-
-@dataclass(slots=True)
 class AgentModel:
     """Extractor with order-many auxiliary belief distributions.
 
     Order 0 samples a desired extraction from one fixed normal.  Order 1
-    adds a posterior over the resource decline rate and scales desire down
-    as decline evidence accumulates.  Order 2 further keeps a Beta
-    posterior over the regulator's enforcement probability and plays a
-    one-step best response to the current law.
+    scales desire down by the game's posterior over the resource decline
+    rate, which `step` passes to `agent_decide`.  Order 2 further keeps a
+    Beta posterior over the regulator's enforcement probability and plays
+    a one-step best response to the current law.
 
-    Every agent records every observation; `agent_decide` is the one
-    place the order is read, so only it decides which beliefs are used.
-    An agent seated by `GameState.admit` also carries its two streams, its
-    last ``exit_window`` gains and its utility, outside repr and equality,
-    and shares its `Decline` with the agents seated in the same call.
+    Every agent records its enforcements; `agent_decide` is the one place
+    the order is read, so only it decides which beliefs are used.  An
+    agent seated by `GameState.admit` also carries its two streams, its
+    last ``exit_window`` gains and its utility, outside repr and equality.
     """
 
     order: int = 0
@@ -198,7 +191,6 @@ class AgentModel:
     recent: deque[float] = field(
         default_factory=deque, repr=False, compare=False)
     utility: float = field(default=0.0, repr=False, compare=False)
-    decline: Decline = field(default_factory=Decline, repr=False)
     # enforcement posterior (Beta)
     _enforced: float = field(default=1.0, init=False, repr=False)
     _unenforced: float = field(default=1.0, init=False, repr=False)
@@ -207,9 +199,6 @@ class AgentModel:
         if self.order not in (0, 1, 2):
             raise RegsimError("agent order must be 0, 1, or 2")
 
-    def observe(self, fractional_decline: float) -> None:
-        self.decline.observe(fractional_decline)
-
     def observe_enforcement(self, enforced: bool) -> None:
         if enforced:
             self._enforced += 1.0
@@ -217,16 +206,15 @@ class AgentModel:
             self._unenforced += 1.0
 
 
-def agent_decide(agent: AgentModel, law: Law | None, draw: float) -> float:
+def agent_decide(agent: AgentModel, law: Law | None, draw: float,
+                 decline: float) -> float:
     """Desired extraction for this round; always >= 0.
 
-    ``draw`` is the agent's next normal(DESIRE_MEAN, DESIRE_SD) value.
+    ``draw`` is the agent's next normal(DESIRE_MEAN, DESIRE_SD) value and
+    ``decline`` the posterior mean of the fractional per-round decline.
     """
     desire = draw if draw > 0.0 else 0.0
     if agent.order >= 1:
-        # posterior mean of the fractional per-round decline, prior at 0
-        posterior = agent.decline
-        decline = posterior.total / (PRIOR_PRECISION + posterior.count)
         damp = 1.0 - DECLINE_SENSITIVITY * (
             decline if decline > 0.0 else 0.0)
         desire *= damp if damp > 0.0 else 0.0
@@ -291,6 +279,7 @@ class PolicySpec:
     law: Law | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "theta", tuple(map(_plain, self.theta)))
         if self.family not in POLICY_FAMILIES:
             raise RegsimError(f"unknown policy family {self.family!r}")
         if self.family == "fixed" and len(self.theta) != 4:
@@ -338,6 +327,7 @@ class Excession:
     value: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "value", _plain(self.value))
         if self.kind not in EVENT_KINDS:
             raise RegsimError(f"unknown excession kind {self.kind!r}")
 
@@ -351,10 +341,12 @@ class GameState:
     those still playing.  ``playing`` lists the ``(index, agent)`` pairs
     of the active agents in index order, so a round walks only them.
     `admit` and the exit in `step` are the only places these change.
-    ``declines`` holds one `Decline` per `admit` call that seated agents
-    some of whom still play, shared by the agents of that call: they all
-    start at 0 and observe the same drops while they play, and an agent
-    that left never decides again.
+
+    ``declined`` sums each round's fractional drop, left to right.  Every
+    agent watches the same public drop from the same prior, and only the
+    configured agents, seated at round 0, may have order >= 1, so one
+    normal posterior with mean ``declined / (PRIOR_PRECISION + round)`` is
+    the belief of every agent that reads it.
     """
 
     config: GameConfig
@@ -363,7 +355,7 @@ class GameState:
     agents: list[AgentModel] = field(default_factory=list)
     active: list[bool] = field(default_factory=list)
     playing: list[tuple[int, AgentModel]] = field(default_factory=list)
-    declines: list[Decline] = field(default_factory=list)
+    declined: float = 0.0
     events: list[str] = field(default_factory=list)
 
     @classmethod
@@ -373,19 +365,18 @@ class GameState:
         return state
 
     def admit(self, order: int = 0) -> None:
-        """Seat agents of ``order`` until there are ``config.n_agents``."""
+        """Seat agents of ``order`` until there are ``config.n_agents``;
+        after round 0 only order 0, which reads no decline."""
+        if order and self.round:
+            raise RegsimError(f"only order-0 agents join after round 0, "
+                              f"got order {order} at round {self.round}")
         seed, window = self.config.seed, self.config.exit_window
-        seats = range(len(self.agents), self.config.n_agents)
-        if not seats:
-            return
-        decline = Decline()
-        self.declines.append(decline)
-        for i in seats:
+        for i in range(len(self.agents), self.config.n_agents):
             agent = AgentModel(
                 order,
                 _chunked([seed, i], "normal", DESIRE_MEAN, DESIRE_SD).__next__,
                 _chunked([seed, i, 1], "random").__next__,
-                deque(maxlen=window), decline=decline)
+                deque(maxlen=window))
             self.agents.append(agent)
             self.active.append(True)
             self.playing.append((i, agent))
@@ -454,8 +445,10 @@ def step(state: GameState, law: Law | None) -> dict:
     # every float sum here adds left to right, as the builtin sum did
     # before Python 3.12 made it compensated, so the bits never move
     demand = 0.0
+    # the decline posterior's mean, prior mean 0
+    decline = state.declined / (PRIOR_PRECISION + state.round)
     for i, agent in playing:
-        request = agent_decide(agent, law, agent.decision_draw())
+        request = agent_decide(agent, law, agent.decision_draw(), decline)
         if request > tolerance:  # only these requests draw
             granted, penalties[i] = apply_law(
                 law, request, agent.enforcement_draw())
@@ -476,10 +469,8 @@ def step(state: GameState, law: Law | None) -> dict:
     # min(capacity, max(0.0, resource)), without the slower builtin calls
     resource = resource if resource > 0.0 else 0.0
     state.resource = resource = resource if resource < capacity else capacity
-    drop = (r_before - resource) / capacity
+    state.declined += (r_before - resource) / capacity
 
-    for decline in state.declines:
-        decline.observe(drop)
     for i, agent in playing:
         gain = allowed[i] - penalties[i]
         agent.utility += gain
@@ -494,10 +485,6 @@ def step(state: GameState, law: Law | None) -> dict:
         if total / cfg.exit_window < cfg.outside_option:
             active[turn] = False
             playing.remove((turn, agents[turn]))
-            # a decline that no playing agent reads is no longer observed
-            left = agents[turn].decline
-            if all(agent.decline is not left for _, agent in playing):
-                state.declines = [d for d in state.declines if d is not left]
             state.events.append(f"{state.round}:exit:{turn}")
     state.round += 1
     return {

@@ -611,6 +611,16 @@ def test_geodesic_dimension_above_the_bound_is_a_computation_failure(
                    f"dimensions, got {dimension}\n")
 
 
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_geodesic_dimension_below_one_is_a_usage_error(
+        capsys, tmp_path, dimension):
+    code, out, err = run_config(capsys, tmp_path, "geodesic",
+                                f"dimension = {dimension}\n")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("grovekit: geodesic: dimension must be >= 1, "
+                   f"got {dimension}\n")
+
+
 @pytest.mark.parametrize("text", ["velocity = nan,1\n",
                                   "start = 0,inf\n",
                                   "metric = sphere\nvelocity = inf,0\n"],

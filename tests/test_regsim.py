@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -16,11 +16,11 @@ from grovekit.regsim import (
     MAX_ROUNDS,
     NO_LAW,
     AgentModel,
-    Decline,
     Excession,
     GameConfig,
     GameState,
     Law,
+    PRIOR_PRECISION,
     PolicySpec,
     RegsimError,
     SLACK1D_ENFORCEMENT,
@@ -98,6 +98,36 @@ def test_config_rejects_non_integral_counts():
                 GameConfig(**{name: value})
         # numpy integers index like ints
         assert getattr(GameConfig(**{name: np.int64(3)}), name) == 3
+
+
+def _as_numpy(value):
+    return np.int64(value) if type(value) is int else np.float64(value)
+
+
+@pytest.mark.parametrize("capacity", [100.0, 100])
+@pytest.mark.parametrize("theta", [(0.2,), (2.0, 0.1, 0.5, 1.5), (2, 0, 1, 1)])
+def test_numpy_scalars_run_as_their_python_numbers(capacity, theta):
+    # a numpy scalar is stored as its .item(), so no np.float64(...) repr
+    # reaches a trace cell, an event or a scenario file
+    config = GameConfig(n_agents=3, capacity=capacity, regrowth=0.2,
+                        rounds=30, inspection_cost=0.25, seed=3)
+    policy = PolicySpec("slack1d" if len(theta) == 1 else "fixed", theta)
+    events = [Excession(4, "capacity_drop", 0.7),
+              Excession(9, "agent_influx", 2.0)]
+    numpy_config = GameConfig(**{f.name: _as_numpy(getattr(config, f.name))
+                                 for f in fields(GameConfig)})
+    numpy_policy = PolicySpec(policy.family, tuple(map(_as_numpy, theta)))
+    numpy_events = [Excession(ev.round, ev.kind, np.float64(ev.value))
+                    for ev in events]
+    assert type(numpy_config.capacity) is type(capacity)
+    plain = run_episode(config, policy, 2, events)
+    numpy = run_episode(numpy_config, numpy_policy, 2, numpy_events)
+    assert numpy.to_csv() == plain.to_csv()
+    assert numpy.events == plain.events
+    assert repr(numpy.welfare) == repr(plain.welfare)
+    text = dump_scenario(numpy_config, numpy_policy, 2, numpy_events)
+    assert text == dump_scenario(config, policy, 2, events)
+    assert load_scenario(text) == (numpy_config, numpy_policy, 2, numpy_events)
 
 
 @pytest.mark.parametrize("family,theta", [
@@ -199,50 +229,50 @@ def test_non_positive_draw_extracts_nothing():
     law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
     for draw in (0.0, -0.0, -2.5, -math.inf):
         for order in (0, 1, 2):
-            assert agent_decide(AgentModel(order=order), law, draw) == 0.0
+            assert agent_decide(AgentModel(order=order), law, draw,
+                                -0.5) == 0.0
 
 
 def test_point_mass_desire():
     agent = AgentModel(order=0)
-    assert agent_decide(agent, None, 1.25) == 1.25
+    assert agent_decide(agent, None, 1.25, 0.05) == 1.25
 
 
 def test_one_agent_damps_under_observed_decline():
     for seed in (1, 2, 3):
         rng = np.random.default_rng([seed, 0])
         agent = AgentModel(order=1)
-        early, late = [], []
+        early, late, declined = [], [], 0.0
         for t in range(100):
-            e = agent_decide(agent, None, rng.normal(3.0, 0.5))
+            e = agent_decide(agent, None, rng.normal(3.0, 0.5),
+                             declined / (PRIOR_PRECISION + t))
             (early if t < 20 else late).append(e)
-            agent.observe(0.02)
+            declined += 0.02
         assert np.mean(late[-20:]) < np.mean(early)
 
 
 def test_beliefs_are_read_by_order():
-    # every agent records both observations; its order picks what it reads
+    # every agent records its enforcements and is passed the decline; its
+    # order picks what it reads
     law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
+    decline = 200 * 0.01 / (PRIOR_PRECISION + 200)
     observed = [AgentModel(order) for order in (0, 1)]
-    declines_only = AgentModel(order=1)
     for _ in range(200):
         for agent in observed:
-            agent.observe(0.01)
             agent.observe_enforcement(True)
-        declines_only.observe(0.01)
     for draw in (-1.0, 0.0, 0.3, 3.0):
-        assert agent_decide(observed[0], law, draw) == max(draw, 0.0)
-        assert (agent_decide(observed[1], law, draw)
-                == agent_decide(declines_only, law, draw))
-    # the order-1 agent does read its declines
-    assert 0.0 < agent_decide(observed[1], law, 3.0) < 3.0
+        assert agent_decide(observed[0], law, draw, decline) == max(draw, 0.0)
+        assert (agent_decide(observed[1], law, draw, decline)
+                == agent_decide(AgentModel(order=1), law, draw, decline))
+    # the order-1 agent does read the decline
+    assert 0.0 < agent_decide(observed[1], law, 3.0, decline) < 3.0
+    assert agent_decide(observed[1], law, 3.0, 0.0) == 3.0
 
 
 def test_records_take_no_unknown_attribute():
-    agent, decline, law = AgentModel(), Decline(), Law(1.0)
+    agent, law = AgentModel(), Law(1.0)
     with pytest.raises(AttributeError):
         agent.utilty = 1.0
-    with pytest.raises(AttributeError):
-        decline.totl = 1.0
     with pytest.raises(AttributeError):
         law.capp = 1.0
     # a law has no __dict__ to take a field its __setattr__ would refuse
@@ -253,28 +283,28 @@ def test_records_take_no_unknown_attribute():
     assert law == Law(1.0)
 
 
-def test_agents_seated_together_share_one_decline():
-    state = GameState.initial(GameConfig(), 1)
-    assert len(state.declines) == 1
-    assert {id(agent.decline) for agent in state.agents} == {
-        id(state.declines[0])}
-    # an event that seats no one adds no record
-    inject_excession(state, Excession(0, "null"))
-    assert len(state.declines) == 1
-    inject_excession(state, Excession(0, "agent_influx", 2))
-    assert len(state.declines) == 2
-    assert state.agents[8].decline is state.agents[9].decline
-    assert state.agents[8].decline is not state.agents[0].decline
-    # a standalone agent keeps its own, and observe delegates to it
-    agent = AgentModel(order=1)
-    agent.observe(0.25)
-    assert agent.decline == Decline(0.25, 1) != AgentModel().decline
+def test_only_order_zero_agents_join_after_round_zero():
+    # an order >= 1 agent reads the game's posterior, which counts every
+    # round, so it must have watched every round
+    state = GameState.initial(GameConfig(n_agents=2), 1)
+    state.config = replace(state.config, n_agents=3)
+    state.admit(2)
+    step(state, None)
+    state.config = replace(state.config, n_agents=5)
+    for order in (1, 2):
+        with pytest.raises(RegsimError, match=(
+                f"^only order-0 agents join after round 0, "
+                f"got order {order} at round 1$")):
+            state.admit(order)
+    assert len(state.agents) == 3
+    state.admit()
+    assert [agent.order for agent in state.agents] == [1, 1, 2, 0, 0]
 
 
 def test_two_agent_complies_when_violating_is_costly():
     agent = AgentModel(order=2)
     law = Law(0.4, slack=0.25, enforcement=0.9, penalty=2.0)
-    assert agent_decide(agent, law, 3.0) == pytest.approx(law.tolerance)
+    assert agent_decide(agent, law, 3.0, 0.0) == pytest.approx(law.tolerance)
 
 
 def test_apply_law_within_cap_passes():
@@ -793,27 +823,40 @@ def test_an_agent_that_left_is_never_drawn_again(episode):
 
 @settings(max_examples=60, deadline=None)
 @given(_episodes())
-def test_a_shared_decline_equals_one_per_agent(episode):
-    # each agent's posterior is what observing every drop itself while it
-    # plays would give, bit for bit; a record no one plays under is dropped
+def test_the_game_posterior_is_each_readers_own(episode):
+    # the mean `step` passes each playing agent equals, bit for bit, the
+    # posterior an order >= 1 agent would form from every drop it watched
+    # itself, and every such agent was seated at round 0
     config, policy, order, events = episode
-    played, own = regsim.step, {}
+    played, decide = regsim.step, regsim.agent_decide
+    seated, own, passed = {}, {}, []
+
+    def agent_decide(agent, law, draw, decline):
+        passed.append((agent, decline))
+        return decide(agent, law, draw, decline)
 
     def step(state, law):
+        for _, agent in state.playing:
+            seated.setdefault(id(agent), state.round)
         before, r_before = list(state.playing), state.resource
+        passed.clear()
         row = played(state, law)
+        assert [id(agent) for agent, _ in passed] == [
+            id(agent) for _, agent in before]
+        for agent, decline in passed:
+            if agent.order >= 1:
+                assert seated[id(agent)] == 0
+                total, count = own.get(id(agent), (0.0, 0))
+                assert repr(decline) == repr(
+                    total / (PRIOR_PRECISION + count))
         drop = (r_before - state.resource) / state.config.capacity
         for _, agent in before:
             total, count = own.get(id(agent), (0.0, 0))
             own[id(agent)] = (total + drop, count + 1)
-        for _, agent in state.playing:
-            assert (repr(agent.decline.total), agent.decline.count) == (
-                repr(own[id(agent)][0]), own[id(agent)][1])
-        assert {id(a.decline) for _, a in state.playing} == {
-            id(d) for d in state.declines}
         return row
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regsim, "agent_decide", agent_decide)
         patch.setattr(regsim, "step", step)
         run_episode(config, policy, order, events)
 
