@@ -146,9 +146,9 @@ def cmd_situations(args) -> CommandResult:
 
 def cmd_info(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
-    scale = float(cfg.pop("scale", "1.0"))
-    samples = int(cfg.pop("samples", "256"))
-    span = float(cfg.pop("span", "6.0"))
+    scale = _read(cfg, "info", "scale", float, "1.0")
+    samples = _read(cfg, "info", "samples", int, "256")
+    span = _read(cfg, "info", "span", float, "6.0")
     _reject_unread(cfg, args.config)
     # the expected information is 1/scale^2, so scale^2 must be in (0, inf)
     if not (scale > 0 and 0 < scale * scale < math.inf):
@@ -181,6 +181,22 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
+#: what each parser of `_read` expects, for its message
+_EXPECTED = {int: "an integer", float: "a number",
+             _parse_vector: "numbers separated by commas"}
+
+
+def _read(cfg: dict[str, str], command: str, key: str, parse, default: str):
+    """``parse`` of the value of ``key``, popped from ``cfg``, or of
+    ``default``; a value it cannot parse exits 2 naming key and value."""
+    value = cfg.pop(key, default)
+    try:
+        return parse(value)
+    except ValueError:
+        raise CliConfigError(f"{command}: {key} = {value!r}: expected "
+                             f"{_EXPECTED[parse]}") from None
+
+
 def _join(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
@@ -188,18 +204,19 @@ def _join(values) -> str:
 def cmd_critical(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("functional", "quadratic")
-    tol = float(cfg.pop("tol", "1e-6"))
+    tol = _read(cfg, "critical", "tol", float, "1e-6")
     if kind == "quadratic":
-        center = _parse_vector(cfg.pop("center", "0,0"))
+        center = _read(cfg, "critical", "center", _parse_vector, "0,0")
         d = len(center)
         F = Functional(lambda t: float((t - center) @ (t - center)), d,
                        "quadratic")
-        theta0 = _parse_vector(cfg.pop("theta0", ",".join("1" * d)))
+        theta0 = _read(cfg, "critical", "theta0", _parse_vector,
+                       ",".join("1" * d))
     elif kind == "rosenbrock":
         F = Functional(
             lambda t: float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2),
             2, "rosenbrock")
-        theta0 = _parse_vector(cfg.pop("theta0", "-1.2,1.0"))
+        theta0 = _read(cfg, "critical", "theta0", _parse_vector, "-1.2,1.0")
     else:
         raise CliConfigError(f"critical: unknown functional {kind!r}")
     _reject_unread(cfg, args.config)
@@ -221,20 +238,23 @@ def cmd_critical(args) -> CommandResult:
 def cmd_geodesic(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("metric", "euclidean")
-    steps = int(cfg.pop("steps", "1000"))
-    h = float(cfg.pop("h", "0.001"))
+    steps = _read(cfg, "geodesic", "steps", int, "1000")
+    h = _read(cfg, "geodesic", "h", float, "0.001")
     if kind == "euclidean":
-        dim = int(cfg.pop("dimension", "2"))
+        dim = _read(cfg, "geodesic", "dimension", int, "2")
         if dim < 1:
             raise CliConfigError(
                 f"geodesic: dimension must be >= 1, got {dim}")
         metric = euclidean_metric(dim)
-        start = _parse_vector(cfg.pop("start", ",".join("0" * dim)))
-        velocity = _parse_vector(cfg.pop("velocity", ",".join(["1"] + ["0"] * (dim - 1))))
+        start = _read(cfg, "geodesic", "start", _parse_vector,
+                      ",".join("0" * dim))
+        velocity = _read(cfg, "geodesic", "velocity", _parse_vector,
+                         ",".join(["1"] + ["0"] * (dim - 1)))
     elif kind == "sphere":
         metric = sphere_metric()
-        start = _parse_vector(cfg.pop("start", f"{math.pi / 2!r},0"))
-        velocity = _parse_vector(cfg.pop("velocity", "0,1"))
+        start = _read(cfg, "geodesic", "start", _parse_vector,
+                      f"{math.pi / 2!r},0")
+        velocity = _read(cfg, "geodesic", "velocity", _parse_vector, "0,1")
     else:
         raise CliConfigError(f"geodesic: unknown metric {kind!r}")
     _reject_unread(cfg, args.config)

@@ -32,7 +32,13 @@ LOG_FLOOR_RATIO = 1e-12
 NORMALISED_REL_TOL = 1e-9
 
 #: Most cells a grid may hold: one float64 array over it takes 128 MiB.
+#: Building a distribution and its Fisher information holds at most three
+#: such arrays at once, 384 MiB at the bound.
 MAX_GRID_CELLS = 2 ** 24
+
+#: Cells `GridDistribution.dumps` renders per step; one ``str`` per cell of
+#: a whole grid would weigh several times the text it makes.
+_DUMPS_CHUNK = 4096
 
 
 def offset_pairs(f: Callable, p: np.ndarray, h: float) -> Iterator[tuple]:
@@ -46,14 +52,27 @@ def offset_pairs(f: Callable, p: np.ndarray, h: float) -> Iterator[tuple]:
 
 
 def smoothed_delta(x, center, eps: float):
-    """Gaussian kernel of width eps centred at ``center``; integrates to 1."""
+    """Gaussian kernel of width eps centred at ``center``; integrates to 1.
+
+    ``x`` and ``center`` broadcast; a scalar result is an ``np.float64``.
+    The kernel is ``exp((-0.5 * z) * z) / (eps * sqrt(2 pi))`` with
+    ``z = (x - center) / eps``, evaluated in place: at most two arrays of
+    the result's shape are alive at once.
+    """
     # the comparison is false for nan as well
     if not 0 < eps < math.inf:
         raise InfoError(f"smoothing width must lie in (0, inf), got {eps!r}")
-    z = (np.asarray(x, dtype=float) - center) / eps
+    # in place for arrays; a scalar is rebound at each step instead
+    z = np.asarray(x, dtype=float) - center
+    z /= eps
     # a far-out z squares to inf, and exp(-inf) is exactly the 0 it should be
     with np.errstate(over="ignore"):
-        return np.exp(-0.5 * z * z) / (eps * math.sqrt(2.0 * math.pi))
+        t = -0.5 * z
+        t *= z
+        del z
+        t = np.exp(t, out=t if t.ndim else None)
+    t /= eps * math.sqrt(2.0 * math.pi)
+    return t
 
 
 @dataclass(frozen=True)
@@ -121,7 +140,14 @@ class GridSpec:
         raise InfoError(f"no axis named {axis!r}")
 
     def meshes(self) -> list[np.ndarray]:
-        return np.meshgrid(*[a.centers() for a in self.axes], indexing="ij")
+        """Each axis's cell centres broadcast over the grid, "ij" order.
+
+        The meshes are read-only views of one vector each: they have the
+        grid's shape and allocate no grid-sized array.
+        """
+        sparse = np.meshgrid(*[a.centers() for a in self.axes],
+                             indexing="ij", sparse=True)
+        return [np.broadcast_to(m, self.shape) for m in sparse]
 
 
 def grid(*axes: tuple[str, float, float, int]) -> GridSpec:
@@ -176,9 +202,11 @@ class GridDistribution:
     def dumps(self) -> str:
         head = " ".join(
             f"{a.name}:{a.lo!r}:{a.hi!r}:{a.count}" for a in self.grid.axes)
-        lines = [f"axes {head} eps {self.eps!r}"]
-        lines.extend(repr(float(v)) for v in self.values.ravel(order="C"))
-        return "\n".join(lines) + "\n"
+        flat = self.values.ravel(order="C")
+        chunks = ("\n".join(map(repr, flat[i:i + _DUMPS_CHUNK].tolist()))
+                  for i in range(0, flat.size, _DUMPS_CHUNK))
+        # the empty last part ends the text with a newline
+        return "\n".join([f"axes {head} eps {self.eps!r}", *chunks, ""])
 
     @classmethod
     def loads(cls, text: str) -> "GridDistribution":
@@ -287,21 +315,41 @@ def build_nested_distribution(expr: TopologyExpr, binding: MetricBinding,
 
 def _log_with_floor(values: np.ndarray) -> np.ndarray:
     floor = LOG_FLOOR_RATIO * float(values.max())
-    return np.log(np.maximum(values, floor))
+    logf = np.maximum(values, floor)
+    return np.log(logf, out=logf)
+
+
+def _central_differences(f: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    """``np.gradient(f, dx, axis=axis)`` for a float array f and a scalar
+    spacing dx, bit for bit, written into one new array: central
+    differences inside, one-sided ones at both ends."""
+    out = np.empty_like(f)
+    f, d = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * dx
+    # slices, not indices: on a 1-D array an index gives no view to write
+    np.subtract(f[1:2], f[0:1], out=d[0:1])
+    np.subtract(f[-1:], f[-2:-1], out=d[-1:])
+    d[0:1] /= dx
+    d[-1:] /= dx
+    return out
 
 
 def fisher_information(dist: GridDistribution, axis: int | str) -> float:
     """Quadrature of f * (d ln f / dx)^2 along the given axis; >= 0.
 
-    Raises InfoError when a term underflows, as on a grid whose density is
-    so small that the sum would read 0 or lose its leading digits.
+    Holds two arrays of the grid's shape besides the density.  Raises
+    InfoError when a term underflows, as on a grid whose density is so
+    small that the sum would read 0 or lose its leading digits.
     """
     i = dist.grid.axis_index(axis)
     logf = _log_with_floor(dist.values)
-    dlogf = np.gradient(logf, dist.grid.axes[i].spacing, axis=i)
+    dlogf = _central_differences(logf, dist.grid.axes[i].spacing, i)
     try:
         with np.errstate(under="raise"):
-            terms = dist.values * dlogf * dlogf
+            # (f * dlogf) * dlogf, in the buffer of the logarithm
+            terms = np.multiply(dist.values, dlogf, out=logf)
+            terms *= dlogf
     except FloatingPointError:
         raise InfoError("Fisher information underflows on this grid") from None
     return float(np.sum(terms) * dist.grid.cell_volume)

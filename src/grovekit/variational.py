@@ -148,6 +148,25 @@ def _is_diagonal(g: np.ndarray) -> bool:
     return np.count_nonzero(g) == np.count_nonzero(g.diagonal())
 
 
+# LAPACK's ?syevd, behind eigvalsh, rescales a matrix whose largest |entry|
+# is positive and below RMIN or above RMAX, and the eigenvalues it returns
+# are then no longer exact; it derives both bounds from these constants.
+_SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
+_SYEVD_RMIN = math.sqrt(_SMLNUM)
+_SYEVD_RMAX = math.sqrt(1.0 / _SMLNUM)
+
+
+def _eigvalsh_keeps_diagonal(diag: list[float]) -> bool:
+    """True when eigvalsh of a diagonal matrix returns its entries exactly:
+    no entry is nan, and LAPACK does not rescale it.  An infinite entry
+    fails the metric checks on either route, with the same message."""
+    if any(map(math.isnan, diag)):
+        return False
+    largest = max(map(abs, diag))
+    return not (0 < largest < _SYEVD_RMIN
+                or _SYEVD_RMAX < largest < math.inf)
+
+
 @dataclass(frozen=True)
 class MetricField:
     """Pointwise symmetric positive-definite metric on lever space.
@@ -157,9 +176,10 @@ class MetricField:
     per path instead of at every RK4 stage.
 
     Every call checks the matrix.  A diagonal matrix, such as the sphere
-    metric, is decided without LAPACK: its eigenvalues are its diagonal
-    entries, and `christoffel` inverts it by taking their reciprocals.
-    Both give the verdict and the bits the general route gives.
+    metric, is decided without LAPACK when LAPACK would not rescale it:
+    its eigenvalues are its diagonal entries.  `christoffel` inverts any
+    diagonal metric by taking the reciprocals of its entries.  Both give
+    the verdict and the bits the general route gives.
     """
 
     dimension: int
@@ -177,7 +197,7 @@ class MetricField:
                 f"metric returned shape {g.shape}, expected "
                 f"({self.dimension}, {self.dimension})")
         diag = g.diagonal().tolist()
-        if _is_diagonal(g) and not any(map(math.isnan, diag)):
+        if _is_diagonal(g) and _eigvalsh_keeps_diagonal(diag):
             # symmetric, with its diagonal for eigenvalues; a nan on the
             # diagonal goes the general way, where allclose calls it
             # not symmetric

@@ -611,6 +611,34 @@ def test_geodesic_dimension_above_the_bound_is_a_computation_failure(
                    f"dimensions, got {dimension}\n")
 
 
+@pytest.mark.parametrize("command,base,key,value,expected", [
+    ("info", "", "scale", "abc", "a number"),
+    ("info", "", "samples", "2.5", "an integer"),
+    ("info", "", "span", "6,0", "a number"),
+    ("critical", "", "tol", "tight", "a number"),
+    ("critical", "", "center", "1,x", "numbers separated by commas"),
+    ("critical", "", "theta0", "1,,2", "numbers separated by commas"),
+    ("critical", "functional = rosenbrock\n", "theta0", "",
+     "numbers separated by commas"),
+    ("geodesic", "", "steps", "1e3", "an integer"),
+    ("geodesic", "", "h", "small", "a number"),
+    ("geodesic", "", "dimension", "two", "an integer"),
+    ("geodesic", "", "start", "0;0", "numbers separated by commas"),
+    ("geodesic", "", "velocity", "1,o", "numbers separated by commas"),
+    ("geodesic", "metric = sphere\n", "start", "pi/2,0",
+     "numbers separated by commas"),
+    ("geodesic", "metric = sphere\n", "velocity", "0,one",
+     "numbers separated by commas"),
+])
+def test_unparsable_numerics_value_names_its_key(
+        capsys, tmp_path, command, base, key, value, expected):
+    code, out, err = run_config(capsys, tmp_path, command,
+                                f"{base}{key} = {value}\n")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {command}: {key} = {value!r}: "
+                   f"expected {expected}\n")
+
+
 @pytest.mark.parametrize("dimension", [0, -1])
 def test_geodesic_dimension_below_one_is_a_usage_error(
         capsys, tmp_path, dimension):

@@ -1,12 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import (
+    array_shapes,
+    arrays,
+    mutually_broadcastable_shapes,
+)
 
 from grovekit.expr import parse
 from grovekit.infotheory import (
+    _central_differences,
     Axis,
     GridDistribution,
     GridSpec,
@@ -44,6 +50,38 @@ def test_smoothed_delta_peak_and_mass():
     assert np.trapezoid(vals, x) == pytest.approx(1.0, abs=1e-6)
 
 
+def _smoothed_delta_reference(x, center, eps):
+    """The kernel as one expression, each step allocating its own array."""
+    z = (np.asarray(x, dtype=float) - center) / eps
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / (eps * math.sqrt(2.0 * math.pi))
+
+
+#: signed zeros, subnormals, and z whose square is subnormal or overflows
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, 1.4e154,
+                -1.4e154, 1e200, 1.7976931348623157e308, math.inf, math.nan)
+_kernel_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+
+
+@given(mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4)
+       .flatmap(lambda s: st.tuples(
+           st.one_of(arrays(float, s.input_shapes[0], elements=_kernel_floats),
+                     _kernel_floats, st.integers(-3, 3)),
+           st.one_of(arrays(float, s.input_shapes[1], elements=_kernel_floats),
+                     _kernel_floats))),
+       st.one_of(st.sampled_from((5e-324, 1e-300, 0.5, 1.0, 1e300)),
+                 st.floats(min_value=5e-324, max_value=1e308)))
+def test_smoothed_delta_is_bit_equal_to_the_expression(args, eps):
+    x, center = args
+    with np.errstate(all="ignore"):
+        got = smoothed_delta(x, center, eps)
+        expected = _smoothed_delta_reference(x, center, eps)
+    # a scalar stays an np.float64, an array an array of the same shape
+    assert type(got) is type(expected)
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 BAD_WIDTHS = (0.0, -1.0, math.nan, math.inf)
 
 
@@ -65,6 +103,86 @@ def test_axis_validation():
     # each width is finite, their cell volume is not
     with pytest.raises(InfoError, match="cell volume must be finite"):
         GridSpec((Axis("a", -1e300, 1e300, 8), Axis("b", -1e300, 1e300, 8)))
+
+
+def _peak_above_start(fn):
+    """``fn()`` and the most bytes it held at once beyond those held before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+#: the bench's nested grid, 256 x 4096 cells: one float64 array is 8 MiB
+_BENCH_GRID = grid(("m", -0.5, 0.5, 256), ("a", -6.5, 6.5, 4096))
+_GRID_ARRAY = 8 * 256 * 4096
+
+
+def test_meshes_are_read_only_views():
+    meshes, peak = _peak_above_start(_BENCH_GRID.meshes)
+    assert peak < _GRID_ARRAY // 8
+    full = np.meshgrid(*[a.centers() for a in _BENCH_GRID.axes],
+                       indexing="ij")
+    for mesh, expected in zip(meshes, full):
+        assert mesh.shape == _BENCH_GRID.shape
+        assert mesh.tobytes() == expected.tobytes()
+        assert not mesh.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        meshes[0][0, 0] = 1.0
+
+
+def test_build_and_fisher_hold_three_grid_arrays():
+    def build_and_fisher():
+        dist = build_nested_distribution(
+            parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
+            _BENCH_GRID, 1.0)
+        return [fisher_information(dist, axis) for axis in ("a", "m")]
+
+    infos, peak = _peak_above_start(build_and_fisher)
+    assert infos[0] == pytest.approx(1.0, rel=0.01)
+    assert peak <= 3 * _GRID_ARRAY + 2 ** 20
+
+
+def test_dumps_peaks_below_two_and_a_half_times_its_text():
+    # the command line's info grid: 128 x 2048 = 262,144 cells
+    dist = build_nested_distribution(
+        parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
+        grid(("m", -0.5, 0.5, 128), ("a", -6.5, 6.5, 2048)), 1.0)
+    text, peak = _peak_above_start(dist.dumps)
+    assert text.count("\n") == 1 + 128 * 2048
+    assert peak < 2.5 * len(text)
+
+
+@pytest.mark.parametrize("shape", [(8,), (9, 3), (5, 7, 8), (256, 4096)])
+def test_central_differences_are_np_gradient(shape):
+    # magnitudes from 1e-300 to 1e300, both signs
+    rng = np.random.default_rng(len(shape))
+    f = (rng.choice((-1.0, 1.0), shape)
+         * 10.0 ** rng.uniform(-300.0, 300.0, shape))
+    for axis in range(len(shape)):
+        for dx in (0.0037, 1.0, 2.5e7):
+            with np.errstate(all="ignore"):
+                expected = np.gradient(f, dx, axis=axis)
+                got = _central_differences(f, dx, axis)
+            assert got.tobytes() == expected.tobytes()
+
+
+@given(array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=6)
+       .flatmap(lambda shape: st.tuples(
+           arrays(float, shape, elements=st.one_of(
+               st.floats(), st.floats(-1e300, 1e300))),
+           st.integers(0, len(shape) - 1))),
+       st.floats(min_value=5e-324, max_value=1e308))
+def test_central_differences_property(data, dx):
+    f, axis = data
+    with np.errstate(all="ignore"):
+        expected = np.gradient(f, dx, axis=axis)
+        got = _central_differences(f, dx, axis)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_grid_cell_bound():

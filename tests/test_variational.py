@@ -428,6 +428,15 @@ _DIAGONAL_ENTRIES = (
     arrays(bool, (d, d)))))
 @example(([1e308, np.nextafter(1e-9, math.inf)], np.zeros((2, 2), bool)))
 @example(([math.nan, 1.0], np.ones((2, 2), bool)))
+# eigvalsh rescales a largest |entry| above 2**485 and returns [1e-09, ...]
+@example(([1.0000000000000003e-09, 8.247890858892686e+214],
+          np.zeros((2, 2), bool)))
+# LAPACK's rescaling bounds, 2**485 and 2**-485, and the floats past them
+@example(([1.0000000000000003e-09, 2.0 ** 485], np.zeros((2, 2), bool)))
+@example(([1.0000000000000003e-09, np.nextafter(2.0 ** 485, math.inf)],
+          np.zeros((2, 2), bool)))
+@example(([2.0 ** -485, 3e-300], np.zeros((2, 2), bool)))
+@example(([np.nextafter(2.0 ** -485, 0.0), 3e-300], np.zeros((2, 2), bool)))
 def test_diagonal_verdict_matches_eigvalsh(data):
     diag, negative = data
     g = np.diag(diag)
