@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import (
 
 from grovekit.expr import parse
 from grovekit.infotheory import (
-    _central_differences,
     Axis,
     GridDistribution,
     GridSpec,
@@ -27,6 +26,7 @@ from grovekit.infotheory import (
     information_density,
     offset_pairs,
     smoothed_delta,
+    _central_differences,
 )
 
 
