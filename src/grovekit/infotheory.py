@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Callable, Iterator, Sequence
 
@@ -39,6 +40,29 @@ MAX_GRID_CELLS = 2 ** 24
 #: Cells `GridDistribution.dumps` renders per step; one ``str`` per cell of
 #: a whole grid would weigh several times the text it makes.
 _DUMPS_CHUNK = 4096
+
+#: Characters of text `GridDistribution.loads` splits into lines per step,
+#: rounded up to the next newline: the cells are parsed into one array, and
+#: only this much text has a ``str`` and a float per line at once.
+_LOADS_CHUNK = 1 << 16
+
+
+def _stripped_line_chunks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text.strip().splitlines()``, a list per piece of the
+    text of about `_LOADS_CHUNK` characters, without copying the whole
+    text."""
+    # str.strip removes the characters for which str.isspace holds
+    start, end = 0, len(text)
+    while start < end and text[start].isspace():
+        start += 1
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    while start < end:
+        # a cut just after a newline splits no line and no "\r\n"
+        cut = text.find("\n", start + _LOADS_CHUNK, end)
+        cut = end if cut < 0 else cut + 1
+        yield text[start:cut].splitlines()
+        start = cut
 
 
 def offset_pairs(f: Callable, p: np.ndarray, h: float) -> Iterator[tuple]:
@@ -210,9 +234,14 @@ class GridDistribution:
 
     @classmethod
     def loads(cls, text: str) -> "GridDistribution":
-        """Read `dumps` text; every malformed text raises InfoError."""
-        lines = text.strip().splitlines()
-        header = lines[0].split() if lines else []
+        """Read `dumps` text; every malformed text raises InfoError.
+
+        The cells are parsed a bounded chunk of lines at a time into one
+        float64 array.
+        """
+        chunks = _stripped_line_chunks(text)
+        first = next(chunks, [])
+        header = first[0].split() if first else []
         if len(header) < 3 or header[0] != "axes" or header[-2] != "eps":
             raise InfoError("bad distribution header")
         try:
@@ -221,15 +250,22 @@ class GridDistribution:
                 name, lo, hi, count = part.split(":")
                 axes.append(Axis(name, float(lo), float(hi), int(count)))
             eps = float(header[-1])
-            cells = [float(v) for v in lines[1:]]
+            size = math.prod(a.count for a in axes)
+            # a grid past the bound is refused below, once every cell parsed
+            values = np.empty(size if size <= MAX_GRID_CELLS else 0)
+            found = 0
+            for lines in chain([first[1:]], chunks):
+                cells = [float(v) for v in lines]
+                keep = max(0, min(len(cells), values.size - found))
+                values[found:found + keep] = cells[:keep]
+                found += len(cells)
         except ValueError as exc:
             raise InfoError(f"malformed distribution text: {exc}") from None
         spec = GridSpec(tuple(axes))
-        size = math.prod(spec.shape)
-        if len(cells) != size:
-            raise InfoError(f"distribution text has {len(cells)} cells, "
+        if found != size:
+            raise InfoError(f"distribution text has {found} cells, "
                             f"its grid {spec.shape} has {size}")
-        values = np.array(cells).reshape(spec.shape)
+        values = values.reshape(spec.shape)
         dist = cls(spec, values, eps)
         # Dumped values are normalised already, and dividing them by their
         # mass once more would move their last bits: keep them as stored.

@@ -143,9 +143,10 @@ def _check_metric_dimension(dimension: int) -> None:
                                f"dimensions, got {dimension}")
 
 
-def _is_diagonal(g: np.ndarray) -> bool:
-    """True when every off-diagonal entry of g is +0 or -0."""
-    return np.count_nonzero(g) == np.count_nonzero(g.diagonal())
+def _is_diagonal(g: np.ndarray, diag: list[float]) -> bool:
+    """True when every off-diagonal entry of g is +0 or -0; ``diag`` is
+    ``g.diagonal().tolist()``.  A nan is nonzero in both counts."""
+    return np.count_nonzero(g) == len(diag) - diag.count(0.0)
 
 
 # LAPACK's ?syevd, behind eigvalsh, rescales a matrix whose largest |entry|
@@ -179,7 +180,8 @@ class MetricField:
     metric, is decided without LAPACK when LAPACK would not rescale it:
     its eigenvalues are its diagonal entries.  `christoffel` inverts any
     diagonal metric by taking the reciprocals of its entries.  Both give
-    the verdict and the bits the general route gives.
+    the verdict and the bits the general route gives, save a connection
+    that is not finite (see `christoffel`).
     """
 
     dimension: int
@@ -197,7 +199,7 @@ class MetricField:
                 f"metric returned shape {g.shape}, expected "
                 f"({self.dimension}, {self.dimension})")
         diag = g.diagonal().tolist()
-        if _is_diagonal(g) and _eigvalsh_keeps_diagonal(diag):
+        if _is_diagonal(g, diag) and _eigvalsh_keeps_diagonal(diag):
             # symmetric, with its diagonal for eigenvalues; a nan on the
             # diagonal goes the general way, where allclose calls it
             # not symmetric
@@ -230,12 +232,16 @@ def constant_metric(matrix) -> MetricField:
 
 def sphere_metric() -> MetricField:
     """Unit 2-sphere in (theta, phi) coordinates, diag(1, sin^2 theta)."""
+    template = np.array([[1.0, 0.0], [0.0, 0.0]])
+
     def g(p):
         if not math.isfinite(p[0]):
             raise VariationalError(f"sphere metric needs a finite theta, "
                                    f"got {float(p[0])!r}")
         s = math.sin(p[0])
-        return np.array([[1.0, 0.0], [0.0, s * s]])
+        m = template.copy()
+        m[1, 1] = s * s
+        return m
     return MetricField(2, g)
 
 
@@ -244,17 +250,32 @@ CHRISTOFFEL_H = 1e-5
 
 
 def christoffel(g: MetricField, p) -> np.ndarray:
-    """Connection coefficients Gamma^k_ij by central metric differences."""
+    """Connection coefficients Gamma^k_ij by central metric differences.
+
+    A diagonal metric is inverted by the reciprocals of its entries, and
+    row k of the result is 0.5 / g_kk times row k of the bracket below.
+    Where that bracket is not finite, as when the difference of two metric
+    entries near 1e306 overflows, only its own rows hold inf or nan; the
+    general route's inverse would multiply its zero entries into every row
+    and spread nan.  A geodesic's acceleration is then not finite on
+    either route, so `integrate_geodesic` stops at the same step, but a
+    later stage of that step may name a point holding inf where the
+    general route's would hold nan.
+    """
     p = np.asarray(p, dtype=float)
+    # ev[2l] and ev[2l + 1] are g at p + h e_l and p - h e_l
+    ev = np.array([m for pair in offset_pairs(g, p, CHRISTOFFEL_H)
+                   for m in pair])
     # dg[l] = d g / d p_l
-    dg = np.array([(up - dn) / (2.0 * CHRISTOFFEL_H)
-                   for up, dn in offset_pairs(g, p, CHRISTOFFEL_H)])
+    dg = (ev[0::2] - ev[1::2]) / (2.0 * CHRISTOFFEL_H)
     G = g(p)
-    ginv = (np.diag(1.0 / G.diagonal()) if _is_diagonal(G)
-            else np.linalg.inv(G))
     # br[l, i, j] = d_i g_lj + d_j g_li - d_l g_ij
     br = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, br)
+    diag = G.diagonal()
+    if _is_diagonal(G, diag.tolist()):
+        # the general route's sum starts at +0.0, so it never gives -0.0
+        return 0.5 * ((1.0 / diag)[:, None, None] * br + 0.0)
+    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(G), br)
 
 
 #: most RK4 steps one geodesic may take; every point is kept in memory
@@ -350,48 +371,51 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
             f"at most {MAX_GEODESIC_STEPS} steps, got {steps}")
     if not 0 < h < math.inf:
         raise VariationalError("step h must be finite and > 0")
-    x = np.asarray(start, dtype=float).copy()
-    v = np.asarray(velocity, dtype=float).copy()
-    if x.shape != (g.dimension,) or v.shape != (g.dimension,):
+    x = np.asarray(start, dtype=float)
+    v = np.asarray(velocity, dtype=float)
+    d = g.dimension
+    if x.shape != (d,) or v.shape != (d,):
         raise VariationalError(
-            f"start and velocity need shape ({g.dimension},), "
+            f"start and velocity need shape ({d},), "
             f"got {x.shape} and {v.shape}")
     if not (np.isfinite(x).all() and np.isfinite(v).all()):
         raise VariationalError(
             f"start and velocity must be finite, got {x.tolist()} and "
             f"{v.tolist()}")
-    # x and v are rebound each step, never changed in place
-    points, velocities = [x], [v]
+    # the state y = (x, v) is rebound each step, never changed in place
+    y = np.concatenate((x, v))
+    states = [y]
     fixed = None  # a constant metric's connection, set at step 0
     failure = None
 
-    def accel(xx, vv):
+    def rate(yy):
+        """(x', v') = (v, -Gamma(x)(v, v)) at the state yy."""
+        xx, vv = yy[:d], yy[d:]
         gamma = christoffel(g, xx) if fixed is None else fixed
-        return -np.einsum("kij,i,j->k", gamma, vv, vv)
+        return np.concatenate((vv, -np.einsum("kij,i,j->k", gamma, vv, vv)))
 
-    # an overflow leaves inf or nan in x or v, which ends the path and is
+    # an overflow leaves inf or nan in y, which ends the path and is
     # reported once instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(steps):
             try:
                 if g.constant and n == 0:
-                    fixed = christoffel(g, x)
-                k1x, k1v = v, accel(x, v)
-                k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-                k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-                k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
+                    fixed = christoffel(g, y[:d])
+                k1 = rate(y)
+                k2 = rate(y + 0.5 * h * k1)
+                k3 = rate(y + 0.5 * h * k2)
+                k4 = rate(y + h * k3)
             except VariationalError as exc:
                 failure = f"metric failed at step {n}: {exc}"
                 break
-            x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             # a Python test is far quicker than np.isfinite on a few entries
-            if not all(map(math.isfinite, x.tolist() + v.tolist())):
+            if not all(map(math.isfinite, y.tolist())):
                 failure = f"path is not finite at step {n}"
                 break
-            points.append(x)
-            velocities.append(v)
-    points, velocities = np.array(points), np.array(velocities)
+            states.append(y)
+    states = np.array(states)
+    points, velocities = states[:, :d], states[:, d:]
     if failure is not None:
         err = VariationalError(failure)
         err.partial = GeodesicPath(points, velocities, h)

@@ -1,15 +1,17 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import (
     array_shapes,
     arrays,
     mutually_broadcastable_shapes,
 )
 
+from grovekit import infotheory
 from grovekit.expr import parse
 from grovekit.infotheory import (
     Axis,
@@ -282,6 +284,102 @@ _GOOD_HEAD = "axes x:0.0:1.0:8 eps 0.1"
 def test_malformed_distribution_text_is_an_info_error(text):
     with pytest.raises(InfoError):
         GridDistribution.loads(text)
+
+
+def _loads_reference(text):
+    """`GridDistribution.loads` as one list of lines and one of floats."""
+    lines = text.strip().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) < 3 or header[0] != "axes" or header[-2] != "eps":
+        raise InfoError("bad distribution header")
+    try:
+        axes = []
+        for part in header[1:-2]:
+            name, lo, hi, count = part.split(":")
+            axes.append(Axis(name, float(lo), float(hi), int(count)))
+        eps = float(header[-1])
+        cells = [float(v) for v in lines[1:]]
+    except ValueError as exc:
+        raise InfoError(f"malformed distribution text: {exc}") from None
+    spec = GridSpec(tuple(axes))
+    size = math.prod(spec.shape)
+    if len(cells) != size:
+        raise InfoError(f"distribution text has {len(cells)} cells, "
+                        f"its grid {spec.shape} has {size}")
+    values = np.array(cells).reshape(spec.shape)
+    dist = GridDistribution(spec, values, eps)
+    if math.isclose(float(values.sum()) * spec.cell_volume, 1.0,
+                    rel_tol=infotheory.NORMALISED_REL_TOL):
+        values.setflags(write=False)
+        dist.values = values
+    return dist
+
+
+def _loaded(load, text):
+    try:
+        dist = load(text)
+    except Exception as exc:  # the kind and message are compared
+        return type(exc).__name__, str(exc)
+    return (dist.grid, dist.eps, dist.values.tobytes(),
+            dist.values.flags.writeable)
+
+
+_HEADS = {"axes x:0.0:1.0:8 eps 0.1": 8,
+          " axes x:0:1:8  y:-1:1:8 eps 0.5 ": 64,
+          "axes x:0.0:0.125:8 eps 1e-3": 8,
+          "axes x:0:1:8 x:0:1:8 eps 0.1": 64,
+          "axes x:0:1:4096 y:0:1:8192 eps 0.1": 2 ** 25,
+          "axes x:0.0:1.0:8 eps 0.0": 8,
+          "axes x:0:1:8 eps": 8,
+          "axes x:0:1:8 eps 0.1 extra": 8}
+_CELLS = st.one_of(
+    st.sampled_from(("0.125", "0.0", "-0.0", " 2.5\t", "1_0", "\u00a01.5")),
+    st.floats(0.0, 1e3).map(repr))
+_BAD_CELLS = ("", "one", "-1.0", "nan", "inf", "1e999")
+_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+           "\n\n", " \n")
+_SPACE = st.sampled_from(("", " ", "\n", "\n \t", "\r\n\r\n", "\u3000", "\xa0"))
+
+
+@st.composite
+def _distribution_texts(draw):
+    """Headers good and bad, then about as many cells as they ask for, a
+    bad cell or an odd line break among them at times."""
+    head = draw(st.sampled_from(sorted(_HEADS)))
+    count = min(_HEADS[head], 64) + draw(st.sampled_from((0, 0, -1, 1, 2)))
+    parts = [head, *draw(st.lists(_CELLS, min_size=count, max_size=count))]
+    at = draw(st.integers(1, len(parts) - 1)) if count else 0
+    if at and draw(st.booleans()):
+        parts[at] = draw(st.sampled_from(_BAD_CELLS))
+    breaks = [draw(st.sampled_from(_BREAKS))] * (len(parts) - 1)
+    if at and draw(st.booleans()):
+        breaks[at - 1] = draw(st.sampled_from(_BREAKS))
+    text = "".join(p + b for p, b in zip(parts, breaks + [""]))
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
+@given(_distribution_texts(), st.integers(1, 40))
+@example("axes x:0.0:1.0:8 eps 0.1\n" + "0.125\n" * 8, 1)
+@example("axes x:0.0:1.0:8 eps 0.1\r\n" + "0.125\r\n" * 8, 1)
+@example("axes x:0.0:1.0:8 eps 0.1\n" + "0.125\n" * 10, 1)
+@example("  \n\t", 1)
+def test_loads_matches_the_whole_text_reference(text, chunk):
+    # a short chunk puts cuts between the cells of a short text
+    with mock.patch.object(infotheory, "_LOADS_CHUNK", chunk), \
+            np.errstate(all="ignore"):
+        assert (_loaded(GridDistribution.loads, text)
+                == _loaded(_loads_reference, text))
+
+
+def test_loads_peaks_below_its_text():
+    # the command line's info grid: 128 x 2048 = 262,144 cells, 2 MiB
+    dist = build_nested_distribution(
+        parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
+        grid(("m", -0.5, 0.5, 128), ("a", -6.5, 6.5, 2048)), 1.0)
+    text = dist.dumps()
+    restored, peak = _peak_above_start(lambda: GridDistribution.loads(text))
+    assert restored.values.tobytes() == dist.values.tobytes()
+    assert peak < len(text)
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])

@@ -158,6 +158,37 @@ def test_christoffel_lower_index_symmetry():
     assert np.allclose(gamma, np.transpose(gamma, (0, 2, 1)))
 
 
+def _steep(p):
+    # d g_11 / d p_0 = 2e309 p_0 passes the float maximum for p_0 > 0.09
+    return np.diag([1.0, 1e306 * (1.0 + 1e3 * p[0] * p[0])])
+
+
+def test_christoffel_keeps_a_non_finite_bracket_in_its_own_rows():
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = christoffel(MetricField(2, _steep), [0.1, 0.2])
+    assert repr(gamma.tolist()) == (
+        "[[[0.0, 0.0], [0.0, -inf]], [[0.0, inf], [inf, 0.0]]]")
+
+
+@pytest.mark.parametrize("start,velocity,error", [
+    ([0.0, 0.2], [1.0, 0.0], "path is not finite at step 8"),
+    ([0.1, 0.2], [1.0, 0.0],
+     "metric failed at step 0: metric is not symmetric at [nan, nan]"),
+    ([-0.01, 0.2], [1.0, 1.0],
+     "metric failed at step 0: metric is not finite at "
+     "[-2.5000000000005014e+302, 0.20545454545454556]"),
+])
+def test_geodesic_through_an_overflowing_bracket_fails(start, velocity,
+                                                        error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VariationalError) as err:
+            integrate_geodesic(MetricField(2, _steep), start, velocity, 40,
+                               0.01)
+    assert str(err.value) == error
+    assert np.isfinite(err.value.partial.points).all()
+
+
 def test_metric_field_rejects_asymmetry():
     from grovekit.variational import MetricField
     field = MetricField(2, lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]))
