@@ -273,7 +273,8 @@ def christoffel(g: MetricField, p) -> np.ndarray:
     br = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
     diag = G.diagonal()
     if _is_diagonal(G, diag.tolist()):
-        # the general route's sum starts at +0.0, so it never gives -0.0
+        # + 0.0 makes a -0.0 product +0.0, as the general route's sum,
+        # which starts at +0.0, does
         return 0.5 * ((1.0 / diag)[:, None, None] * br + 0.0)
     return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(G), br)
 

@@ -365,8 +365,7 @@ def _distribution_texts(draw):
 @example("  \n\t", 1)
 def test_loads_matches_the_whole_text_reference(text, chunk):
     # a short chunk puts cuts between the cells of a short text
-    with mock.patch.object(infotheory, "_LOADS_CHUNK", chunk), \
-            np.errstate(all="ignore"):
+    with mock.patch.object(infotheory, "_LOADS_CHUNK", chunk):
         assert (_loaded(GridDistribution.loads, text)
                 == _loaded(_loads_reference, text))
 
