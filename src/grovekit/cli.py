@@ -41,7 +41,8 @@ from .infotheory import (
     build_nested_distribution,
     fisher_information,
 )
-from .model import CostModel, load_config, model_from_config
+from .model import (CostModel, integers, load_config, model_from_config,
+                    numbers, read_key, reject_unread)
 from .regsim import RegsimError, load_scenario, optimize_slack, run_episode
 from .variational import (
     CriticalityError,
@@ -80,12 +81,6 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _reject_unread(cfg: dict[str, str], path: str | None) -> None:
-    """Fail on the keys a command left in ``cfg``; it pops each key it reads."""
-    if cfg:
-        raise CliConfigError(f"{path}: unknown key {next(iter(cfg))!r}")
-
-
 def _listing(lines: list[str]) -> str:
     return "".join(f"{line}\n" for line in lines)
 
@@ -103,7 +98,8 @@ CommandResult = tuple[int, list[tuple[str, object]], dict[str, str], list[str]]
 def cmd_enumerate(args) -> CommandResult:
     model = model_from_config(args.model) if args.model else CostModel()
     if args.partition:
-        parts = PartitionSpec(tuple(int(p) for p in args.partition.split(",")))
+        parts = PartitionSpec(read_key({"--partition": args.partition},
+                                       "enumerate", "--partition", integers))
         groves = enumerate_groves(parts, model, pruned=not args.unpruned)
         lines = sorted(g.render() for g in groves)
         fields = [("seed", args.seed), ("partition", args.partition),
@@ -146,17 +142,17 @@ def cmd_situations(args) -> CommandResult:
 
 def cmd_info(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
-    scale = _read(cfg, "info", "scale", float, "1.0")
-    samples = _read(cfg, "info", "samples", int, "256")
-    span = _read(cfg, "info", "span", float, "6.0")
-    _reject_unread(cfg, args.config)
+    scale = read_key(cfg, "info", "scale", float, 1.0)
+    samples = read_key(cfg, "info", "samples", int, 256)
+    span = read_key(cfg, "info", "span", float, 6.0)
+    reject_unread(cfg, args.config)
     # the expected information is 1/scale^2, so scale^2 must be in (0, inf)
     if not (scale > 0 and 0 < scale * scale < math.inf):
-        raise CliConfigError(
+        raise GroveError(
             f"info: scale must be > 0 with 1/scale^2 finite and nonzero, "
             f"got {scale!r}")
     if samples < 8:
-        raise CliConfigError(f"info: samples must be >= 8, got {samples}")
+        raise GroveError(f"info: samples must be >= 8, got {samples}")
     half = span * scale
     spec = GridSpec((
         Axis("m", -0.5, 0.5, max(8, samples // 16)),
@@ -173,30 +169,6 @@ def cmd_info(args) -> CommandResult:
     return EXIT_OK, fields, {"info-distribution.txt": dist.dumps()}, []
 
 
-class CliConfigError(Exception):
-    pass
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
-
-
-#: what each parser of `_read` expects, for its message
-_EXPECTED = {int: "an integer", float: "a number",
-             _parse_vector: "numbers separated by commas"}
-
-
-def _read(cfg: dict[str, str], command: str, key: str, parse, default: str):
-    """``parse`` of the value of ``key``, popped from ``cfg``, or of
-    ``default``; a value it cannot parse exits 2 naming key and value."""
-    value = cfg.pop(key, default)
-    try:
-        return parse(value)
-    except ValueError:
-        raise CliConfigError(f"{command}: {key} = {value!r}: expected "
-                             f"{_EXPECTED[parse]}") from None
-
-
 def _join(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
@@ -204,22 +176,22 @@ def _join(values) -> str:
 def cmd_critical(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("functional", "quadratic")
-    tol = _read(cfg, "critical", "tol", float, "1e-6")
+    tol = read_key(cfg, "critical", "tol", float, 1e-6)
     if kind == "quadratic":
-        center = _read(cfg, "critical", "center", _parse_vector, "0,0")
+        center = np.array(read_key(cfg, "critical", "center", numbers,
+                                   (0.0, 0.0)))
         d = len(center)
         F = Functional(lambda t: float((t - center) @ (t - center)), d,
                        "quadratic")
-        theta0 = _read(cfg, "critical", "theta0", _parse_vector,
-                       ",".join("1" * d))
+        theta0 = read_key(cfg, "critical", "theta0", numbers, (1.0,) * d)
     elif kind == "rosenbrock":
         F = Functional(
             lambda t: float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2),
             2, "rosenbrock")
-        theta0 = _read(cfg, "critical", "theta0", _parse_vector, "-1.2,1.0")
+        theta0 = read_key(cfg, "critical", "theta0", numbers, (-1.2, 1.0))
     else:
-        raise CliConfigError(f"critical: unknown functional {kind!r}")
-    _reject_unread(cfg, args.config)
+        raise GroveError(f"critical: unknown functional {kind!r}")
+    reject_unread(cfg, args.config)
     trace: list = []
     fields = [("seed", args.seed), ("functional", kind), ("tol", tol)]
     try:
@@ -238,26 +210,23 @@ def cmd_critical(args) -> CommandResult:
 def cmd_geodesic(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("metric", "euclidean")
-    steps = _read(cfg, "geodesic", "steps", int, "1000")
-    h = _read(cfg, "geodesic", "h", float, "0.001")
+    steps = read_key(cfg, "geodesic", "steps", int, 1000)
+    h = read_key(cfg, "geodesic", "h", float, 0.001)
     if kind == "euclidean":
-        dim = _read(cfg, "geodesic", "dimension", int, "2")
+        dim = read_key(cfg, "geodesic", "dimension", int, 2)
         if dim < 1:
-            raise CliConfigError(
-                f"geodesic: dimension must be >= 1, got {dim}")
+            raise GroveError(f"geodesic: dimension must be >= 1, got {dim}")
         metric = euclidean_metric(dim)
-        start = _read(cfg, "geodesic", "start", _parse_vector,
-                      ",".join("0" * dim))
-        velocity = _read(cfg, "geodesic", "velocity", _parse_vector,
-                         ",".join(["1"] + ["0"] * (dim - 1)))
+        start = read_key(cfg, "geodesic", "start", numbers, (0.0,) * dim)
+        velocity = read_key(cfg, "geodesic", "velocity", numbers,
+                            (1.0,) + (0.0,) * (dim - 1))
     elif kind == "sphere":
         metric = sphere_metric()
-        start = _read(cfg, "geodesic", "start", _parse_vector,
-                      f"{math.pi / 2!r},0")
-        velocity = _read(cfg, "geodesic", "velocity", _parse_vector, "0,1")
+        start = read_key(cfg, "geodesic", "start", numbers, (math.pi / 2, 0.0))
+        velocity = read_key(cfg, "geodesic", "velocity", numbers, (0.0, 1.0))
     else:
-        raise CliConfigError(f"geodesic: unknown metric {kind!r}")
-    _reject_unread(cfg, args.config)
+        raise GroveError(f"geodesic: unknown metric {kind!r}")
+    reject_unread(cfg, args.config)
     fields = [("seed", args.seed), ("metric", kind)]
     try:
         path = integrate_geodesic(metric, start, velocity, steps, h)
@@ -396,8 +365,7 @@ def main(argv=None) -> int:
                                       f"{args.subcommand}-report.txt"), report)
             for name, text in files.items():
                 write_atomic(os.path.join(args.out, name), text)
-    except (OSError, CliConfigError, KeyError, ValueError,
-            RegsimError, GroveError) as exc:
+    except (OSError, KeyError, ValueError, RegsimError, GroveError) as exc:
         sys.stderr.write(f"grovekit: {exc}\n")
         return EXIT_USAGE
     except (VariationalError, infotheory.InfoError) as exc:

@@ -135,8 +135,9 @@ def rank(expr: TopologyExpr, model: CostModel | None = None) -> int:
 def parse_config(text: str, origin: str = "<config>") -> dict[str, str]:
     """Parse flat ``key = value`` lines; '#' starts a comment anywhere.
 
-    This is the one reader of model, config and scenario files.  A key
-    given twice is an error, so no line is silently dropped.
+    This is the one reader of the lines of model, config and scenario
+    files, and `read_key` and `reject_unread` of their keys.  A key given
+    twice is an error, so no line is silently dropped.
     """
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -157,30 +158,71 @@ def load_config(path: str | Path) -> dict[str, str]:
     return parse_config(Path(path).read_text(), origin=str(path))
 
 
+def numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def integers(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+#: what each parser of `read_key` expects, named when a value fails it
+EXPECTED = {int: "an integer", float: "a number",
+            numbers: "numbers separated by commas",
+            integers: "integers separated by commas"}
+
+
+def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
+             default=None, expected: str | None = None,
+             error: type[Exception] = GroveError):
+    """``parse`` of the value of ``key``, popped from ``cfg``, or ``default``.
+
+    A value ``parse`` rejects raises ``error`` naming origin, key, value and
+    what was ``expected`` (``EXPECTED[parse]`` unless given), or the message
+    of an ``error`` the parser raised."""
+    if key not in cfg:
+        return default
+    value = cfg.pop(key)
+    try:
+        return parse(value)
+    except ValueError:
+        reason = f"expected {expected or EXPECTED[parse]}"
+    except error as exc:
+        reason = str(exc)
+    raise error(f"{origin}: {key} = {value!r}: {reason}")
+
+
+def reject_unread(cfg: dict[str, str], origin: str | Path | None,
+                  error: type[Exception] = GroveError) -> None:
+    """Fail on a key left in ``cfg``: its loader pops each key it reads."""
+    if cfg:
+        raise error(f"{origin}: unknown key {next(iter(cfg))!r}")
+
+
 def model_from_config(path: str | Path) -> CostModel:
     """Read the keys :func:`model_to_config` writes; any other key is an error."""
     cfg = load_config(path)
-    kwargs: dict = {name: int(cfg.pop(name)) for name in _COST_FIELDS
-                    if name in cfg}
+    kwargs: dict = {name: read_key(cfg, path, name, int)
+                    for name in _COST_FIELDS if name in cfg}
     given: dict[int, tuple[int, ...]] = {}
     for key in [k for k in cfg if k.startswith("caps.")]:
-        depth = int(key.split(".", 1)[1])
+        try:
+            depth = int(key[5:])
+        except ValueError:
+            continue  # left in cfg, so an unknown key
         if depth in given:
             raise GroveError(f"{path}: caps for depth {depth} given twice")
-        given[depth] = tuple(int(v) for v in cfg.pop(key).split(","))
+        given[depth] = read_key(cfg, path, key, integers)
     kwargs["caps"] = {**DEFAULT_CAPS, **given}
     if "exclusions" in cfg:
         names = [v.strip() for v in cfg.pop("exclusions").split(",") if v.strip()]
         kwargs["exclusions"] = frozenset(names)
-    if "table2_entry27_as_printed" in cfg:
-        text = cfg.pop("table2_entry27_as_printed")
-        if text.lower() not in _BOOLEANS:
-            raise GroveError(f"{path}: table2_entry27_as_printed must be one of "
-                             f"{', '.join(_BOOLEANS)}, got {text!r}")
-        kwargs["table2_entry27_as_printed"] = _BOOLEANS[text.lower()]
-    if cfg:
-        raise GroveError(f"{path}: unknown key {next(iter(cfg))!r}")
-    return CostModel(**kwargs)
+    text = cfg.pop("table2_entry27_as_printed", "false")
+    if text.lower() not in _BOOLEANS:
+        raise GroveError(f"{path}: table2_entry27_as_printed must be one of "
+                         f"{', '.join(_BOOLEANS)}, got {text!r}")
+    reject_unread(cfg, path)
+    return CostModel(**kwargs, table2_entry27_as_printed=_BOOLEANS[text.lower()])
 
 
 def model_to_config(model: CostModel) -> str:

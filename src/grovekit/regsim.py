@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import variational
-from .model import parse_config
+from .model import EXPECTED, numbers, parse_config, read_key, reject_unread
 from .variational import CriticalityError, Functional
 
 
@@ -703,7 +703,7 @@ _CONFIG_FIELDS = {f.name: type(f.default) for f in fields(GameConfig)}
 
 
 def _theta(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return numbers(text) if text else ()
 
 
 def _event(text: str) -> Excession:
@@ -715,37 +715,24 @@ def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
                                       list[Excession]]:
     """Parse a flat key-value scenario: config fields, policy, events.
 
-    The text is read by `model.parse_config`.  Policy keys:
-    ``policy.family`` and ``policy.theta`` (comma separated).  Agent
-    order: ``agents.order``.  Events: ``event.<n> = round,kind,value``.
+    The lines are read by `model.parse_config` and the keys by
+    `model.read_key`.  Policy keys: ``policy.family`` and ``policy.theta``
+    (comma separated; empty for no levers).  Agent order:
+    ``agents.order``.  Events: ``event.<n> = round,kind,value``.
     """
     cfg = parse_config(text, "scenario")
-
-    def read(key, parse, expected, default=None):
-        """``parse`` of the value of ``key``; a value it cannot parse
-        raises RegsimError naming the key and the value."""
-        if key not in cfg:
-            return default
-        value = cfg.pop(key)
-        try:
-            return parse(value)
-        except ValueError:
-            reason = f"expected {expected}"
-        except RegsimError as exc:
-            reason = str(exc)
-        raise RegsimError(f"scenario: {key} = {value!r}: {reason}")
-
-    settings = {key: read(key, kind,
-                          "an integer" if kind is int else "a number")
+    settings = {key: read_key(cfg, "scenario", key, kind, error=RegsimError)
                 for key, kind in _CONFIG_FIELDS.items() if key in cfg}
     family = cfg.pop("policy.family", "none")
-    theta = read("policy.theta", _theta, "numbers separated by commas", ())
-    order = read("agents.order", int, "an integer", 0)
-    events = [read(key, _event, "round,kind,value with an integer round "
-                   "and a number value")
+    theta = read_key(cfg, "scenario", "policy.theta", _theta, (),
+                     expected=EXPECTED[numbers], error=RegsimError)
+    order = read_key(cfg, "scenario", "agents.order", int, 0,
+                     error=RegsimError)
+    events = [read_key(cfg, "scenario", key, _event, error=RegsimError,
+                       expected="round,kind,value with an integer round "
+                                "and a number value")
               for key in [k for k in cfg if k.startswith("event.")]]
-    if cfg:
-        raise RegsimError(f"scenario: unknown key {next(iter(cfg))!r}")
+    reject_unread(cfg, "scenario", RegsimError)
     return GameConfig(**settings), PolicySpec(family, theta), order, events
 
 

@@ -123,6 +123,14 @@ def test_enumerate_depth_and_partition_are_exclusive(capsys, depth):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("partition", ["x", "2,,1"])
+def test_unparsable_partition_names_the_flag(capsys, partition):
+    code, out, err = run(capsys, "enumerate", "--partition", partition)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: enumerate: --partition = {partition!r}: "
+                   "expected integers separated by commas\n")
+
+
 def test_enumerate_partition_report_has_no_depth(capsys, tmp_path):
     code, out, _ = run(capsys, "enumerate", "--partition", "3,1",
                        "--out", str(tmp_path))
@@ -323,6 +331,9 @@ def assert_exit_contract(code, out, err, caught):
     assert [str(w.message) for w in caught] == []
     assert code in (EXIT_OK, EXIT_FAILURE, EXIT_USAGE)
     assert err == "" or (err.startswith("grovekit: ") and err.count("\n") == 1)
+    # a value that does not parse is named, never left to Python's message
+    assert "invalid literal for" not in err
+    assert "could not convert string to float" not in err
     if code == EXIT_USAGE:
         assert out == ""
 
@@ -547,6 +558,10 @@ def test_invalid_scenario_is_usage_error(capsys, tmp_path, text):
     ("event.0 = 3,agent_influx", "event.0 = '3,agent_influx': " + EVENT_SHAPE),
     ("event.0 = 3,flood,1", "event.0 = '3,flood,1': "
      "unknown excession kind 'flood'"),
+    ("policy.family = fixed\npolicy.theta = 1,,0,1,1",
+     "policy.theta = '1,,0,1,1': expected numbers separated by commas"),
+    ("policy.family = slack1d\npolicy.theta = 0.2,",
+     "policy.theta = '0.2,': expected numbers separated by commas"),
 ])
 def test_scenario_parse_error_names_key_and_value(capsys, tmp_path, text,
                                                   message):
@@ -735,12 +750,18 @@ BAD_MODEL_FILES = [
     ("caps.3 = 1,1,1,1,1\n", "caps given for unsupported depths [3]"),
     ("caps.1 = 2,1,-5\n", "caps for depth 1 must be >= 0"),
     ("caps.1 = 2,1,1\ncaps.01 = 0,0,0\n", "caps for depth 1 given twice"),
+    ("lift_cost = x\n", "lift_cost = 'x': expected an integer"),
+    ("lift_cost = 1e18\n", "lift_cost = '1e18': expected an integer"),
+    ("caps.1 = 2,x,1\n",
+     "caps.1 = '2,x,1': expected integers separated by commas"),
+    ("caps.x = 2,1,1\n", "unknown key 'caps.x'"),
 ]
 
 
 @pytest.mark.parametrize("text,message", BAD_MODEL_FILES,
                          ids=["bad-boolean", "unused-depth", "negative-cap",
-                              "repeated-depth"])
+                              "repeated-depth", "cost-word", "cost-float",
+                              "cap-word", "depth-word"])
 def test_bad_model_value_is_usage_error(capsys, tmp_path, text, message):
     model = tmp_path / "model.txt"
     model.write_text(text)

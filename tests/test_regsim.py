@@ -541,6 +541,11 @@ def test_scenario_round_trip():
     assert events2 == events
 
 
+def test_empty_scenario_theta_means_no_levers():
+    policy = load_scenario("policy.theta =\n")[1]
+    assert (policy.family, policy.theta) == ("none", ())
+
+
 def test_scenario_rejects_unknown_keys():
     for line in ("nonsense = 1", "mode = sig tau(m1, m2, m3)"):
         with pytest.raises(RegsimError, match="unknown key"):
