@@ -23,8 +23,11 @@ from grovekit.model import (
     model_from_config,
     model_to_config,
     charges,
+    numbers,
     parse_config,
     rank,
+    read_key,
+    reject_unread,
 )
 
 
@@ -183,6 +186,33 @@ def test_parse_config_comments_and_repeated_keys():
         parse_config("a = 1\nb = 2\na = 1\n", "cfg")
     with pytest.raises(GroveError, match=r"cfg:2: expected 'key = value'"):
         parse_config("a = 1\nb\n", "cfg")
+
+
+def test_read_key_names_origin_key_and_value_in_the_loaders_error():
+    class LoaderError(Exception):
+        pass
+
+    def odd(text):
+        if text == "3":
+            raise LoaderError("three is odd")
+        return int(text)
+
+    cfg = {"a": "x", "b": "3", "c": "1,,2", "d": "5"}
+    assert read_key(cfg, "f", "absent", int, 7) == 7
+    with pytest.raises(GroveError, match=r"^f: a = 'x': expected an integer$"):
+        read_key(cfg, "f", "a", int)
+    with pytest.raises(LoaderError, match=r"^f: b = '3': three is odd$"):
+        read_key(cfg, "f", "b", odd, error=LoaderError)
+    with pytest.raises(GroveError, match=r"^f: c = '1,,2': expected numbers "
+                                         r"separated by commas$"):
+        read_key(cfg, "f", "c", numbers)
+    with pytest.raises(LoaderError, match=r"^f: unknown key 'd'$"):
+        reject_unread(cfg, "f", LoaderError)
+    assert read_key(cfg, "f", "d", int) == 5
+    reject_unread(cfg, "f")
+    with pytest.raises(GroveError, match=r": lift_cost = 'x': expected an "
+                                         r"integer$"):
+        model_from_config_text("lift_cost = x\n")
 
 
 def model_from_config_text(text: str) -> CostModel:

@@ -541,9 +541,13 @@ def test_scenario_round_trip():
     assert events2 == events
 
 
-def test_empty_scenario_theta_means_no_levers():
+def test_scenario_theta_may_be_empty_but_not_have_empty_pieces():
     policy = load_scenario("policy.theta =\n")[1]
     assert (policy.family, policy.theta) == ("none", ())
+    with pytest.raises(RegsimError, match=r"^scenario: policy.theta = '0.2,': "
+                                          r"expected numbers separated by "
+                                          r"commas$"):
+        load_scenario("policy.theta = 0.2,\n")
 
 
 def test_scenario_rejects_unknown_keys():
