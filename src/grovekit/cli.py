@@ -142,9 +142,9 @@ def cmd_situations(args) -> CommandResult:
 
 def cmd_info(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
-    scale = read_key(cfg, "info", "scale", float, 1.0)
-    samples = read_key(cfg, "info", "samples", int, 256)
-    span = read_key(cfg, "info", "span", float, 6.0)
+    scale = read_key(cfg, args.config, "scale", float, 1.0)
+    samples = read_key(cfg, args.config, "samples", int, 256)
+    span = read_key(cfg, args.config, "span", float, 6.0)
     reject_unread(cfg, args.config)
     # the expected information is 1/scale^2, so scale^2 must be in (0, inf)
     if not (scale > 0 and 0 < scale * scale < math.inf):
@@ -173,22 +173,33 @@ def _join(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
+def _read_vector(cfg, origin, key: str, default: tuple[float, ...]):
+    """The numbers of ``key``, which must be as many as ``default`` has."""
+    def parse(text):
+        values = numbers(text)
+        if len(values) != len(default):
+            raise ValueError
+        return values
+    return read_key(cfg, origin, key, parse, default,
+                    expected=f"{len(default)} numbers separated by commas")
+
+
 def cmd_critical(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("functional", "quadratic")
-    tol = read_key(cfg, "critical", "tol", float, 1e-6)
+    tol = read_key(cfg, args.config, "tol", float, 1e-6)
     if kind == "quadratic":
-        center = np.array(read_key(cfg, "critical", "center", numbers,
+        center = np.array(read_key(cfg, args.config, "center", numbers,
                                    (0.0, 0.0)))
         d = len(center)
         F = Functional(lambda t: float((t - center) @ (t - center)), d,
                        "quadratic")
-        theta0 = read_key(cfg, "critical", "theta0", numbers, (1.0,) * d)
+        theta0 = _read_vector(cfg, args.config, "theta0", (1.0,) * d)
     elif kind == "rosenbrock":
         F = Functional(
             lambda t: float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2),
             2, "rosenbrock")
-        theta0 = read_key(cfg, "critical", "theta0", numbers, (-1.2, 1.0))
+        theta0 = _read_vector(cfg, args.config, "theta0", (-1.2, 1.0))
     else:
         raise GroveError(f"critical: unknown functional {kind!r}")
     reject_unread(cfg, args.config)
@@ -210,20 +221,20 @@ def cmd_critical(args) -> CommandResult:
 def cmd_geodesic(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
     kind = cfg.pop("metric", "euclidean")
-    steps = read_key(cfg, "geodesic", "steps", int, 1000)
-    h = read_key(cfg, "geodesic", "h", float, 0.001)
+    steps = read_key(cfg, args.config, "steps", int, 1000)
+    h = read_key(cfg, args.config, "h", float, 0.001)
     if kind == "euclidean":
-        dim = read_key(cfg, "geodesic", "dimension", int, 2)
+        dim = read_key(cfg, args.config, "dimension", int, 2)
         if dim < 1:
             raise GroveError(f"geodesic: dimension must be >= 1, got {dim}")
         metric = euclidean_metric(dim)
-        start = read_key(cfg, "geodesic", "start", numbers, (0.0,) * dim)
-        velocity = read_key(cfg, "geodesic", "velocity", numbers,
-                            (1.0,) + (0.0,) * (dim - 1))
+        start = _read_vector(cfg, args.config, "start", (0.0,) * dim)
+        velocity = _read_vector(cfg, args.config, "velocity",
+                                (1.0,) + (0.0,) * (dim - 1))
     elif kind == "sphere":
         metric = sphere_metric()
-        start = read_key(cfg, "geodesic", "start", numbers, (math.pi / 2, 0.0))
-        velocity = read_key(cfg, "geodesic", "velocity", numbers, (0.0, 1.0))
+        start = _read_vector(cfg, args.config, "start", (math.pi / 2, 0.0))
+        velocity = _read_vector(cfg, args.config, "velocity", (0.0, 1.0))
     else:
         raise GroveError(f"geodesic: unknown metric {kind!r}")
     reject_unread(cfg, args.config)

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .infotheory import Axis, offset_pairs, smoothed_delta
+from .infotheory import (Axis, _central_differences, offset_pairs,
+                         smoothed_delta)
 
 
 class VariationalError(Exception):
@@ -149,25 +150,6 @@ def _is_diagonal(g: np.ndarray, diag: list[float]) -> bool:
     return np.count_nonzero(g) == len(diag) - diag.count(0.0)
 
 
-# LAPACK's ?syevd, behind eigvalsh, rescales a matrix whose largest |entry|
-# is positive and below RMIN or above RMAX, and the eigenvalues it returns
-# are then no longer exact; it derives both bounds from these constants.
-_SMLNUM = float(np.finfo(float).tiny / np.finfo(float).eps)
-_SYEVD_RMIN = math.sqrt(_SMLNUM)
-_SYEVD_RMAX = math.sqrt(1.0 / _SMLNUM)
-
-
-def _eigvalsh_keeps_diagonal(diag: list[float]) -> bool:
-    """True when eigvalsh of a diagonal matrix returns its entries exactly:
-    no entry is nan, and LAPACK does not rescale it.  An infinite entry
-    fails the metric checks on either route, with the same message."""
-    if any(map(math.isnan, diag)):
-        return False
-    largest = max(map(abs, diag))
-    return not (0 < largest < _SYEVD_RMIN
-                or _SYEVD_RMAX < largest < math.inf)
-
-
 @dataclass(frozen=True)
 class MetricField:
     """Pointwise symmetric positive-definite metric on lever space.
@@ -176,12 +158,12 @@ class MetricField:
     every point; `integrate_geodesic` then computes the connection once
     per path instead of at every RK4 stage.
 
-    Every call checks the matrix.  A diagonal matrix, such as the sphere
-    metric, is decided without LAPACK when LAPACK would not rescale it:
-    its eigenvalues are its diagonal entries.  `christoffel` inverts any
-    diagonal metric by taking the reciprocals of its entries.  Both give
-    the verdict and the bits the general route gives, save a connection
-    that is not finite (see `christoffel`).
+    Every call checks the matrix and names its first fault in the order
+    shape, finite, symmetric, positive-definite.  A diagonal matrix, such
+    as the sphere metric, is symmetric and its eigenvalues are exactly its
+    entries, so it is accepted iff its least entry exceeds MIN_EIGENVALUE,
+    without LAPACK.  `christoffel` inverts it by the reciprocals of its
+    entries, which give the bits of the general inverse.
     """
 
     dimension: int
@@ -199,24 +181,26 @@ class MetricField:
                 f"metric returned shape {g.shape}, expected "
                 f"({self.dimension}, {self.dimension})")
         diag = g.diagonal().tolist()
-        if _is_diagonal(g, diag) and _eigvalsh_keeps_diagonal(diag):
-            # symmetric, with its diagonal for eigenvalues; a nan on the
-            # diagonal goes the general way, where allclose calls it
-            # not symmetric
+        # a nan off the diagonal is nonzero, so it takes the general check
+        diagonal = _is_diagonal(g, diag)
+        if not (all(map(math.isfinite, diag)) if diagonal
+                else np.isfinite(g).all()):
+            raise VariationalError(f"metric is not finite at {p.tolist()}")
+        if diagonal:
             vals = sorted(diag)
         else:
             # exact equality implies allclose, so the cheap test decides first
             if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
                 raise VariationalError(
                     f"metric is not symmetric at {p.tolist()}")
-            # a non-finite entry makes eigvalsh fail or return nan or inf
+            # eigvalsh of a finite matrix may still overflow to inf or nan
             try:
                 vals = np.linalg.eigvalsh(g).tolist()
             except np.linalg.LinAlgError:
                 vals = [math.nan]
         if not (vals[0] > MIN_EIGENVALUE and vals[-1] < math.inf):
-            kind = "positive-definite" if np.isfinite(g).all() else "finite"
-            raise VariationalError(f"metric is not {kind} at {p.tolist()}")
+            raise VariationalError(
+                f"metric is not positive-definite at {p.tolist()}")
         return g
 
 
@@ -588,7 +572,7 @@ def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     # an overflow anywhere below leaves the sum inf or nan, which is
     # reported once as an error instead of as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        dlog_a = np.gradient(logf, da, axis=1)
+        dlog_a = _central_differences(logf, da, 1)
         score2 = dlog_a ** 2
         for x in group.generators:
             # the neighbours g x and g x^-1 of every element g

@@ -632,26 +632,48 @@ def test_geodesic_dimension_above_the_bound_is_a_computation_failure(
     ("info", "", "span", "6,0", "a number"),
     ("critical", "", "tol", "tight", "a number"),
     ("critical", "", "center", "1,x", "numbers separated by commas"),
-    ("critical", "", "theta0", "1,,2", "numbers separated by commas"),
+    ("critical", "", "theta0", "1,,2", "2 numbers separated by commas"),
     ("critical", "functional = rosenbrock\n", "theta0", "",
-     "numbers separated by commas"),
+     "2 numbers separated by commas"),
     ("geodesic", "", "steps", "1e3", "an integer"),
     ("geodesic", "", "h", "small", "a number"),
     ("geodesic", "", "dimension", "two", "an integer"),
-    ("geodesic", "", "start", "0;0", "numbers separated by commas"),
-    ("geodesic", "", "velocity", "1,o", "numbers separated by commas"),
+    ("geodesic", "", "start", "0;0", "2 numbers separated by commas"),
+    ("geodesic", "", "velocity", "1,o", "2 numbers separated by commas"),
     ("geodesic", "metric = sphere\n", "start", "pi/2,0",
-     "numbers separated by commas"),
+     "2 numbers separated by commas"),
     ("geodesic", "metric = sphere\n", "velocity", "0,one",
-     "numbers separated by commas"),
+     "2 numbers separated by commas"),
 ])
 def test_unparsable_numerics_value_names_its_key(
         capsys, tmp_path, command, base, key, value, expected):
     code, out, err = run_config(capsys, tmp_path, command,
                                 f"{base}{key} = {value}\n")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (f"grovekit: {command}: {key} = {value!r}: "
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: {key} = {value!r}: "
                    f"expected {expected}\n")
+
+
+@pytest.mark.parametrize("command,base,key,d", [
+    ("critical", "center = 1,2\n", "theta0", 2),
+    ("critical", "center = 1,2,3\n", "theta0", 3),
+    ("critical", "functional = rosenbrock\n", "theta0", 2),
+    ("geodesic", "", "start", 2),
+    ("geodesic", "", "velocity", 2),
+    ("geodesic", "dimension = 3\n", "start", 3),
+    ("geodesic", "dimension = 3\n", "velocity", 3),
+    ("geodesic", "metric = sphere\n", "start", 2),
+    ("geodesic", "metric = sphere\n", "velocity", 2),
+])
+@pytest.mark.parametrize("count", ["short", "long"])
+def test_vector_of_the_wrong_length_is_a_usage_error(
+        capsys, tmp_path, command, base, key, d, count):
+    value = ",".join(["0.5"] * (d - 1 if count == "short" else d + 1))
+    code, out, err = run_config(capsys, tmp_path, command,
+                                f"{base}{key} = {value}\n")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: {key} = {value!r}: "
+                   f"expected {d} numbers separated by commas\n")
 
 
 @pytest.mark.parametrize("dimension", [0, -1])

@@ -173,7 +173,7 @@ def test_christoffel_keeps_a_non_finite_bracket_in_its_own_rows():
 @pytest.mark.parametrize("start,velocity,error", [
     ([0.0, 0.2], [1.0, 0.0], "path is not finite at step 8"),
     ([0.1, 0.2], [1.0, 0.0],
-     "metric failed at step 0: metric is not symmetric at [nan, nan]"),
+     "metric failed at step 0: metric is not finite at [nan, nan]"),
     ([-0.01, 0.2], [1.0, 1.0],
      "metric failed at step 0: metric is not finite at "
      "[-2.5000000000005014e+302, 0.20545454545454556]"),
@@ -411,12 +411,13 @@ def _square_matrices(draw):
     return sym
 
 
-def _accepted_as_symmetric(g):
+def _complaint(g):
+    """What `MetricField` says of g at the origin, or None if it accepts g."""
     try:
         MetricField(len(g), lambda p: g)(np.zeros(len(g)))
     except VariationalError as exc:
-        return "not symmetric" not in str(exc)
-    return True
+        return str(exc)
+    return None
 
 
 @given(_square_matrices())
@@ -430,21 +431,23 @@ def _accepted_as_symmetric(g):
 @example(np.array([[math.inf, 0.0], [0.0, 1.0]]))
 @example(np.array([[math.inf]]))
 def test_symmetry_verdict_matches_allclose(g):
+    # a matrix that is not finite fails before its symmetry is asked
+    point = np.zeros(len(g)).tolist()
     with np.errstate(all="ignore"):
-        assert _accepted_as_symmetric(g) == np.allclose(g, g.T, atol=0.0)
+        complaint = _complaint(g)
+        if not np.isfinite(g).all():
+            assert complaint == f"metric is not finite at {point}"
+            return
+        assert ((complaint != f"metric is not symmetric at {point}")
+                == np.allclose(g, g.T, atol=0.0))
 
 
-def _eigvalsh_verdict(g):
-    """The general route's complaint about g, or None when it accepts g."""
-    if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
-        return "not symmetric"
-    try:
-        vals = np.linalg.eigvalsh(g).tolist()
-    except np.linalg.LinAlgError:
-        vals = [math.nan]
-    if vals[0] > MIN_EIGENVALUE and vals[-1] < math.inf:
-        return None
-    return "not positive-definite" if np.isfinite(g).all() else "not finite"
+def _diagonal_verdict(diag):
+    """The complaint about diag(diag), or None when it is a metric: the
+    eigenvalues of a diagonal matrix are exactly its entries."""
+    if not all(map(math.isfinite, diag)):
+        return "not finite"
+    return None if min(diag) > MIN_EIGENVALUE else "not positive-definite"
 
 
 _DIAGONAL_ENTRIES = (
@@ -459,7 +462,8 @@ _DIAGONAL_ENTRIES = (
     arrays(bool, (d, d)))))
 @example(([1e308, np.nextafter(1e-9, math.inf)], np.zeros((2, 2), bool)))
 @example(([math.nan, 1.0], np.ones((2, 2), bool)))
-# eigvalsh rescales a largest |entry| above 2**485 and returns [1e-09, ...]
+# eigvalsh rescales a largest |entry| above 2**485 and returns [1e-09, ...];
+# the exact least eigenvalue is above MIN_EIGENVALUE
 @example(([1.0000000000000003e-09, 8.247890858892686e+214],
           np.zeros((2, 2), bool)))
 # LAPACK's rescaling bounds, 2**485 and 2**-485, and the floats past them
@@ -472,8 +476,7 @@ def test_diagonal_verdict_matches_eigvalsh(data):
     diag, negative = data
     g = np.diag(diag)
     g[negative & ~np.eye(len(diag), dtype=bool)] = -0.0
-    with np.errstate(all="ignore"):
-        expected = _eigvalsh_verdict(g)
+    expected = _diagonal_verdict(diag)
     point = np.zeros(len(diag))
     if expected is not None:
         with pytest.raises(VariationalError) as err:
@@ -485,6 +488,43 @@ def test_diagonal_verdict_matches_eigvalsh(data):
     assert (np.diag(1.0 / g.diagonal()).tobytes()
             == np.linalg.inv(g).tobytes()
             == np.linalg.inv(np.diag(diag)).tobytes())
+
+
+@pytest.mark.parametrize("diag", [
+    [1.0000000000000003e-09, 8.247890858892686e+214],
+    [1.0000000000000003e-09, np.nextafter(2.0 ** 485, math.inf)]],
+    ids=["8e214", "past-2**485"])
+def test_extreme_diagonal_metric_gets_the_exact_verdict(diag):
+    # eigvalsh rescales these and would call them not positive-definite
+    g = np.diag(diag)
+    assert MetricField(2, lambda p: g)([0.0, 0.0]) is g
+
+
+@st.composite
+def _non_finite_metrics(draw):
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("random", "symmetric", "diagonal")))
+    g = draw(arrays(float, (d, d), elements=st.floats(width=64)))
+    if kind == "symmetric":
+        g = np.triu(g) + np.triu(g, 1).T
+    elif kind == "diagonal":
+        g = np.diag(g.diagonal())
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    g[i, j] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    point = draw(arrays(float, d, elements=_signed))
+    return g, point
+
+
+@given(_non_finite_metrics())
+@example((np.array([[1.0, math.nan], [math.nan, 1.0]]), np.zeros(2)))
+@example((np.array([[math.nan]]), np.zeros(1)))
+def test_metric_with_a_non_finite_entry_is_not_finite(case):
+    g, point = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VariationalError) as err:
+            MetricField(len(g), lambda p: g)(point)
+    assert str(err.value) == f"metric is not finite at {point.tolist()}"
 
 
 @pytest.mark.parametrize("matrix", [[[math.inf, 0.0], [0.0, 1.0]],
