@@ -43,7 +43,7 @@ from .infotheory import (
 )
 from .model import (CostModel, integers, load_config, model_from_config,
                     numbers, read_key, reject_unread)
-from .regsim import RegsimError, load_scenario, optimize_slack, run_episode
+from .regsim import load_scenario, optimize_slack, run_episode
 from .variational import (
     CriticalityError,
     Functional,
@@ -256,8 +256,7 @@ def cmd_geodesic(args) -> CommandResult:
 
 def _scenario_from_args(args):
     if args.config:
-        with open(args.config) as handle:
-            config, policy, order, events = load_scenario(handle.read())
+        config, policy, order, events = load_scenario(args.config)
     else:
         config, policy, order, events = regsim.GameConfig(), regsim.NO_LAW, 0, []
     if args.seed is not None:
@@ -376,7 +375,7 @@ def main(argv=None) -> int:
                                       f"{args.subcommand}-report.txt"), report)
             for name, text in files.items():
                 write_atomic(os.path.join(args.out, name), text)
-    except (OSError, KeyError, ValueError, RegsimError, GroveError) as exc:
+    except (OSError, KeyError, ValueError, GroveError) as exc:
         sys.stderr.write(f"grovekit: {exc}\n")
         return EXIT_USAGE
     except (VariationalError, infotheory.InfoError) as exc:

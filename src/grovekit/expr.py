@@ -20,9 +20,8 @@ class GroveError(Exception):
     """Base error for expression construction and algebra.
 
     It is also the usage error for input files and the CLI's own checks:
-    a line of a model, config or scenario file, a key or value of a model
-    or config file, and a value a command rejects.  (A scenario's keys
-    raise `regsim.RegsimError`.)
+    a line, key or value of a model, config or scenario file, and a value
+    a command rejects.  `regsim.RegsimError` is a GroveError.
     """
 
 

@@ -132,30 +132,25 @@ def rank(expr: TopologyExpr, model: CostModel | None = None) -> int:
 # flat key-value config files
 # ---------------------------------------------------------------------------
 
-def parse_config(text: str, origin: str = "<config>") -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment anywhere.
+def load_config(path: str | Path) -> dict[str, str]:
+    """Read flat ``key = value`` lines from ``path``; '#' starts a comment.
 
     This is the one reader of the lines of model, config and scenario
     files, and `read_key` and `reject_unread` of their keys.  A key given
     twice is an error, so no line is silently dropped.
     """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise GroveError(f"{origin}:{lineno}: expected 'key = value'")
+            raise GroveError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in out:
-            raise GroveError(f"{origin}:{lineno}: repeated key {key!r}")
+            raise GroveError(f"{path}:{lineno}: repeated key {key!r}")
         out[key] = value
     return out
-
-
-def load_config(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` text file; '#' starts a comment."""
-    return parse_config(Path(path).read_text(), origin=str(path))
 
 
 def numbers(text: str) -> tuple[float, ...]:
@@ -173,13 +168,12 @@ EXPECTED = {int: "an integer", float: "a number",
 
 
 def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
-             default=None, expected: str | None = None,
-             error: type[Exception] = GroveError):
+             default=None, expected: str | None = None):
     """``parse`` of the value of ``key``, popped from ``cfg``, or ``default``.
 
-    A value ``parse`` rejects raises ``error`` naming origin, key, value and
-    what was ``expected`` (``EXPECTED[parse]`` unless given), or the message
-    of an ``error`` the parser raised."""
+    A value ``parse`` rejects raises `GroveError` naming origin, key, value
+    and what was ``expected`` (``EXPECTED[parse]`` unless given), or the
+    message of a `GroveError` the parser raised."""
     if key not in cfg:
         return default
     value = cfg.pop(key)
@@ -187,16 +181,15 @@ def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
         return parse(value)
     except ValueError:
         reason = f"expected {expected or EXPECTED[parse]}"
-    except error as exc:
+    except GroveError as exc:
         reason = str(exc)
-    raise error(f"{origin}: {key} = {value!r}: {reason}")
+    raise GroveError(f"{origin}: {key} = {value!r}: {reason}")
 
 
-def reject_unread(cfg: dict[str, str], origin: str | Path | None,
-                  error: type[Exception] = GroveError) -> None:
+def reject_unread(cfg: dict[str, str], origin: str | Path | None) -> None:
     """Fail on a key left in ``cfg``: its loader pops each key it reads."""
     if cfg:
-        raise error(f"{origin}: unknown key {next(iter(cfg))!r}")
+        raise GroveError(f"{origin}: unknown key {next(iter(cfg))!r}")
 
 
 def model_from_config(path: str | Path) -> CostModel:

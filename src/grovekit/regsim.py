@@ -26,17 +26,19 @@ from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from functools import reduce
 from itertools import chain
 from operator import add, index
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import variational
-from .model import EXPECTED, numbers, parse_config, read_key, reject_unread
+from .expr import GroveError
+from .model import EXPECTED, load_config, numbers, read_key, reject_unread
 from .variational import CriticalityError, Functional
 
 
-class RegsimError(Exception):
-    pass
+class RegsimError(GroveError):
+    """A game, law, policy or event value out of range: a usage error."""
 
 
 #: most agents one game holds, configured and influx agents together
@@ -711,28 +713,27 @@ def _event(text: str) -> Excession:
     return Excession(int(rnd), kind, float(value))
 
 
-def load_scenario(text: str) -> tuple[GameConfig, PolicySpec, int,
-                                      list[Excession]]:
-    """Parse a flat key-value scenario: config fields, policy, events.
+def load_scenario(path: str | Path) -> tuple[GameConfig, PolicySpec, int,
+                                             list[Excession]]:
+    """Read a flat key-value scenario file: config fields, policy, events.
 
-    The lines are read by `model.parse_config` and the keys by
+    The lines are read by `model.load_config` and the keys by
     `model.read_key`.  Policy keys: ``policy.family`` and ``policy.theta``
     (comma separated; empty for no levers).  Agent order:
     ``agents.order``.  Events: ``event.<n> = round,kind,value``.
     """
-    cfg = parse_config(text, "scenario")
-    settings = {key: read_key(cfg, "scenario", key, kind, error=RegsimError)
+    cfg = load_config(path)
+    settings = {key: read_key(cfg, path, key, kind)
                 for key, kind in _CONFIG_FIELDS.items() if key in cfg}
     family = cfg.pop("policy.family", "none")
-    theta = read_key(cfg, "scenario", "policy.theta", _theta, (),
-                     expected=EXPECTED[numbers], error=RegsimError)
-    order = read_key(cfg, "scenario", "agents.order", int, 0,
-                     error=RegsimError)
-    events = [read_key(cfg, "scenario", key, _event, error=RegsimError,
+    theta = read_key(cfg, path, "policy.theta", _theta, (),
+                     expected=EXPECTED[numbers])
+    order = read_key(cfg, path, "agents.order", int, 0)
+    events = [read_key(cfg, path, key, _event,
                        expected="round,kind,value with an integer round "
                                 "and a number value")
               for key in [k for k in cfg if k.startswith("event.")]]
-    reject_unread(cfg, "scenario", RegsimError)
+    reject_unread(cfg, path)
     return GameConfig(**settings), PolicySpec(family, theta), order, events
 
 

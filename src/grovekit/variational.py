@@ -163,7 +163,9 @@ class MetricField:
     as the sphere metric, is symmetric and its eigenvalues are exactly its
     entries, so it is accepted iff its least entry exceeds MIN_EIGENVALUE,
     without LAPACK.  `christoffel` inverts it by the reciprocals of its
-    entries, which give the bits of the general inverse.
+    entries, which give the bits of the general inverse.  Any other matrix
+    is accepted iff the least eigenvalue `eigvalsh` gives exceeds
+    MIN_EIGENVALUE, even when its largest one overflows to inf.
     """
 
     dimension: int
@@ -193,12 +195,12 @@ class MetricField:
             if not ((g == g.T).all() or np.allclose(g, g.T, atol=0.0)):
                 raise VariationalError(
                     f"metric is not symmetric at {p.tolist()}")
-            # eigvalsh of a finite matrix may still overflow to inf or nan
+            # eigvalsh of a finite matrix may overflow; the least value decides
             try:
                 vals = np.linalg.eigvalsh(g).tolist()
             except np.linalg.LinAlgError:
                 vals = [math.nan]
-        if not (vals[0] > MIN_EIGENVALUE and vals[-1] < math.inf):
+        if not vals[0] > MIN_EIGENVALUE:
             raise VariationalError(
                 f"metric is not positive-definite at {p.tolist()}")
         return g

@@ -562,12 +562,17 @@ def test_invalid_scenario_is_usage_error(capsys, tmp_path, text):
      "policy.theta = '1,,0,1,1': expected numbers separated by commas"),
     ("policy.family = slack1d\npolicy.theta = 0.2,",
      "policy.theta = '0.2,': expected numbers separated by commas"),
+    ("bogus = 1", "unknown key 'bogus'"),
+    ("rounds = 40\nrounds = 50", "2: repeated key 'rounds'"),
 ])
 def test_scenario_parse_error_names_key_and_value(capsys, tmp_path, text,
                                                   message):
     code, out, err = run_config(capsys, tmp_path, "simulate", text + "\n")
+    # a line-level fault names its line after the path: "<path>:2: ..."
+    path = tmp_path / "config.txt"
+    where = f"{path}:" if message[0].isdigit() else f"{path}: "
     assert (code, out, err) == (EXIT_USAGE, "",
-                                f"grovekit: scenario: {message}\n")
+                                f"grovekit: {where}{message}\n")
 
 
 def test_influx_must_be_a_whole_count(capsys, tmp_path):
@@ -827,7 +832,7 @@ def test_optimize_plays_the_scenario_events(capsys, tmp_path):
     code, out, err = run_config(capsys, tmp_path, "optimize", shocked)
     assert (code, err) == (EXIT_OK, "")
     report = _report(out)
-    config, _, order, events = load_scenario(shocked)
+    config, _, order, events = load_scenario(tmp_path / "config.txt")
     assert events
     theta = (float(report["theta"]),)
     assert float(report["welfare"]) == mean_welfare(

@@ -16,6 +16,7 @@ from grovekit.enumeration import (
     verify_against_table,
 )
 from grovekit.expr import GroveError, parse, render
+from grovekit.regsim import RegsimError
 from grovekit.model import (
     DEFAULT_CAPS,
     DEFAULT_EXCLUSIONS,
@@ -23,8 +24,8 @@ from grovekit.model import (
     model_from_config,
     model_to_config,
     charges,
+    load_config,
     numbers,
-    parse_config,
     rank,
     read_key,
     reject_unread,
@@ -179,35 +180,40 @@ def test_cost_model_caps_cover_every_depth():
         CostModel(caps={**DEFAULT_CAPS, 1: (2, 1, -5)})
 
 
-def test_parse_config_comments_and_repeated_keys():
-    text = "# header\na = 1  # note\n\n  b=two words # x\nc =\n"
-    assert parse_config(text) == {"a": "1", "b": "two words", "c": ""}
-    with pytest.raises(GroveError, match=r"cfg:3: repeated key 'a'"):
-        parse_config("a = 1\nb = 2\na = 1\n", "cfg")
-    with pytest.raises(GroveError, match=r"cfg:2: expected 'key = value'"):
-        parse_config("a = 1\nb\n", "cfg")
+def test_load_config_comments_and_repeated_keys(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("# header\na = 1  # note\n\n  b=two words # x\nc =\n")
+    assert load_config(path) == {"a": "1", "b": "two words", "c": ""}
+    path.write_text("a = 1\nb = 2\na = 1\n")
+    with pytest.raises(GroveError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:3: repeated key 'a'"
+    path.write_text("a = 1\nb\n")
+    with pytest.raises(GroveError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}:2: expected 'key = value'"
 
 
 def test_read_key_names_origin_key_and_value_in_the_loaders_error():
-    class LoaderError(Exception):
-        pass
+    # a scenario's parsers raise RegsimError, a GroveError, for a bad value
+    assert issubclass(RegsimError, GroveError)
 
     def odd(text):
         if text == "3":
-            raise LoaderError("three is odd")
+            raise RegsimError("three is odd")
         return int(text)
 
     cfg = {"a": "x", "b": "3", "c": "1,,2", "d": "5"}
     assert read_key(cfg, "f", "absent", int, 7) == 7
     with pytest.raises(GroveError, match=r"^f: a = 'x': expected an integer$"):
         read_key(cfg, "f", "a", int)
-    with pytest.raises(LoaderError, match=r"^f: b = '3': three is odd$"):
-        read_key(cfg, "f", "b", odd, error=LoaderError)
+    with pytest.raises(GroveError, match=r"^f: b = '3': three is odd$"):
+        read_key(cfg, "f", "b", odd)
     with pytest.raises(GroveError, match=r"^f: c = '1,,2': expected numbers "
                                          r"separated by commas$"):
         read_key(cfg, "f", "c", numbers)
-    with pytest.raises(LoaderError, match=r"^f: unknown key 'd'$"):
-        reject_unread(cfg, "f", LoaderError)
+    with pytest.raises(GroveError, match=r"^f: unknown key 'd'$"):
+        reject_unread(cfg, "f")
     assert read_key(cfg, "f", "d", int) == 5
     reject_unread(cfg, "f")
     with pytest.raises(GroveError, match=r": lift_cost = 'x': expected an "

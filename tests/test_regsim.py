@@ -1,6 +1,8 @@
 import math
+import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,9 +106,15 @@ def _as_numpy(value):
     return np.int64(value) if type(value) is int else np.float64(value)
 
 
+def _scenario_file(directory, text):
+    path = Path(directory) / "scenario.txt"
+    path.write_text(text)
+    return path
+
+
 @pytest.mark.parametrize("capacity", [100.0, 100])
 @pytest.mark.parametrize("theta", [(0.2,), (2.0, 0.1, 0.5, 1.5), (2, 0, 1, 1)])
-def test_numpy_scalars_run_as_their_python_numbers(capacity, theta):
+def test_numpy_scalars_run_as_their_python_numbers(capacity, theta, tmp_path):
     # a numpy scalar is stored as its .item(), so no np.float64(...) repr
     # reaches a trace cell, an event or a scenario file
     config = GameConfig(n_agents=3, capacity=capacity, regrowth=0.2,
@@ -127,7 +135,8 @@ def test_numpy_scalars_run_as_their_python_numbers(capacity, theta):
     assert repr(numpy.welfare) == repr(plain.welfare)
     text = dump_scenario(numpy_config, numpy_policy, 2, numpy_events)
     assert text == dump_scenario(config, policy, 2, events)
-    assert load_scenario(text) == (numpy_config, numpy_policy, 2, numpy_events)
+    assert load_scenario(_scenario_file(tmp_path, text)) == (
+        numpy_config, numpy_policy, 2, numpy_events)
 
 
 @pytest.mark.parametrize("family,theta", [
@@ -209,13 +218,13 @@ def test_law_validation():
 
 @pytest.mark.parametrize("theta", [(-1.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, 1.0),
                                    (1.0, 0.0, 1.5, 1.0), (1.0, 0.0, 1.0, -1.0)])
-def test_fixed_policy_rejects_invalid_law(theta):
+def test_fixed_policy_rejects_invalid_law(theta, tmp_path):
     # the fixed family's law is validated once, when the policy is made
     with pytest.raises(RegsimError):
         PolicySpec("fixed", theta)
     text = "policy.family = fixed\npolicy.theta = " + ",".join(map(repr, theta))
     with pytest.raises(RegsimError):
-        load_scenario(text + "\n")
+        load_scenario(_scenario_file(tmp_path, text + "\n"))
 
 
 def test_fixed_policy_builds_its_law_once():
@@ -528,12 +537,13 @@ def test_interior_enforcement_with_inspection_cost():
     assert 0.0 < best_q < 1.0
 
 
-def test_scenario_round_trip():
+def test_scenario_round_trip(tmp_path):
     cfg = GameConfig(seed=9, rounds=123)
     policy = PolicySpec("slack1d", (0.25,))
     events = [Excession(50, "regrowth_change", 0.1)]
     text = dump_scenario(cfg, policy, 2, events)
-    cfg2, policy2, order, events2 = load_scenario(text)
+    loaded = load_scenario(_scenario_file(tmp_path, text))
+    cfg2, policy2, order, events2 = loaded
     assert cfg2 == cfg
     assert policy2.family == "slack1d"
     assert policy2.theta == (0.25,)
@@ -541,28 +551,34 @@ def test_scenario_round_trip():
     assert events2 == events
 
 
-def test_scenario_theta_may_be_empty_but_not_have_empty_pieces():
-    policy = load_scenario("policy.theta =\n")[1]
+def test_scenario_theta_may_be_empty_but_not_have_empty_pieces(tmp_path):
+    policy = load_scenario(_scenario_file(tmp_path, "policy.theta =\n"))[1]
     assert (policy.family, policy.theta) == ("none", ())
-    with pytest.raises(RegsimError, match=r"^scenario: policy.theta = '0.2,': "
-                                          r"expected numbers separated by "
-                                          r"commas$"):
-        load_scenario("policy.theta = 0.2,\n")
+    path = _scenario_file(tmp_path, "policy.theta = 0.2,\n")
+    with pytest.raises(GroveError) as err:
+        load_scenario(path)
+    assert str(err.value) == (f"{path}: policy.theta = '0.2,': expected "
+                              f"numbers separated by commas")
 
 
-def test_scenario_rejects_unknown_keys():
+def test_scenario_rejects_unknown_keys(tmp_path):
     for line in ("nonsense = 1", "mode = sig tau(m1, m2, m3)"):
-        with pytest.raises(RegsimError, match="unknown key"):
-            load_scenario(line + "\n")
+        path = _scenario_file(tmp_path, line + "\n")
+        with pytest.raises(GroveError) as err:
+            load_scenario(path)
+        assert str(err.value) == f"{path}: unknown key {line.split()[0]!r}"
 
 
-def test_scenario_reads_comments_and_rejects_repeated_keys():
-    config, _, _, events = load_scenario(
-        "rounds = 40  # short\n# whole line\nevent.0 = 5,null,0  # x\n")
+def test_scenario_reads_comments_and_rejects_repeated_keys(tmp_path):
+    config, _, _, events = load_scenario(_scenario_file(
+        tmp_path,
+        "rounds = 40  # short\n# whole line\nevent.0 = 5,null,0  # x\n"))
     assert config.rounds == 40
     assert events == [Excession(5, "null", 0.0)]
-    with pytest.raises(GroveError, match=r"scenario:2: repeated key 'event.0'"):
-        load_scenario("event.0 = 5,null,0\nevent.0 = 9,null,0\n")
+    path = _scenario_file(tmp_path, "event.0 = 5,null,0\nevent.0 = 9,null,0\n")
+    with pytest.raises(GroveError) as err:
+        load_scenario(path)
+    assert str(err.value) == f"{path}:2: repeated key 'event.0'"
 
 
 def test_trace_csv_shape():
@@ -651,7 +667,9 @@ _events = st.lists(st.builds(
 
 @given(_configs, _policies, st.sampled_from((0, 1, 2)), _events)
 def test_scenario_round_trip_property(config, policy, order, events):
-    loaded = load_scenario(dump_scenario(config, policy, order, events))
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_scenario(_scenario_file(
+            tmp, dump_scenario(config, policy, order, events)))
     assert loaded == (config, policy, order, events)
 
 

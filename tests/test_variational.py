@@ -500,6 +500,34 @@ def test_extreme_diagonal_metric_gets_the_exact_verdict(diag):
     assert MetricField(2, lambda p: g)([0.0, 0.0]) is g
 
 
+#: entries at and near the float maximum, whose eigenvalues may overflow
+_HUGE_ENTRIES = (1.7976931348623157e308, 1.7e308, 1e308, -1e308, 8e307)
+
+
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    arrays(float, (d, d), elements=st.one_of(
+        st.sampled_from(_HUGE_ENTRIES),
+        st.floats(allow_nan=False, allow_infinity=False))),
+    st.one_of(st.sampled_from(_HUGE_ENTRIES), st.floats(1e-300, 1e308)))))
+@example((np.array([[1.7e308, 0.0], [0.0, 1.7e308]]), 1e308))
+def test_finite_metric_is_accepted_iff_its_least_eigenvalue_passes(data):
+    # a nonzero off-diagonal entry sends the matrix to eigvalsh, whose
+    # largest eigenvalue may overflow to inf while the matrix is a metric
+    a, off = data
+    g = np.triu(a) + np.triu(a, 1).T
+    g[0, 1] = g[1, 0] = off
+    try:
+        accepted = np.linalg.eigvalsh(g)[0] > MIN_EIGENVALUE
+    except np.linalg.LinAlgError:
+        accepted = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        complaint = _complaint(g)
+    point = np.zeros(len(g)).tolist()
+    assert complaint == (None if accepted
+                         else f"metric is not positive-definite at {point}")
+
+
 @st.composite
 def _non_finite_metrics(draw):
     d = draw(st.integers(1, 4))
