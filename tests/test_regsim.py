@@ -542,8 +542,8 @@ def test_scenario_round_trip(tmp_path):
     policy = PolicySpec("slack1d", (0.25,))
     events = [Excession(50, "regrowth_change", 0.1)]
     text = dump_scenario(cfg, policy, 2, events)
-    loaded = load_scenario(_scenario_file(tmp_path, text))
-    cfg2, policy2, order, events2 = loaded
+    cfg2, policy2, order, events2 = load_scenario(
+        _scenario_file(tmp_path, text))
     assert cfg2 == cfg
     assert policy2.family == "slack1d"
     assert policy2.theta == (0.25,)
