@@ -178,25 +178,34 @@ def grid(*axes: tuple[str, float, float, int]) -> GridSpec:
     return GridSpec(tuple(Axis(*a) for a in axes))
 
 
+def _checked_mass(grid: GridSpec, values: np.ndarray, eps: float) -> float:
+    """The mass of ``values`` on ``grid``, once their shape, the width
+    ``eps`` and the values themselves pass every check of a distribution."""
+    if values.shape != grid.shape:
+        raise InfoError(
+            f"value shape {values.shape} does not match grid {grid.shape}")
+    if not 0 < eps < math.inf:
+        raise InfoError(
+            f"smoothing width must lie in (0, inf), got {eps!r}")
+    if np.any(values < 0) or not np.all(np.isfinite(values)):
+        raise InfoError("density values must be finite and nonnegative")
+    total = values.sum() * grid.cell_volume
+    if total <= 0:
+        raise InfoError("density has zero mass on the grid")
+    return total
+
+
 class GridDistribution:
     """A normalised nonnegative density sampled on a GridSpec."""
 
     def __init__(self, grid: GridSpec, values: np.ndarray, eps: float):
         values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise InfoError(
-                f"value shape {values.shape} does not match grid {grid.shape}")
-        if not 0 < eps < math.inf:
-            raise InfoError(
-                f"smoothing width must lie in (0, inf), got {eps!r}")
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise InfoError("density values must be finite and nonnegative")
-        total = values.sum() * grid.cell_volume
-        if total <= 0:
-            raise InfoError("density has zero mass on the grid")
+        self._hold(grid, values / _checked_mass(grid, values, eps), eps)
+
+    def _hold(self, grid: GridSpec, values: np.ndarray, eps: float) -> None:
+        values.setflags(write=False)
         self.grid = grid
-        self.values = values / total
-        self.values.setflags(write=False)
+        self.values = values
         self.eps = eps
 
     @property
@@ -266,13 +275,15 @@ class GridDistribution:
             raise InfoError(f"distribution text has {found} cells, "
                             f"its grid {spec.shape} has {size}")
         values = values.reshape(spec.shape)
-        dist = cls(spec, values, eps)
+        total = _checked_mass(spec, values, eps)
         # Dumped values are normalised already, and dividing them by their
         # mass once more would move their last bits: keep them as stored.
-        if math.isclose(float(values.sum()) * spec.cell_volume, 1.0,
-                        rel_tol=NORMALISED_REL_TOL):
-            values.setflags(write=False)
-            dist.values = values
+        # Any other text is normalised in place, to the bits `__init__`'s
+        # division gives.
+        if not math.isclose(total, 1.0, rel_tol=NORMALISED_REL_TOL):
+            values /= total
+        dist = cls.__new__(cls)
+        dist._hold(spec, values, eps)
         return dist
 
 

@@ -430,13 +430,16 @@ def _chunked(key: list[int], method: str, *args: float) -> Iterator[float]:
     return chain.from_iterable(chunks())
 
 
-def step(state: GameState, law: Law | None) -> dict:
-    """Play one round under ``law``; returns its record for the trace.
+def step(state: GameState,
+         law: Law | None) -> tuple[list[float], list[float]]:
+    """Play one round under ``law``; returns its fresh ``(allowed,
+    penalties)`` lists, one entry per agent that ever joined.
 
     Each active agent decides, then is enforced: its enforcement stream
     is drawn only for a request above the law's tolerance.  The loops walk
     ``state.playing``, so a round costs in proportion to the agents still
-    playing; only the row's tuples span every agent that ever joined.
+    playing.  `step` builds no record: `run_episode` alone does, and only
+    when its caller keeps the trace.
     """
     cfg = state.config
     agents, active, playing = state.agents, state.active, state.playing
@@ -489,14 +492,7 @@ def step(state: GameState, law: Law | None) -> dict:
             playing.remove((turn, agents[turn]))
             state.events.append(f"{state.round}:exit:{turn}")
     state.round += 1
-    return {
-        "round": state.round,
-        "resource": resource,
-        "extraction": tuple(allowed),
-        "penalty": tuple(penalties),
-        "active": tuple(active),
-        "law": law,
-    }
+    return allowed, penalties
 
 
 @dataclass(frozen=True)
@@ -571,13 +567,17 @@ MAX_REPRS = 1024
 
 
 def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
-                events: Sequence[Excession] = ()) -> Trace:
+                events: Sequence[Excession] = (), *,
+                keep_rows: bool = True) -> Trace:
     """Play one seeded episode of ``config.n_agents`` agents of ``order``
     and return its trace with welfare.
 
     Welfare is total realized utility plus the retention bonus per
     agent-round spent inside the game, minus inspection costs when the
-    config charges them.
+    config charges them.  A row per round records the resource, each
+    agent's extraction, penalty and active flag after the round's exit
+    check, and the law; with ``keep_rows`` false none is built and
+    ``Trace.rows`` is ``()``, with every other field bit for bit the same.
     """
     state = GameState.initial(config, order)
     by_round = {}
@@ -600,7 +600,16 @@ def run_episode(config: GameConfig, policy: PolicySpec, order: int = 0,
         if law is not None and state.config.inspection_cost > 0:
             inspection += (state.config.inspection_cost
                            * law.enforcement * n_active)
-        rows.append(step(state, law))
+        allowed, penalties = step(state, law)
+        if keep_rows:
+            rows.append({
+                "round": state.round,
+                "resource": state.resource,
+                "extraction": tuple(allowed),
+                "penalty": tuple(penalties),
+                "active": tuple(state.active),
+                "law": law,
+            })
     # left to right, as `step` sums
     total_utility = reduce(add, [a.utility for a in state.agents], 0.0)
     welfare = (total_utility
@@ -620,7 +629,8 @@ def mean_welfare(config: GameConfig, policy: PolicySpec,
     total = 0.0
     for s in seeds:
         cfg = replace(config, seed=int(s))
-        total += run_episode(cfg, policy, order, events).welfare
+        total += run_episode(cfg, policy, order, events,
+                             keep_rows=False).welfare
     return total / len(seeds)
 
 

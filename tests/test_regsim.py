@@ -739,6 +739,32 @@ def _episodes(draw):
     return config, policy, draw(st.sampled_from((0, 1, 2))), events
 
 
+@settings(max_examples=60, deadline=None)
+@given(_episodes())
+def test_an_episode_without_rows_keeps_every_other_bit(episode):
+    config, policy, order, events = episode
+    kept = run_episode(config, policy, order, events)
+    bare = run_episode(config, policy, order, events, keep_rows=False)
+    assert bare.rows == ()
+    for name in ("welfare", "total_utility", "retained_rounds",
+                 "inspection_charge", "events"):
+        assert repr(getattr(bare, name)) == repr(getattr(kept, name))
+
+
+def test_mean_welfare_holds_no_rows():
+    # a trace keeps about 780 B per round of this 8-agent episode, so
+    # holding its rows would take about 15 MiB
+    config = GameConfig(rounds=20_000)
+    policy = PolicySpec("slack1d", (0.3,))
+    tracemalloc.start()
+    try:
+        mean_welfare(config, policy, (1,), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @settings(max_examples=40, deadline=None)
 @given(_episodes())
 def test_trace_csv_round_trip_property(episode):
@@ -816,9 +842,9 @@ def _run_checking_each_round(episode, check):
     played = regsim.step
 
     def step(state, law):
-        row = played(state, law)
+        grants = played(state, law)
         check(state)
-        return row
+        return grants
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regsim, "step", step)
@@ -867,7 +893,7 @@ def test_the_game_posterior_is_each_readers_own(episode):
             seated.setdefault(id(agent), state.round)
         before, r_before = list(state.playing), state.resource
         passed.clear()
-        row = played(state, law)
+        grants = played(state, law)
         assert [id(agent) for agent, _ in passed] == [
             id(agent) for _, agent in before]
         for agent, decline in passed:
@@ -880,7 +906,7 @@ def test_the_game_posterior_is_each_readers_own(episode):
         for _, agent in before:
             total, count = own.get(id(agent), (0.0, 0))
             own[id(agent)] = (total + drop, count + 1)
-        return row
+        return grants
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regsim, "agent_decide", agent_decide)

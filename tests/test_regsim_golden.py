@@ -466,11 +466,11 @@ def test_rounds_after_the_last_exit_read_no_stream(seed, monkeypatch):
     played = regsim.step
 
     def step(state, law):
-        row = played(state, law)
+        grants = played(state, law)
         if not state.playing:
             for agent in state.agents:
                 agent.decision_draw = agent.enforcement_draw = _never
-        return row
+        return grants
 
     monkeypatch.setattr(regsim, "step", step)
     trace = run_episode(GameConfig(seed=seed, rounds=3200),
