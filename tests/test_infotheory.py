@@ -370,29 +370,17 @@ def test_loads_matches_the_whole_text_reference(text, chunk):
                 == _loaded(_loads_reference, text))
 
 
-@pytest.fixture(scope="module")
-def cli_info_grid():
-    """The command line's info grid, 128 x 2048 = 262,144 cells, 2 MiB,
-    and its dumped text."""
+def test_loads_peaks_below_its_text():
+    # the command line's info grid: 128 x 2048 = 262,144 cells, 2 MiB
     dist = build_nested_distribution(
         parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
         grid(("m", -0.5, 0.5, 128), ("a", -6.5, 6.5, 2048)), 1.0)
-    return dist, dist.dumps()
-
-
-def test_loads_peaks_below_its_text(cli_info_grid):
-    dist, text = cli_info_grid
+    text = dist.dumps()
     restored, peak = _peak_above_start(lambda: GridDistribution.loads(text))
     assert restored.values.tobytes() == dist.values.tobytes()
     assert peak < len(text)
-
-
-def test_loads_of_a_normalised_text_holds_one_grid_array(cli_info_grid):
-    # the 2 MiB of parsed cells and a chunk of lines, and no second grid
-    # array for a division by a mass of 1
-    dist, text = cli_info_grid
-    restored, peak = _peak_above_start(lambda: GridDistribution.loads(text))
-    assert restored.values.tobytes() == dist.values.tobytes()
+    # the parsed cells and a chunk of lines: a normalised text is not
+    # divided by its mass into a second grid array
     assert peak < 3 << 20
 
 

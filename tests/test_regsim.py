@@ -753,9 +753,11 @@ def test_an_episode_without_rows_keeps_every_other_bit(episode):
 
 def test_mean_welfare_holds_no_rows():
     # a trace keeps about 780 B per round of this 8-agent episode, so
-    # holding its rows would take about 15 MiB
+    # holding its rows would take about 15 MiB; a first, short episode
+    # makes the allocations numpy and the interpreter make once
     config = GameConfig(rounds=20_000)
     policy = PolicySpec("slack1d", (0.3,))
+    mean_welfare(replace(config, rounds=10), policy, (1,), 2)
     tracemalloc.start()
     try:
         mean_welfare(config, policy, (1,), 2)
