@@ -140,19 +140,24 @@ def cmd_situations(args) -> CommandResult:
 # numerics commands
 # ---------------------------------------------------------------------------
 
+def _checked(parse, test, reason: str):
+    """A `read_key` parser: ``parse`` of a value that ``test`` accepts."""
+    def checked(text):
+        if not test(value := parse(text)):
+            raise GroveError(reason)
+        return value
+    return checked
+
+
 def cmd_info(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
-    scale = read_key(cfg, args.config, "scale", float, 1.0)
-    samples = read_key(cfg, args.config, "samples", int, 256)
+    scale = read_key(cfg, args.config, "scale", _checked(
+        float, lambda s: s > 0 and 0 < s * s < math.inf,
+        "must be > 0 with 1/scale^2 finite and nonzero"), 1.0, "a number")
+    samples = read_key(cfg, args.config, "samples", _checked(
+        int, lambda n: n >= 8, "must be >= 8"), 256, "an integer")
     span = read_key(cfg, args.config, "span", float, 6.0)
     reject_unread(cfg, args.config)
-    # the expected information is 1/scale^2, so scale^2 must be in (0, inf)
-    if not (scale > 0 and 0 < scale * scale < math.inf):
-        raise GroveError(
-            f"info: scale must be > 0 with 1/scale^2 finite and nonzero, "
-            f"got {scale!r}")
-    if samples < 8:
-        raise GroveError(f"info: samples must be >= 8, got {samples}")
     half = span * scale
     spec = GridSpec((
         Axis("m", -0.5, 0.5, max(8, samples // 16)),
@@ -175,18 +180,17 @@ def _join(values) -> str:
 
 def _read_vector(cfg, origin, key: str, default: tuple[float, ...]):
     """The numbers of ``key``, which must be as many as ``default`` has."""
-    def parse(text):
-        values = numbers(text)
-        if len(values) != len(default):
-            raise ValueError
-        return values
-    return read_key(cfg, origin, key, parse, default,
-                    expected=f"{len(default)} numbers separated by commas")
+    expected = f"{len(default)} numbers separated by commas"
+    return read_key(cfg, origin, key, _checked(
+        numbers, lambda v: len(v) == len(default), f"expected {expected}"),
+        default, expected)
 
 
 def cmd_critical(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
-    kind = cfg.pop("functional", "quadratic")
+    kind = read_key(cfg, args.config, "functional", _checked(
+        str, ("quadratic", "rosenbrock").__contains__,
+        "expected quadratic or rosenbrock"), "quadratic")
     tol = read_key(cfg, args.config, "tol", float, 1e-6)
     if kind == "quadratic":
         center = np.array(read_key(cfg, args.config, "center", numbers,
@@ -195,13 +199,11 @@ def cmd_critical(args) -> CommandResult:
         F = Functional(lambda t: float((t - center) @ (t - center)), d,
                        "quadratic")
         theta0 = _read_vector(cfg, args.config, "theta0", (1.0,) * d)
-    elif kind == "rosenbrock":
+    else:
         F = Functional(
             lambda t: float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2),
             2, "rosenbrock")
         theta0 = _read_vector(cfg, args.config, "theta0", (-1.2, 1.0))
-    else:
-        raise GroveError(f"critical: unknown functional {kind!r}")
     reject_unread(cfg, args.config)
     trace: list = []
     fields = [("seed", args.seed), ("functional", kind), ("tol", tol)]
@@ -220,23 +222,22 @@ def cmd_critical(args) -> CommandResult:
 
 def cmd_geodesic(args) -> CommandResult:
     cfg = load_config(args.config) if args.config else {}
-    kind = cfg.pop("metric", "euclidean")
+    kind = read_key(cfg, args.config, "metric", _checked(
+        str, ("euclidean", "sphere").__contains__,
+        "expected euclidean or sphere"), "euclidean")
     steps = read_key(cfg, args.config, "steps", int, 1000)
     h = read_key(cfg, args.config, "h", float, 0.001)
     if kind == "euclidean":
-        dim = read_key(cfg, args.config, "dimension", int, 2)
-        if dim < 1:
-            raise GroveError(f"geodesic: dimension must be >= 1, got {dim}")
+        dim = read_key(cfg, args.config, "dimension", _checked(
+            int, lambda d: d >= 1, "must be >= 1"), 2, "an integer")
         metric = euclidean_metric(dim)
         start = _read_vector(cfg, args.config, "start", (0.0,) * dim)
         velocity = _read_vector(cfg, args.config, "velocity",
                                 (1.0,) + (0.0,) * (dim - 1))
-    elif kind == "sphere":
+    else:
         metric = sphere_metric()
         start = _read_vector(cfg, args.config, "start", (math.pi / 2, 0.0))
         velocity = _read_vector(cfg, args.config, "velocity", (0.0, 1.0))
-    else:
-        raise GroveError(f"geodesic: unknown metric {kind!r}")
     reject_unread(cfg, args.config)
     fields = [("seed", args.seed), ("metric", kind)]
     try:

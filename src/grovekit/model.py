@@ -139,8 +139,12 @@ def load_config(path: str | Path) -> dict[str, str]:
     files, and `read_key` and `reject_unread` of their keys.  A key given
     twice is an error, so no line is silently dropped.
     """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise GroveError(f"{path}: {exc}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -171,19 +175,21 @@ def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
              default=None, expected: str | None = None):
     """``parse`` of the value of ``key``, popped from ``cfg``, or ``default``.
 
-    A value ``parse`` rejects raises `GroveError` naming origin, key, value
-    and what was ``expected`` (``EXPECTED[parse]`` unless given), or the
-    message of a `GroveError` the parser raised."""
+    The one way a loader takes a key, and the one place a value fault is
+    worded: ``<origin>: <key> = '<value>': <reason>``.  A ValueError or
+    KeyError of ``parse`` says what was ``expected`` (``EXPECTED[parse]``
+    unless given).  A parser checks a range by building the object around
+    the value: a `GroveError` it raises keeps its class and message."""
     if key not in cfg:
         return default
     value = cfg.pop(key)
     try:
         return parse(value)
-    except ValueError:
-        reason = f"expected {expected or EXPECTED[parse]}"
+    except (ValueError, KeyError):
+        error, reason = GroveError, f"expected {expected or EXPECTED[parse]}"
     except GroveError as exc:
-        reason = str(exc)
-    raise GroveError(f"{origin}: {key} = {value!r}: {reason}")
+        error, reason = type(exc), str(exc)
+    raise error(f"{origin}: {key} = {value!r}: {reason}")
 
 
 def reject_unread(cfg: dict[str, str], origin: str | Path | None) -> None:
@@ -195,27 +201,28 @@ def reject_unread(cfg: dict[str, str], origin: str | Path | None) -> None:
 def model_from_config(path: str | Path) -> CostModel:
     """Read the keys :func:`model_to_config` writes; any other key is an error."""
     cfg = load_config(path)
-    kwargs: dict = {name: read_key(cfg, path, name, int)
-                    for name in _COST_FIELDS if name in cfg}
-    given: dict[int, tuple[int, ...]] = {}
+    model = CostModel()
+    for name in _COST_FIELDS:
+        model = read_key(cfg, path, name, lambda text: replace(
+            model, **{name: int(text)}), model, EXPECTED[int])
+    given: dict[int, str] = {}  # the key that gave each depth
     for key in [k for k in cfg if k.startswith("caps.")]:
         try:
             depth = int(key[5:])
         except ValueError:
             continue  # left in cfg, so an unknown key
-        if depth in given:
+        if given.setdefault(depth, key) != key:
             raise GroveError(f"{path}: caps for depth {depth} given twice")
-        given[depth] = read_key(cfg, path, key, integers)
-    kwargs["caps"] = {**DEFAULT_CAPS, **given}
-    if "exclusions" in cfg:
-        names = [v.strip() for v in cfg.pop("exclusions").split(",") if v.strip()]
-        kwargs["exclusions"] = frozenset(names)
-    text = cfg.pop("table2_entry27_as_printed", "false")
-    if text.lower() not in _BOOLEANS:
-        raise GroveError(f"{path}: table2_entry27_as_printed must be one of "
-                         f"{', '.join(_BOOLEANS)}, got {text!r}")
+        model = read_key(cfg, path, key, lambda text: replace(model, caps={
+            **model.caps, depth: integers(text)}), model, EXPECTED[integers])
+    model = read_key(cfg, path, "exclusions", lambda text: replace(
+        model, exclusions=frozenset(map(str.strip, text.split(","))) - {""}),
+        model)
+    model = read_key(cfg, path, "table2_entry27_as_printed", lambda text:
+        replace(model, table2_entry27_as_printed=_BOOLEANS[text.lower()]),
+        model, "one of " + ", ".join(_BOOLEANS))
     reject_unread(cfg, path)
-    return CostModel(**kwargs, table2_entry27_as_printed=_BOOLEANS[text.lower()])
+    return model
 
 
 def model_to_config(model: CostModel) -> str:

@@ -714,10 +714,6 @@ def optimize_slack(config: GameConfig, family: str = "slack1d",
 _CONFIG_FIELDS = {f.name: type(f.default) for f in fields(GameConfig)}
 
 
-def _theta(text: str) -> tuple[float, ...]:
-    return numbers(text) if text else ()
-
-
 def _event(text: str) -> Excession:
     rnd, kind, value = (v.strip() for v in text.split(","))
     return Excession(int(rnd), kind, float(value))
@@ -727,24 +723,28 @@ def load_scenario(path: str | Path) -> tuple[GameConfig, PolicySpec, int,
                                              list[Excession]]:
     """Read a flat key-value scenario file: config fields, policy, events.
 
-    The lines are read by `model.load_config` and the keys by
-    `model.read_key`.  Policy keys: ``policy.family`` and ``policy.theta``
-    (comma separated; empty for no levers).  Agent order:
-    ``agents.order``.  Events: ``event.<n> = round,kind,value``.
+    Each key is read by `model.read_key`, with a parser that builds its
+    object from the keys read before it: ``policy.theta`` (comma
+    separated; empty for no levers) before ``policy.family``.  Agent
+    order: ``agents.order``.  Events: ``event.<n> = round,kind,value``.
     """
     cfg = load_config(path)
-    settings = {key: read_key(cfg, path, key, kind)
-                for key, kind in _CONFIG_FIELDS.items() if key in cfg}
-    family = cfg.pop("policy.family", "none")
-    theta = read_key(cfg, path, "policy.theta", _theta, (),
-                     expected=EXPECTED[numbers])
-    order = read_key(cfg, path, "agents.order", int, 0)
+    config = GameConfig()
+    for key, kind in _CONFIG_FIELDS.items():
+        config = read_key(cfg, path, key, lambda text: replace(
+            config, **{key: kind(text)}), config, EXPECTED[kind])
+    policy = read_key(cfg, path, "policy.theta", lambda text: PolicySpec(
+        "none", numbers(text) if text else ()), NO_LAW, EXPECTED[numbers])
+    policy = read_key(cfg, path, "policy.family",
+                      lambda text: replace(policy, family=text), policy)
+    order = read_key(cfg, path, "agents.order", lambda text: AgentModel(
+        int(text)).order, 0, EXPECTED[int])
     events = [read_key(cfg, path, key, _event,
                        expected="round,kind,value with an integer round "
                                 "and a number value")
               for key in [k for k in cfg if k.startswith("event.")]]
     reject_unread(cfg, path)
-    return GameConfig(**settings), PolicySpec(family, theta), order, events
+    return config, policy, order, events
 
 
 def dump_scenario(config: GameConfig, policy: PolicySpec, order: int = 0,

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -292,7 +293,8 @@ def test_simulate_rejects_invalid_fixed_law(capsys, tmp_path):
                          "--config", str(scenario))
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == "grovekit: permit cap must be nonnegative\n"
+    assert err == (f"grovekit: {scenario}: policy.family = 'fixed': "
+                   f"permit cap must be nonnegative\n")
 
 
 SCENARIO_KEYS = ("n_agents", "capacity", "regrowth", "rounds",
@@ -336,6 +338,12 @@ def assert_exit_contract(code, out, err, caught):
     assert "could not convert string to float" not in err
     if code == EXIT_USAGE:
         assert out == ""
+
+
+def names_the_file(err, path):
+    """Whether ``err`` is the line of a fault in the file at ``path``: one
+    of a key (``<path>: ``) or of a line (``<path>:<n>: ``)."""
+    return re.match(rf"grovekit: {re.escape(str(path))}(:\d+)?: ", err)
 
 
 @pytest.mark.parametrize(
@@ -392,6 +400,9 @@ def test_fuzzed_numerics_configs_keep_the_exit_contract(command, data):
             warnings.simplefilter("always")
             code = main([command, "--config", path])
     assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
+    # the file is the only input, so every usage error is its fault
+    if code == EXIT_USAGE:
+        assert names_the_file(err.getvalue(), path)
 
 
 #: what the scenario fuzz draws values, event rounds and event kinds from
@@ -399,6 +410,10 @@ FUZZ_VALUES = ("nan", "inf", "-1", "0", "1e18", "1e19", "1e200",
                "1000000000000000000", "x", "")
 FUZZ_ROUNDS = ("-3", "0", "5", "19", "20", "1000000000000000000", "1e19", "x")
 FUZZ_KINDS = EVENT_KINDS + ("meteor",)
+#: the start of a usage error found while an episode plays, after the file
+#: was read: an event that fails or lands outside the horizon, or welfare
+PLAY_FAULT = re.compile(r"grovekit: (\w+ at round -?\d+: |event at round "
+                        r"-?\d+ outside|welfare is not finite: )")
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,6 +437,8 @@ def test_fuzzed_scenarios_keep_the_exit_contract(keys, events):
             warnings.simplefilter("always")
             code = main(["simulate", "--rounds", "20", "--config", path])
     assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
+    if code == EXIT_USAGE and not PLAY_FAULT.match(err.getvalue()):
+        assert names_the_file(err.getvalue(), path)
 
 
 #: what the --model fuzz draws keys and values from
@@ -458,6 +475,12 @@ def test_fuzzed_model_files_keep_the_exit_contract(argv, lines):
             warnings.simplefilter("always")
             code = main([*argv, "--model", path])
     assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
+    # a bad flag, such as --partition 1,2, is a fault without the file
+    if code == EXIT_USAGE:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            flag_fault = main(argv) == EXIT_USAGE
+        if not flag_fault:
+            assert names_the_file(err.getvalue(), path)
 
 
 @pytest.mark.parametrize("command,scenario,flags", [
@@ -471,7 +494,9 @@ def test_round_count_above_the_bound_is_usage_error(
     path.write_text(scenario)
     code, out, err = run(capsys, command, "--config", str(path), *flags)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (f"grovekit: at most {MAX_ROUNDS} rounds, "
+    # a bound the file breaks names the file and key; the flag keeps its own
+    where = "" if flags else f"{path}: rounds = '1000000000000000000': "
+    assert err == (f"grovekit: {where}at most {MAX_ROUNDS} rounds, "
                    f"got rounds = 1000000000000000000\n")
 
 
@@ -505,7 +530,8 @@ def test_agent_rounds_above_the_bound_is_usage_error(capsys, tmp_path):
     code, out, err = run_config(capsys, tmp_path, "simulate",
                                 "n_agents = 10000\nrounds = 100000\n")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (f"grovekit: at most {MAX_AGENT_ROUNDS} agent-rounds, "
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: rounds = '100000': "
+                   f"at most {MAX_AGENT_ROUNDS} agent-rounds, "
                    f"got n_agents = 10000 and rounds = 100000\n")
 
 
@@ -690,8 +716,8 @@ def test_geodesic_dimension_below_one_is_a_usage_error(
     code, out, err = run_config(capsys, tmp_path, "geodesic",
                                 f"dimension = {dimension}\n")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == ("grovekit: geodesic: dimension must be >= 1, "
-                   f"got {dimension}\n")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: "
+                   f"dimension = '{dimension}': must be >= 1\n")
 
 
 @pytest.mark.parametrize("text", ["velocity = nan,1\n",
@@ -742,8 +768,8 @@ def test_geodesic_that_overflows_is_a_computation_failure(
 def test_info_scale_without_a_finite_square_is_a_usage_error(capsys, tmp_path):
     code, out, err = run_config(capsys, tmp_path, "info", "scale = 1e200\n")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == ("grovekit: info: scale must be > 0 with 1/scale^2 finite "
-                   "and nonzero, got 1e+200\n")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: scale = '1e200': "
+                   "must be > 0 with 1/scale^2 finite and nonzero\n")
 
 
 @pytest.mark.parametrize("samples", ["100000", "1000000000"])
@@ -776,7 +802,7 @@ def test_info_underflowing_fisher_sum_is_a_failure(capsys, tmp_path, scale):
 #: --model file text and the start of the one stderr line it gives
 BAD_MODEL_FILES = [
     ("table2_entry27_as_printed = ture\n",
-     "table2_entry27_as_printed must be one of"),
+     "table2_entry27_as_printed = 'ture': expected one of"),
     ("caps.3 = 1,1,1,1,1\n", "caps given for unsupported depths [3]"),
     ("caps.1 = 2,1,-5\n", "caps for depth 1 must be >= 0"),
     ("caps.1 = 2,1,1\ncaps.01 = 0,0,0\n", "caps for depth 1 given twice"),
@@ -800,6 +826,53 @@ def test_bad_model_value_is_usage_error(capsys, tmp_path, text, message):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("grovekit: ") and err.count("\n") == 1
     assert message in err
+
+
+#: command, the text of its input file, and the key and value whose range
+#: check fails
+VALUE_FAULTS = [
+    ("simulate", "n_agents = 1\n", "n_agents", "1"),
+    ("simulate", "agents.order = 5\n", "agents.order", "5"),
+    ("simulate", "policy.family = bogus\n", "policy.family", "bogus"),
+    ("simulate", "policy.family = fixed\npolicy.theta = -1,0,1,1\n",
+     "policy.family", "fixed"),
+    ("simulate", "n_agents = 10000\nrounds = 100000\n", "rounds", "100000"),
+    ("enumerate", "lift_cost = 0\n", "lift_cost", "0"),
+    ("enumerate", "exclusions = nope\n", "exclusions", "nope"),
+    ("enumerate", "table2_entry27_as_printed = ture\n",
+     "table2_entry27_as_printed", "ture"),
+    ("critical", "functional = bogus\n", "functional", "bogus"),
+    ("geodesic", "dimension = 0\n", "dimension", "0"),
+    ("geodesic", "metric = torus\n", "metric", "torus"),
+    ("info", "scale = 1e200\n", "scale", "1e200"),
+    ("info", "samples = 7\n", "samples", "7"),
+]
+
+
+@pytest.mark.parametrize("command,text,key,value", VALUE_FAULTS,
+                         ids=[f"{c}-{k}-{v}" for c, _, k, v in VALUE_FAULTS])
+def test_value_out_of_range_names_file_key_and_value(
+        capsys, tmp_path, command, text, key, value):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--model" if command == "enumerate" else "--config"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"grovekit: {path}: {key} = {value!r}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--model"],
+                                  ["info", "--config"],
+                                  ["simulate", "--config"]],
+                         ids=["model", "numerics", "scenario"])
+def test_file_that_is_not_utf8_names_its_path(capsys, tmp_path, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"\xff\xferounds = 5\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {path}: 'utf-8' codec can't decode byte 0xff "
+                   f"in position 0: invalid start byte\n")
 
 
 @pytest.mark.parametrize("word,printed", [("TRUE", True), ("Yes", True),
@@ -858,3 +931,21 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path):
     assert done.returncode == EXIT_OK
     assert done.stderr == b""
     assert (tmp_path / "enumerate-list.txt").read_text().count("\n") == 42
+
+
+def test_the_package_runs_as_a_module(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run_module(module, *argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, timeout=120)
+
+    listed = run_module("grovekit", "situations", "--order", "2")
+    assert (listed.returncode, listed.stderr) == (EXIT_OK, b"")
+    assert listed.stdout == run_module("grovekit.cli", "situations",
+                                       "--order", "2").stdout
+    missing = run_module("grovekit", "info", "--config",
+                         str(tmp_path / "missing.txt"))
+    assert (missing.returncode, missing.stdout) == (EXIT_USAGE, b"")

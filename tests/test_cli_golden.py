@@ -123,7 +123,7 @@ GOLDEN = {
     "critical-rosenbrock-unconverged":
         "5dda98dcca7343d1e7168ce5cafd6f1c49ca4e7831b7320a5c209003b4672ab7",
     "critical-unknown-functional":
-        "76b8a73d88bdc67de0e292064e40b3824ff8d77cbb99f0cd46ed7f301a3e8819",
+        "8c3317ca8ab50c0411e4873e463652f07c4926a3d6265503d07dbe0b3db38054",
     "enumerate-depth-0":
         "c8788f4dd6723ccfd2516d510e51077510a41afcac6a5ebd106f47f8f8103faf",
     "enumerate-depth-1":
@@ -163,7 +163,7 @@ GOLDEN = {
     "simulate-influx":
         "73fe21b211c1fa44a58176525231e69143830c7acbfcc3a4732507cc14823b85",
     "simulate-invalid-law":
-        "640936929aa10be647ed604d96e556ac36069eee3d415fd5d2a93cbbe980ad38",
+        "21a7d6d277b0cf0583bbe03b0595f8bf18df0fd843ddf32ac8254d89771a47fe",
     "situations-1":
         "245fbdad277814b583eec671acd05f4c688d835524ad42c24c71315d689e9287",
     "situations-2":

@@ -1,4 +1,5 @@
-"""Every name a grovekit module imports is used in that module."""
+"""Every name a grovekit module imports is used in that module, and
+every input key is taken by `model.read_key`."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,25 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported(tree) if name not in used]
     assert unused == []
+
+
+def _pops(tree):
+    """The innermost function around each ``.pop(`` call, by line."""
+    owner = {}
+    # ast.walk goes outside in, so an inner function's name is kept
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    return [(owner.get(node, "<module>"), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop"]
+
+
+def test_only_read_key_pops_a_key():
+    # a loader that pops a key itself words its faults its own way
+    pops = [(path.name, name, line) for path in sorted(PACKAGE.glob("*.py"))
+            for name, line in _pops(ast.parse(path.read_text(), str(path)))]
+    assert [(module, name) for module, name, _ in pops] == [
+        ("model.py", "read_key")], pops
