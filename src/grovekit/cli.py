@@ -26,7 +26,6 @@ from . import infotheory, regsim
 from .enumeration import (
     SITUATIONS_FILE,
     TABLE_FILES,
-    PartitionSpec,
     enumerate_groves,
     enumerate_situations,
     enumerate_topologies,
@@ -41,9 +40,10 @@ from .infotheory import (
     build_nested_distribution,
     fisher_information,
 )
-from .model import (CostModel, integers, load_config, model_from_config,
-                    numbers, read_key, reject_unread)
-from .regsim import load_scenario, optimize_slack, run_episode
+from .model import (EXPECTED, CostModel, integers, load_config,
+                    model_from_config, numbers, read_key, reject_unread)
+from .regsim import (DEFAULT_SEEDS, NO_LAW, OptimizationResult,
+                     load_scenario, mean_welfare, optimize_slack, run_episode)
 from .variational import (
     CriticalityError,
     Functional,
@@ -98,9 +98,10 @@ CommandResult = tuple[int, list[tuple[str, object]], dict[str, str], list[str]]
 def cmd_enumerate(args) -> CommandResult:
     model = model_from_config(args.model) if args.model else CostModel()
     if args.partition:
-        parts = PartitionSpec(read_key({"--partition": args.partition},
-                                       "enumerate", "--partition", integers))
-        groves = enumerate_groves(parts, model, pruned=not args.unpruned)
+        groves = read_key({"--partition": args.partition}, "enumerate",
+                          "--partition", lambda text: enumerate_groves(
+                              integers(text), model, pruned=not args.unpruned),
+                          expected=EXPECTED[integers])
         lines = sorted(g.render() for g in groves)
         fields = [("seed", args.seed), ("partition", args.partition),
                   ("pruned", not args.unpruned)]
@@ -117,7 +118,7 @@ def cmd_verify(args) -> CommandResult:
         model = model.with_entry27_as_printed()
     result = verify_against_table(args.table, model)
     fields = [("table", args.table), ("seed", args.seed),
-              ("entry27_as_printed", args.entry27_as_printed),
+              ("entry27_as_printed", model.table2_entry27_as_printed),
               ("expected", len(result.expected)),
               ("produced", len(result.produced)),
               ("missing", len(result.missing)), ("extra", len(result.extra)),
@@ -259,7 +260,7 @@ def _scenario_from_args(args):
     if args.config:
         config, policy, order, events = load_scenario(args.config)
     else:
-        config, policy, order, events = regsim.GameConfig(), regsim.NO_LAW, 0, []
+        config, policy, order, events = regsim.GameConfig(), NO_LAW, 0, []
     if args.seed is not None:
         config = regsim.replace(config, seed=args.seed)
     if getattr(args, "rounds", None) is not None:
@@ -285,10 +286,16 @@ def cmd_simulate(args) -> CommandResult:
 
 def cmd_optimize(args) -> CommandResult:
     config, policy, order, events = _scenario_from_args(args)
-    family = args.family or (policy.family if policy.family != "none"
-                             else "slack1d")
-    result = optimize_slack(config, family=family, order=order,
-                            events=events)
+    # --family wins; a lawless scenario is tuned, a fixed law has no lever
+    family = args.family or read_key(
+        {"policy.family": policy.family}, args.config, "policy.family",
+        _checked({"none": "slack1d", "slack1d": "slack1d"}.get, bool,
+                 "optimize tunes the none or slack1d family"))
+    if family == "none":
+        result = OptimizationResult(NO_LAW, mean_welfare(
+            config, NO_LAW, DEFAULT_SEEDS, order, events), 0.0, ())
+    else:
+        result = optimize_slack(config, order=order, events=events)
     fields = [("seed", config.seed), ("family", family),
               ("agents_order", order), ("theta", _join(result.policy.theta)),
               ("welfare", result.welfare), ("residual", result.residual)]
@@ -356,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="optimize the permit slack lever")
     common(p, "--config")
-    p.add_argument("--family", default=None,
-                   choices=regsim.OPTIMIZABLE_FAMILIES)
+    p.add_argument("--family", default=None, choices=("none", "slack1d"))
     p.set_defaults(func=cmd_optimize)
 
     return parser

@@ -639,8 +639,6 @@ def mean_welfare(config: GameConfig, policy: PolicySpec,
 # ---------------------------------------------------------------------------
 
 DEFAULT_SEEDS = tuple(range(1, 11))
-#: the families `optimize_slack` can tune
-OPTIMIZABLE_FAMILIES = ("none", "slack1d")
 #: slack values of the coarse scan, evenly spaced over SLACK_BOUNDS
 COARSE_POINTS = 9
 SLACK_BOUNDS = (0.0, 1.0)
@@ -654,33 +652,23 @@ class OptimizationResult:
     scan_points: tuple[tuple[float, float], ...]
 
 
-def optimize_slack(config: GameConfig, family: str = "slack1d",
+def optimize_slack(config: GameConfig,
                    seeds: Sequence[int] = DEFAULT_SEEDS,
                    order: int = 0,
                    events: Sequence[Excession] = ()) -> OptimizationResult:
-    """Pick the slack lever maximizing mean welfare over the seed set.
+    """Pick the ``slack1d`` lever maximizing mean welfare over the seed set.
 
     A coarse bracket scan seeds a damped-descent refinement of the
     negative welfare; the better of the two candidates wins.  Every
-    episode plays ``events``.  The ``none`` family has no levers and is
-    returned as-is; a family outside OPTIMIZABLE_FAMILIES, or an empty
-    seed set, raises RegsimError before any episode runs.
+    episode plays ``events``.  An empty seed set raises RegsimError
+    before any episode runs.
     """
-    if family not in OPTIMIZABLE_FAMILIES:
-        raise RegsimError(
-            f"optimize tunes the {' or '.join(OPTIMIZABLE_FAMILIES)} family, "
-            f"not {family!r}")
-    if family == "none":
-        return OptimizationResult(NO_LAW,
-                                  mean_welfare(config, NO_LAW, seeds, order,
-                                               events),
-                                  0.0, ())
     lo, hi = SLACK_BOUNDS
 
     def welfare_of(s: float) -> float:
         s = min(hi, max(lo, float(s)))
-        return mean_welfare(config, PolicySpec(family, (s,)), seeds, order,
-                            events)
+        return mean_welfare(config, PolicySpec("slack1d", (s,)), seeds,
+                            order, events)
 
     grid = [lo + (hi - lo) * k / (COARSE_POINTS - 1)
             for k in range(COARSE_POINTS)]
@@ -701,7 +689,7 @@ def optimize_slack(config: GameConfig, family: str = "slack1d",
     w_ref = welfare_of(s_ref)
     if w_ref > best_w:
         best_s, best_w = s_ref, w_ref
-    return OptimizationResult(PolicySpec(family, (best_s,)), best_w,
+    return OptimizationResult(PolicySpec("slack1d", (best_s,)), best_w,
                               residual, tuple(scan))
 
 

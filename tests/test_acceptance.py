@@ -214,6 +214,9 @@ def test_criterion_10_optimizer_vs_scan(optimized_default):
 
 
 def test_criterion_11_determinism(tmp_path, capsys):
+    # The contract's scope: repeated runs of one numpy build at one CPU
+    # kernel level.  Across kernel levels the information goldens may
+    # differ in the last bit; tests/test_kernel_level.py checks which.
     with verdict(11, "byte-identical outputs for repeated runs"):
         commands = [
             ["enumerate", "--depth", "1"],

@@ -57,6 +57,7 @@ def test_verify_tables(capsys):
     assert "exact = False" in out
     code, out, _ = run(capsys, "verify", "--table", "2", "--entry27-as-printed")
     assert code == EXIT_OK
+    assert "entry27_as_printed = True\n" in out
     assert "exact = True" in out
 
 
@@ -124,12 +125,20 @@ def test_enumerate_depth_and_partition_are_exclusive(capsys, depth):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("partition", ["x", "2,,1"])
+#: each --partition that enumerate refuses, with the reason it gives
+PARTITION_FAULTS = {"x": "expected integers separated by commas",
+                    "2,,1": "expected integers separated by commas",
+                    "1,2": "partition parts must be non-increasing",
+                    "0": "partition parts must be positive",
+                    "4": "unsupported depth 3; shipped build caps at 2"}
+
+
+@pytest.mark.parametrize("partition", PARTITION_FAULTS)
 def test_unparsable_partition_names_the_flag(capsys, partition):
     code, out, err = run(capsys, "enumerate", "--partition", partition)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: enumerate: --partition = {partition!r}: "
-                   "expected integers separated by commas\n")
+                   f"{PARTITION_FAULTS[partition]}\n")
 
 
 def test_enumerate_partition_report_has_no_depth(capsys, tmp_path):
@@ -272,18 +281,22 @@ def test_directory_config_is_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_optimize_rejects_fixed_family(capsys, tmp_path):
+def test_optimize_rejects_fixed_family(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["optimize", "--family", "fixed"])
     assert err.value.code == EXIT_USAGE
     capsys.readouterr()
+
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran")
+    monkeypatch.setattr("grovekit.regsim.run_episode", no_episodes)
     scenario = tmp_path / "fixed.txt"
     scenario.write_text("rounds = 50\npolicy.family = fixed\n"
                         "policy.theta = 1.0,0.1,0.9,1.0\n")
     code, out, err = run(capsys, "optimize", "--config", str(scenario))
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "not 'fixed'" in err
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {scenario}: policy.family = 'fixed': "
+                   "optimize tunes the none or slack1d family\n")
 
 
 def test_simulate_rejects_invalid_fixed_law(capsys, tmp_path):
@@ -883,7 +896,8 @@ def test_model_boolean_spellings(capsys, tmp_path, word, printed):
     model.write_text(f"table2_entry27_as_printed = {word}\n")
     code, out, _ = run(capsys, "verify", "--table", "2", "--model", str(model))
     assert code == EXIT_OK
-    assert f"exact = {printed}" in out
+    assert f"entry27_as_printed = {printed}\n" in out
+    assert f"exact = {printed}\n" in out
 
 
 def test_empty_listings_are_empty_files(capsys, tmp_path):

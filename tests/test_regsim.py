@@ -497,20 +497,6 @@ def test_optimized_policy_beats_lawless_baseline():
     assert result.welfare > baseline
 
 
-def test_optimize_degenerate_family():
-    cfg = GameConfig(rounds=50)
-    result = optimize_slack(cfg, family="none", seeds=(1,))
-    assert result.policy == NO_LAW
-
-
-def test_optimize_rejects_fixed_family_before_any_episode(monkeypatch):
-    def no_episodes(*args, **kwargs):
-        raise AssertionError("an episode ran")
-    monkeypatch.setattr("grovekit.regsim.run_episode", no_episodes)
-    with pytest.raises(RegsimError, match="not 'fixed'"):
-        optimize_slack(GameConfig(rounds=50), family="fixed", seeds=(1,))
-
-
 def test_empty_seed_set_is_an_error_before_any_episode(monkeypatch):
     def no_episodes(*args, **kwargs):
         raise AssertionError("an episode ran")
@@ -519,9 +505,8 @@ def test_empty_seed_set_is_an_error_before_any_episode(monkeypatch):
     for seeds in ((), [], range(0), np.array([], dtype=int)):
         with pytest.raises(RegsimError, match="need at least one seed"):
             mean_welfare(config, PolicySpec("slack1d", (0.2,)), seeds)
-        for family in ("none", "slack1d"):
-            with pytest.raises(RegsimError, match="need at least one seed"):
-                optimize_slack(config, family=family, seeds=seeds)
+        with pytest.raises(RegsimError, match="need at least one seed"):
+            optimize_slack(config, seeds=seeds)
 
 
 def test_interior_enforcement_with_inspection_cost():
