@@ -157,7 +157,10 @@ def cmd_info(args) -> CommandResult:
         "must be > 0 with 1/scale^2 finite and nonzero"), 1.0, "a number")
     samples = read_key(cfg, args.config, "samples", _checked(
         int, lambda n: n >= 8, "must be >= 8"), 256, "an integer")
-    span = read_key(cfg, args.config, "span", float, 6.0)
+    # the offset axis is 2 * span * scale + 1 wide
+    span = read_key(cfg, args.config, "span", _checked(
+        float, lambda s: s >= 0 and math.isfinite(2 * s * scale + 1),
+        "must be >= 0 with 2 * span * scale finite"), 6.0, "a number")
     reject_unread(cfg, args.config)
     half = span * scale
     spec = GridSpec((
@@ -192,7 +195,8 @@ def cmd_critical(args) -> CommandResult:
     kind = read_key(cfg, args.config, "functional", _checked(
         str, ("quadratic", "rosenbrock").__contains__,
         "expected quadratic or rosenbrock"), "quadratic")
-    tol = read_key(cfg, args.config, "tol", float, 1e-6)
+    tol = read_key(cfg, args.config, "tol", _checked(
+        float, lambda t: t > 0, "must be > 0"), 1e-6, "a number")
     if kind == "quadratic":
         center = np.array(read_key(cfg, args.config, "center", numbers,
                                    (0.0, 0.0)))

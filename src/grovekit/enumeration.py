@@ -135,10 +135,8 @@ def _chains(depth: int, m: CostModel) -> Iterator[TopologyExpr]:
             yield TopologyExpr(levels, args)
 
 
-def enumerate_topologies(
-    depth: int,
-    model: CostModel | None = None,
-) -> frozenset[TopologyExpr]:
+def enumerate_topologies(depth: int,
+                         model: CostModel = CostModel()) -> frozenset[TopologyExpr]:
     """All allowed decorated chains of the given depth.
 
     The rank budget is depth + 1; a chain is kept when each level's
@@ -147,7 +145,6 @@ def enumerate_topologies(
     canonical form.  Multi-part partitions describe groves; see
     :func:`enumerate_groves`.
     """
-    model = model or CostModel()
     if depth not in range(MAX_DEPTH + 1):
         raise GroveError(f"unsupported depth {depth}; shipped build caps at {MAX_DEPTH}")
     caps = model.caps[depth]
@@ -171,7 +168,7 @@ def enumerate_topologies(
 
 def enumerate_groves(
     partition: PartitionSpec | tuple[int, ...],
-    model: CostModel | None = None,
+    model: CostModel = CostModel(),
     *,
     pruned: bool = True,
 ) -> frozenset[Grove]:
@@ -183,7 +180,6 @@ def enumerate_groves(
     undecorated grove.  Without pruning every part is enumerated with its
     own budget and the cartesian product is returned.
     """
-    model = model or CostModel()
     if isinstance(partition, tuple):
         partition = PartitionSpec(partition)
     parts = partition.parts
@@ -200,14 +196,14 @@ def enumerate_groves(
     return frozenset(map(Grove, itertools.product(*pools)))
 
 
-def count_by_rank(r: int, model: CostModel | None = None) -> int:
+def count_by_rank(r: int, model: CostModel = CostModel()) -> int:
     """Number of allowed topologies whose rank is r (r in 1..3)."""
     if r not in (1, 2, 3):
         raise GroveError(f"rank must be 1, 2 or 3, got {r}")
     return len(enumerate_topologies(r - 1, model))
 
 
-def total_multiplicity(depth: int, model: CostModel | None = None) -> int:
+def total_multiplicity(depth: int, model: CostModel = CostModel()) -> int:
     """Total pruned description size over all partitions of depth + 1."""
     if depth not in (1, 2):
         raise GroveError(f"total_multiplicity is defined for depths 1 and 2, got {depth}")
@@ -272,7 +268,8 @@ class EnumerationReport:
         return self.exact or (self.table == 2 and self.entry27_exception_only)
 
 
-def verify_against_table(table: int, model: CostModel | None = None) -> EnumerationReport:
+def verify_against_table(table: int,
+                         model: CostModel = CostModel()) -> EnumerationReport:
     expected = load_table(table)
     produced = enumerate_topologies(table, model)
     return EnumerationReport(table, produced, expected)

@@ -9,17 +9,14 @@ verification report for the fit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 from .expr import ARG_MAP, ARG_POINT, GroveError, TopologyExpr, tier_name
 
-DEFAULT_CAPS: dict[int, tuple[int, ...]] = {
-    0: (1, 1),
-    1: (2, 1, 1),
-    2: (3, 2, 1, 1),
-}
+#: the caps of depths 0, 1 and 2, in that order
+DEFAULT_CAPS: tuple[tuple[int, ...], ...] = ((1, 1), (2, 1, 1), (3, 2, 1, 1))
 
 #: Named exclusion rules.  Each predicate takes a decorated chain and its
 #: :func:`charges` (keys ``ground``, then ``phi``, ``tau`` and ``sig`` as far
@@ -58,17 +55,19 @@ _BOOLEANS = {"true": True, "false": False, "1": True, "0": False,
 class CostModel:
     """Costs and caps driving enumeration; all costs >= 1.
 
-    ``caps`` covers every depth of DEFAULT_CAPS.  ``caps[d]`` has d + 2
-    entries ordered ground-to-head: the ground (argument) budget first,
-    then one entry per operator level from the innermost up to ``sig``.
+    ``caps`` has one tuple per depth of DEFAULT_CAPS.  ``caps[d]`` has
+    d + 2 entries ordered ground-to-head: the ground (argument) budget
+    first, then one entry per operator level from the innermost up to
+    ``sig``.  The caps are stored as tuples and the exclusions as a
+    frozenset, whatever collections are given, so a checked model cannot
+    change and can be hashed.
     """
 
     lift_cost: int = 1
     extra_arg_cost: int = 1
     insert_cost: int = 1
     map_subst_cost: int = 1
-    caps: dict[int, tuple[int, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_CAPS))
+    caps: tuple[tuple[int, ...], ...] = DEFAULT_CAPS
     exclusions: frozenset[str] = DEFAULT_EXCLUSIONS
     table2_entry27_as_printed: bool = False
 
@@ -76,13 +75,12 @@ class CostModel:
         for name in _COST_FIELDS:
             if getattr(self, name) < 1:
                 raise GroveError(f"{name} must be >= 1")
-        missing = DEFAULT_CAPS.keys() - self.caps.keys()
-        if missing:
-            raise GroveError(f"caps missing for depths {sorted(missing)}")
-        unused = self.caps.keys() - DEFAULT_CAPS.keys()
-        if unused:
-            raise GroveError(f"caps given for unsupported depths {sorted(unused)}")
-        for depth, caps in self.caps.items():
+        object.__setattr__(self, "caps", tuple(map(tuple, self.caps)))
+        object.__setattr__(self, "exclusions", frozenset(self.exclusions))
+        if len(self.caps) != len(DEFAULT_CAPS):
+            raise GroveError(f"caps must give {len(DEFAULT_CAPS)} depths, "
+                             f"got {len(self.caps)}")
+        for depth, caps in enumerate(self.caps):
             if len(caps) != depth + 2:
                 raise GroveError(
                     f"caps for depth {depth} must have {depth + 2} entries, "
@@ -97,7 +95,7 @@ class CostModel:
         return replace(self, table2_entry27_as_printed=True)
 
 
-def charges(expr: TopologyExpr, model: CostModel | None = None) -> dict[str, int]:
+def charges(expr: TopologyExpr, model: CostModel = CostModel()) -> dict[str, int]:
     """Decoration weight per level, ground to head, like ``model.caps[depth]``.
 
     The keys are ``ground``, then the tier name of each level from the
@@ -108,7 +106,6 @@ def charges(expr: TopologyExpr, model: CostModel | None = None) -> dict[str, int
     tier, as in ``sig (tau, phi^(1))(m1)``, is charged to the ground: a fit
     to the reference tables, like the exclusion rules.
     """
-    model = model or CostModel()
     points = sum(1 for a in expr.args if a.kind == ARG_POINT)
     out = {"ground": (model.extra_arg_cost * max(0, points - 1)
                       + model.map_subst_cost * (len(expr.args) - points)
@@ -123,7 +120,7 @@ def charges(expr: TopologyExpr, model: CostModel | None = None) -> dict[str, int
     return out
 
 
-def rank(expr: TopologyExpr, model: CostModel | None = None) -> int:
+def rank(expr: TopologyExpr, model: CostModel = CostModel()) -> int:
     """Total decoration weight; the undecorated base chain has rank 0."""
     return sum(charges(expr, model).values())
 
@@ -205,16 +202,10 @@ def model_from_config(path: str | Path) -> CostModel:
     for name in _COST_FIELDS:
         model = read_key(cfg, path, name, lambda text: replace(
             model, **{name: int(text)}), model, EXPECTED[int])
-    given: dict[int, str] = {}  # the key that gave each depth
-    for key in [k for k in cfg if k.startswith("caps.")]:
-        try:
-            depth = int(key[5:])
-        except ValueError:
-            continue  # left in cfg, so an unknown key
-        if given.setdefault(depth, key) != key:
-            raise GroveError(f"{path}: caps for depth {depth} given twice")
-        model = read_key(cfg, path, key, lambda text: replace(model, caps={
-            **model.caps, depth: integers(text)}), model, EXPECTED[integers])
+    for depth in range(len(DEFAULT_CAPS)):
+        model = read_key(cfg, path, f"caps.{depth}", lambda text: replace(
+            model, caps=model.caps[:depth] + (integers(text),)
+            + model.caps[depth + 1:]), model, EXPECTED[integers])
     model = read_key(cfg, path, "exclusions", lambda text: replace(
         model, exclusions=frozenset(map(str.strip, text.split(","))) - {""}),
         model)
@@ -227,8 +218,8 @@ def model_from_config(path: str | Path) -> CostModel:
 
 def model_to_config(model: CostModel) -> str:
     lines = [f"{name} = {getattr(model, name)}" for name in _COST_FIELDS]
-    for depth in sorted(model.caps):
-        lines.append(f"caps.{depth} = " + ",".join(str(c) for c in model.caps[depth]))
+    for depth, caps in enumerate(model.caps):
+        lines.append(f"caps.{depth} = " + ",".join(map(str, caps)))
     lines.append("exclusions = " + ",".join(sorted(model.exclusions)))
     lines.append(
         f"table2_entry27_as_printed = {str(model.table2_entry27_as_printed).lower()}")

@@ -330,6 +330,11 @@ class Excession:
 
     def __post_init__(self):
         object.__setattr__(self, "value", _plain(self.value))
+        try:
+            index(self.round)
+        except TypeError:
+            raise RegsimError(f"event round must be an integer, "
+                              f"got {self.round!r}") from None
         if self.kind not in EVENT_KINDS:
             raise RegsimError(f"unknown excession kind {self.kind!r}")
 

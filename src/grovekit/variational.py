@@ -417,15 +417,20 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
 MAX_GROUP_ORDER = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Finite group by composition table; element 0 is the identity."""
+    """Finite group by composition table; element 0 is the identity.
+
+    The table is kept as the read-only integer array that was checked,
+    whatever sequence is given.  Two groups are equal only when they are
+    the same object.
+    """
 
     labels: tuple[str, ...]
     table: np.ndarray            # table[a, b] = index of a*b
     generators: tuple[int, ...]
     #: inverses[a] = index of a^-1, read from the table once
-    inverses: np.ndarray = field(init=False, repr=False, compare=False)
+    inverses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -436,8 +441,10 @@ class FiniteGroup:
         if len(self.generators) > MAX_GROUP_ORDER:
             raise VariationalError(f"at most {MAX_GROUP_ORDER} generators, "
                                    f"got {len(self.generators)}")
-        t = np.asarray(self.table)
-        if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
+        t = np.array(self.table, dtype=int)
+        # the int copy drops a fraction, so it must equal what was given
+        if (t.shape != (n, n) or t.min() < 0 or t.max() >= n
+                or not np.array_equal(t, self.table)):
             raise VariationalError("malformed composition table")
         if not (np.all(t[0] == np.arange(n)) and np.all(t[:, 0] == np.arange(n))):
             raise VariationalError("element 0 is not an identity")
@@ -455,7 +462,10 @@ class FiniteGroup:
         for x in self.generators:
             if not 0 <= x < n:
                 raise VariationalError(f"generator index {x} out of range")
-        object.__setattr__(self, "inverses", np.argmax(t == 0, axis=1))
+        inverses = np.argmax(t == 0, axis=1)
+        for name, array in (("table", t), ("inverses", inverses)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def order(self) -> int:

@@ -273,6 +273,39 @@ def test_no_stray_temp_files(capsys, tmp_path):
     assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
 
 
+def test_failed_rename_is_usage_error_and_leaves_no_temp_file(capsys,
+                                                              tmp_path):
+    # the report's name is taken by a directory, so only the rename fails
+    (tmp_path / "situations-report.txt").mkdir()
+    code, out, err = run(capsys, "situations", "--out", str(tmp_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("grovekit: ") and err.count("\n") == 1
+    assert "Is a directory" in err
+    assert sorted(os.listdir(tmp_path)) == ["situations-report.txt"]
+
+
+def test_info_span_zero_is_valid(capsys, tmp_path):
+    config = tmp_path / "info.txt"
+    config.write_text("span = 0\n")
+    code, out, err = run(capsys, "info", "--config", str(config))
+    assert (code, err) == (EXIT_OK, "")
+    assert "span = 0.0\n" in out
+
+
+@pytest.mark.parametrize("family,theta,reason", [
+    ("slack1d", "0.1,0.2", "slack1d family takes a single slack lever"),
+    ("slack1d", "", "slack1d family takes a single slack lever"),
+    ("fixed", "1.0,0.1,0.9", "fixed family takes (cap, slack, q, beta)"),
+])
+def test_scenario_theta_of_the_wrong_length_names_the_family(
+        capsys, tmp_path, family, theta, reason):
+    scenario = tmp_path / "s.txt"
+    scenario.write_text(f"policy.family = {family}\npolicy.theta = {theta}\n")
+    code, out, err = run(capsys, "simulate", "--config", str(scenario))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"grovekit: {scenario}: policy.family = {family!r}: {reason}\n"
+
+
 def test_directory_config_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", "--config", str(tmp_path))
     assert code == EXIT_USAGE
@@ -813,9 +846,9 @@ def test_info_underflowing_fisher_sum_is_a_failure(capsys, tmp_path, scale):
 BAD_MODEL_FILES = [
     ("table2_entry27_as_printed = ture\n",
      "table2_entry27_as_printed = 'ture': expected one of"),
-    ("caps.3 = 1,1,1,1,1\n", "caps given for unsupported depths [3]"),
+    ("caps.3 = 1,1,1,1,1\n", "unknown key 'caps.3'"),
     ("caps.1 = 2,1,-5\n", "caps for depth 1 must be >= 0"),
-    ("caps.1 = 2,1,1\ncaps.01 = 0,0,0\n", "caps for depth 1 given twice"),
+    ("caps.1 = 2,1,1\ncaps.01 = 0,0,0\n", "unknown key 'caps.01'"),
     ("lift_cost = x\n", "lift_cost = 'x': expected an integer"),
     ("lift_cost = 1e18\n", "lift_cost = '1e18': expected an integer"),
     ("caps.1 = 2,x,1\n",
@@ -856,6 +889,13 @@ VALUE_FAULTS = [
     ("geodesic", "metric = torus\n", "metric", "torus"),
     ("info", "scale = 1e200\n", "scale", "1e200"),
     ("info", "samples = 7\n", "samples", "7"),
+    ("info", "span = -1\n", "span", "-1"),
+    ("info", "span = nan\n", "span", "nan"),
+    ("info", "span = inf\n", "span", "inf"),
+    ("info", "span = 1e308\n", "span", "1e308"),
+    ("critical", "tol = nan\n", "tol", "nan"),
+    ("critical", "tol = 0\n", "tol", "0"),
+    ("critical", "tol = -1\n", "tol", "-1"),
 ]
 
 

@@ -155,8 +155,8 @@ _models = st.builds(
     CostModel,
     lift_cost=st.integers(1, 5), extra_arg_cost=st.integers(1, 5),
     insert_cost=st.integers(1, 5), map_subst_cost=st.integers(1, 5),
-    caps=st.fixed_dictionaries({d: st.tuples(*[st.integers(0, 9)] * (d + 2))
-                                for d in range(3)}),
+    caps=st.tuples(*[st.tuples(*[st.integers(0, 9)] * (d + 2))
+                     for d in range(3)]),
     exclusions=st.frozensets(st.sampled_from(sorted(DEFAULT_EXCLUSIONS))),
     table2_entry27_as_printed=st.booleans())
 
@@ -170,14 +170,29 @@ def test_model_config_round_trip_property(model):
 
 
 def test_cost_model_caps_cover_every_depth():
-    with pytest.raises(GroveError, match="caps missing for depths"):
-        CostModel(caps={1: (2, 1, 1)})
-    with pytest.raises(GroveError, match=r"\[0, 2\]"):
-        CostModel(caps={1: (2, 1, 1), 3: (1, 1, 1, 1, 1)})
-    with pytest.raises(GroveError, match=r"unsupported depths \[3\]"):
-        CostModel(caps={**DEFAULT_CAPS, 3: (1, 1, 1, 1, 1)})
+    with pytest.raises(GroveError, match="caps must give 3 depths, got 2"):
+        CostModel(caps=DEFAULT_CAPS[1:])
+    with pytest.raises(GroveError, match="caps must give 3 depths, got 4"):
+        CostModel(caps=DEFAULT_CAPS + ((1, 1, 1, 1, 1),))
+    with pytest.raises(GroveError, match="caps for depth 0 must have 2 entries"):
+        CostModel(caps=((2, 1, 1),) + DEFAULT_CAPS[1:])
     with pytest.raises(GroveError, match="caps for depth 1 must be >= 0"):
-        CostModel(caps={**DEFAULT_CAPS, 1: (2, 1, -5)})
+        CostModel(caps=(DEFAULT_CAPS[0], (2, 1, -5), DEFAULT_CAPS[2]))
+
+
+def test_cost_model_is_frozen_and_hashable():
+    assert CostModel().caps == DEFAULT_CAPS == ((1, 1), (2, 1, 1), (3, 2, 1, 1))
+    assert hash(CostModel()) == hash(CostModel())
+    listed = CostModel(caps=[[1, 1], [2, 1, 1], [3, 2, 1, 1]])
+    assert listed.caps == DEFAULT_CAPS and listed == CostModel()
+    assert all(type(caps) is tuple for caps in (listed.caps, *listed.caps))
+    rules = set(DEFAULT_EXCLUSIONS)
+    assert hash(CostModel(exclusions=rules)) == hash(CostModel())
+    # a checked model cannot lose its depth-2 chains to an unchecked cap
+    model = CostModel()
+    with pytest.raises(TypeError):
+        model.caps[2] = (-5,)
+    assert len(enumerate_topologies(2, model)) == 42
 
 
 def test_load_config_comments_and_repeated_keys(tmp_path):

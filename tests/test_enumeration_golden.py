@@ -27,8 +27,8 @@ RULES = sorted(DEFAULT_EXCLUSIONS)
 SUBSETS = [frozenset(c) for r in range(len(RULES) + 1)
            for c in itertools.combinations(RULES, r)]
 CAPS = {
-    "shipped": dict(DEFAULT_CAPS),
-    "nine": {d: (9,) * (d + 2) for d in DEFAULT_CAPS},
+    "shipped": DEFAULT_CAPS,
+    "nine": tuple((9,) * (d + 2) for d in range(len(DEFAULT_CAPS))),
 }
 COSTS = {
     "unit": {},

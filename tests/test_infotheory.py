@@ -107,6 +107,16 @@ def test_axis_validation():
         GridSpec((Axis("a", -1e300, 1e300, 8), Axis("b", -1e300, 1e300, 8)))
 
 
+@pytest.mark.parametrize("axis,message", [
+    (2, "axis index 2 out of range"), (-1, "axis index -1 out of range"),
+    ("z", "no axis named 'z'")])
+def test_axis_index_names_a_bad_axis(axis, message):
+    spec = grid(("m", 0.0, 1.0, 8), ("a", 0.0, 1.0, 8))
+    assert (spec.axis_index("a"), spec.axis_index(0)) == (1, 0)
+    with pytest.raises(InfoError, match=f"^{message}$"):
+        spec.axis_index(axis)
+
+
 def _peak_above_start(fn):
     """``fn()`` and the most bytes it held at once beyond those held before."""
     tracemalloc.start()
@@ -484,6 +494,23 @@ def _constant_binding(value, offset):
     comps = [[[lambda x, v=value: v for _ in range(4)] for _ in range(4)]
              for _ in range(4)]
     return InfoTensorBinding(comps, np.full((4, 4), offset))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (4, 4, 1)])
+def test_binding_offsets_must_be_four_by_four(shape):
+    comps = _constant_binding(0.25, 1.0).Lambda
+    with pytest.raises(InfoError, match="^offsets must be 4x4$"):
+        InfoTensorBinding(comps, np.zeros(shape))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_tensor_component_is_named(value):
+    comps = [[[lambda x: 0.25] * 4 for _ in range(4)] for _ in range(4)]
+    comps[2][1] = [lambda x: 0.25] * 3 + [lambda x: value]
+    bind = InfoTensorBinding(comps, np.ones((4, 4)))
+    with pytest.raises(InfoError,
+                       match=r"^non-finite tensor component at \(2, 1\)$"):
+        information_density(bind, [0.1, 0.2, 0.3, 0.4], 0.5)
 
 
 def test_information_density_constant_tensor_is_zero():

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -145,6 +146,23 @@ def test_numpy_scalars_run_as_their_python_numbers(capacity, theta, tmp_path):
 def test_policy_rejects_non_finite_theta(family, theta):
     with pytest.raises(RegsimError, match="finite"):
         PolicySpec(family, theta)
+
+
+@pytest.mark.parametrize("round_", [10.5, 10.0, np.float64(3.0), "3"])
+def test_excession_round_must_be_an_integer(round_):
+    with pytest.raises(RegsimError, match=re.escape(
+            f"event round must be an integer, got {round_!r}")):
+        Excession(round_, "capacity_drop", 0.5)
+
+
+def test_excession_takes_a_numpy_integer_round():
+    config = GameConfig(n_agents=3, rounds=20, seed=3)
+    events = [Excession(np.int64(10), "capacity_drop", 0.5)]
+    shocked = run_episode(config, NO_LAW, 0, events)
+    assert shocked.events == run_episode(
+        config, NO_LAW, 0, [Excession(10, "capacity_drop", 0.5)]).events
+    assert shocked.events and shocked.to_csv() != run_episode(
+        config, NO_LAW, 0).to_csv()
 
 
 @pytest.mark.parametrize("kind,value", [

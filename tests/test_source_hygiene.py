@@ -61,3 +61,33 @@ def test_only_read_key_pops_a_key():
             for name, line in _pops(ast.parse(path.read_text(), str(path)))]
     assert [(module, name) for module, name, _ in pops] == [
         ("model.py", "read_key")], pops
+
+
+def _frozen_classes(tree):
+    """The classes of ``tree`` declared ``@dataclass(frozen=True)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None)
+                == "dataclass" and any(k.arg == "frozen"
+                                       and getattr(k.value, "value", None)
+                                       is True for k in d.keywords)
+                for d in node.decorator_list):
+            yield node
+
+
+def _outer_name(annotation):
+    """``dict`` for ``dict[int, str]``, ``list`` for ``list``, and so on."""
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return getattr(annotation, "id", None)
+
+
+def test_frozen_dataclasses_hold_no_mutable_containers():
+    # a frozen object whose field is a dict, list or set can change after
+    # its checks, and cannot be hashed
+    found = [f"{path.name}:{field.lineno}: {cls.name}.{field.target.id}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for cls in _frozen_classes(ast.parse(path.read_text(), str(path)))
+             for field in cls.body if isinstance(field, ast.AnnAssign)
+             and _outer_name(field.annotation) in ("dict", "list", "set")]
+    assert found == []

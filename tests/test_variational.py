@@ -72,6 +72,12 @@ def test_first_variation_matches_analytic_on_random_polynomials():
         assert np.linalg.norm(grad - analytic) / scale < 1e-5
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-5])
+def test_first_variation_rejects_a_step_that_is_not_positive(h):
+    with pytest.raises(VariationalError, match="^step h must be > 0$"):
+        first_variation(quadratic([0.0]), [1.0], h=h)
+
+
 @pytest.mark.parametrize("theta", [[], [0.0, 1.0]])
 def test_first_variation_rejects_wrong_length(theta):
     F = Functional(lambda t: float(t[0]), 1, "line")
@@ -193,6 +199,13 @@ def test_metric_field_rejects_asymmetry():
     from grovekit.variational import MetricField
     field = MetricField(2, lambda p: np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(VariationalError, match="symmetric"):
+        field([0.0, 0.0])
+
+
+def test_metric_field_rejects_a_matrix_of_the_wrong_shape():
+    field = MetricField(2, lambda p: np.eye(3))
+    with pytest.raises(VariationalError, match=re.escape(
+            "metric returned shape (3, 3), expected (2, 2)")):
         field([0.0, 0.0])
 
 
@@ -694,6 +707,67 @@ def test_group_rejects_bad_table():
         FiniteGroup(("e", "a", "b"), rows_only, (1,))
     with pytest.raises(VariationalError, match="element a has no inverse"):
         FiniteGroup(("e", "a", "b"), rows_only.T, (1,))
+
+
+#: a Latin square with identity 0 that is not associative: (1 1) 2 = 0 2 = 2
+#: but 1 (1 2) = 1 3 = 4
+NON_ASSOCIATIVE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                   [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("table,generators,message", [
+    ([[0, 1, 2], [1, 2, 0]], (1,), "malformed composition table"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 3]], (1,), "malformed composition table"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, -1]], (1,), "malformed composition table"),
+    ([[0, 1], [1, 0.5]], (1,), "malformed composition table"),
+    ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], (1,), "element 0 is not an identity"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], (3,), "generator index 3 out of range"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], (-1,),
+     "generator index -1 out of range"),
+    (NON_ASSOCIATIVE, (1,), "composition table is not associative"),
+], ids=["short", "entry-above-order", "negative-entry", "fractional-entry",
+        "no-identity", "generator-above", "generator-below", "not-associative"])
+def test_group_rejects_each_table_fault_by_name(table, generators, message):
+    labels = tuple("eabcd"[:len(table[0])])
+    with pytest.raises(VariationalError, match=f"^{re.escape(message)}$"):
+        FiniteGroup(labels, table, generators)
+
+
+def test_group_keeps_the_table_it_checked():
+    reference = cyclic_group(3)
+    listed = FiniteGroup(reference.labels, reference.table.tolist(), (1,))
+    assert isinstance(listed.table, np.ndarray)
+    assert np.array_equal(listed.table, reference.table)
+    assert listed.mul(1, 2) == 0
+    assert (policy_information(word_distance_cost(listed), 0.5)
+            == policy_information(word_distance_cost(reference), 0.5))
+    # neither the table nor the inverses can change after the checks
+    for array in (reference.table, reference.inverses):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1] = 0
+    assert reference.mul(1, 1) == 2 and reference.inverse(1) == 2
+
+
+def test_groups_compare_by_identity():
+    group = cyclic_group(3)
+    assert group == group
+    assert group != cyclic_group(3)
+    assert hash(group) == hash(group)
+    assert len({group, cyclic_group(3)}) == 2
+
+
+def test_direct_product_order_is_bounded():
+    with pytest.raises(VariationalError,
+                       match="^product order 72 exceeds 64$"):
+        direct_product(cyclic_group(8), cyclic_group(9))
+
+
+def test_lever_metric_needs_a_generator():
+    group = cyclic_group(4)
+    bare = FiniteGroup(group.labels, group.table, ())
+    with pytest.raises(VariationalError,
+                       match="^policy group declares no generators$"):
+        lever_metric(PolicyCostFunction(bare, lambda a, b: 0.0))
 
 
 # only values well above the bound: between it and a few thousand, the
