@@ -40,11 +40,12 @@ from .infotheory import (
     build_nested_distribution,
     fisher_information,
 )
-from .model import (EXPECTED, CostModel, integers, load_config,
-                    model_from_config, numbers, read_key, reject_unread)
+from .model import (EXPECTED, integers, load_config, model_from_config,
+                    numbers, read_key, reject_unread)
 from .regsim import (DEFAULT_SEEDS, NO_LAW, OptimizationResult,
                      load_scenario, mean_welfare, optimize_slack, run_episode)
 from .variational import (
+    MAX_METRIC_DIMENSION,
     CriticalityError,
     Functional,
     VariationalError,
@@ -96,7 +97,7 @@ CommandResult = tuple[int, list[tuple[str, object]], dict[str, str], list[str]]
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> CommandResult:
-    model = model_from_config(args.model) if args.model else CostModel()
+    model = model_from_config(args.model)
     if args.partition:
         groves = read_key({"--partition": args.partition}, "enumerate",
                           "--partition", lambda text: enumerate_groves(
@@ -113,9 +114,7 @@ def cmd_enumerate(args) -> CommandResult:
 
 
 def cmd_verify(args) -> CommandResult:
-    model = model_from_config(args.model) if args.model else CostModel()
-    if args.entry27_as_printed:
-        model = model.with_entry27_as_printed()
+    model = model_from_config(args.model)
     result = verify_against_table(args.table, model)
     fields = [("table", args.table), ("seed", args.seed),
               ("entry27_as_printed", model.table2_entry27_as_printed),
@@ -151,7 +150,7 @@ def _checked(parse, test, reason: str):
 
 
 def cmd_info(args) -> CommandResult:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     scale = read_key(cfg, args.config, "scale", _checked(
         float, lambda s: s > 0 and 0 < s * s < math.inf,
         "must be > 0 with 1/scale^2 finite and nonzero"), 1.0, "a number")
@@ -191,7 +190,7 @@ def _read_vector(cfg, origin, key: str, default: tuple[float, ...]):
 
 
 def cmd_critical(args) -> CommandResult:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     kind = read_key(cfg, args.config, "functional", _checked(
         str, ("quadratic", "rosenbrock").__contains__,
         "expected quadratic or rosenbrock"), "quadratic")
@@ -226,15 +225,17 @@ def cmd_critical(args) -> CommandResult:
 
 
 def cmd_geodesic(args) -> CommandResult:
-    cfg = load_config(args.config) if args.config else {}
+    cfg = load_config(args.config)
     kind = read_key(cfg, args.config, "metric", _checked(
         str, ("euclidean", "sphere").__contains__,
         "expected euclidean or sphere"), "euclidean")
     steps = read_key(cfg, args.config, "steps", int, 1000)
     h = read_key(cfg, args.config, "h", float, 0.001)
     if kind == "euclidean":
-        dim = read_key(cfg, args.config, "dimension", _checked(
-            int, lambda d: d >= 1, "must be >= 1"), 2, "an integer")
+        dim = read_key(cfg, args.config, "dimension", _checked(_checked(
+            int, lambda d: d >= 1, "must be >= 1"),
+            lambda d: d <= MAX_METRIC_DIMENSION,
+            f"must be <= {MAX_METRIC_DIMENSION}"), 2, "an integer")
         metric = euclidean_metric(dim)
         start = _read_vector(cfg, args.config, "start", (0.0,) * dim)
         velocity = _read_vector(cfg, args.config, "velocity",
@@ -261,10 +262,7 @@ def cmd_geodesic(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 
 def _scenario_from_args(args):
-    if args.config:
-        config, policy, order, events = load_scenario(args.config)
-    else:
-        config, policy, order, events = regsim.GameConfig(), NO_LAW, 0, []
+    config, policy, order, events = load_scenario(args.config)
     if args.seed is not None:
         config = regsim.replace(config, seed=args.seed)
     if getattr(args, "rounds", None) is not None:
@@ -340,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="diff enumeration against shipped tables")
     common(p, "--model")
     p.add_argument("--table", type=int, required=True, choices=(0, 1, 2))
-    p.add_argument("--entry27-as-printed", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("situations", help="list situation expressions")

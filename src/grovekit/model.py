@@ -91,9 +91,6 @@ class CostModel:
         if unknown:
             raise GroveError(f"unknown exclusion rules: {sorted(unknown)}")
 
-    def with_entry27_as_printed(self) -> "CostModel":
-        return replace(self, table2_entry27_as_printed=True)
-
 
 def charges(expr: TopologyExpr, model: CostModel = CostModel()) -> dict[str, int]:
     """Decoration weight per level, ground to head, like ``model.caps[depth]``.
@@ -129,13 +126,16 @@ def rank(expr: TopologyExpr, model: CostModel = CostModel()) -> int:
 # flat key-value config files
 # ---------------------------------------------------------------------------
 
-def load_config(path: str | Path) -> dict[str, str]:
+def load_config(path: str | Path | None) -> dict[str, str]:
     """Read flat ``key = value`` lines from ``path``; '#' starts a comment.
 
     This is the one reader of the lines of model, config and scenario
     files, and `read_key` and `reject_unread` of their keys.  A key given
-    twice is an error, so no line is silently dropped.
+    twice is an error, so no line is silently dropped.  No file (``path``
+    None or '') has no keys, so its loader returns every default.
     """
+    if not path:
+        return {}
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -195,7 +195,7 @@ def reject_unread(cfg: dict[str, str], origin: str | Path | None) -> None:
         raise GroveError(f"{origin}: unknown key {next(iter(cfg))!r}")
 
 
-def model_from_config(path: str | Path) -> CostModel:
+def model_from_config(path: str | Path | None) -> CostModel:
     """Read the keys :func:`model_to_config` writes; any other key is an error."""
     cfg = load_config(path)
     model = CostModel()

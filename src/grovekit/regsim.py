@@ -117,13 +117,13 @@ class Law:
     tolerance: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cap < 0:
+        if not self.cap >= 0:
             raise RegsimError("permit cap must be nonnegative")
         if not 0.0 <= self.slack <= 1.0:
             raise RegsimError("slack must lie in [0, 1]")
         if not 0.0 <= self.enforcement <= 1.0:
             raise RegsimError("enforcement probability must lie in [0, 1]")
-        if self.penalty < 0:
+        if not self.penalty >= 0:
             raise RegsimError("penalty multiplier must be nonnegative")
         object.__setattr__(self, "tolerance", self.cap * (1.0 + self.slack))
 
@@ -712,8 +712,8 @@ def _event(text: str) -> Excession:
     return Excession(int(rnd), kind, float(value))
 
 
-def load_scenario(path: str | Path) -> tuple[GameConfig, PolicySpec, int,
-                                             list[Excession]]:
+def load_scenario(path: str | Path | None) -> tuple[
+        GameConfig, PolicySpec, int, list[Excession]]:
     """Read a flat key-value scenario file: config fields, policy, events.
 
     Each key is read by `model.read_key`, with a parser that builds its

@@ -139,6 +139,9 @@ MAX_METRIC_DIMENSION = 64
 
 
 def _check_metric_dimension(dimension: int) -> None:
+    if dimension < 1:
+        raise VariationalError(f"metric dimension must be >= 1, "
+                               f"got {dimension}")
     if dimension > MAX_METRIC_DIMENSION:
         raise VariationalError(f"at most {MAX_METRIC_DIMENSION} metric "
                                f"dimensions, got {dimension}")
@@ -482,7 +485,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = tuple(f"r{i}" for i in range(n))
-    return FiniteGroup(labels, table, (1 % n,))
+    # r1 generates the rotations; order 1 has only r0, and order 0 fails
+    return FiniteGroup(labels, table, (int(n > 1),))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -494,7 +498,8 @@ def dihedral_group(n: int) -> FiniteGroup:
     table = np.where(fa == 0, (ra + rb) % n + n * fb,
                      (ra - rb) % n + n * (1 - fb))
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"sr{i}" for i in range(n))
-    return FiniteGroup(labels, table, (1 % n, n))
+    # r1 generates the rotations; order 1 has only r0, and order 0 fails
+    return FiniteGroup(labels, table, (int(n > 1), n))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:

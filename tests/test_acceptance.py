@@ -80,7 +80,8 @@ def test_criterion_2_table_fidelity():
         assert plain.missing == {parse(ENTRY27_PRINTED)}
         assert plain.extra == {parse(ENTRY27_MODEL)}
         assert plain.acceptable
-        switched = verify_against_table(2, CostModel().with_entry27_as_printed())
+        switched = verify_against_table(
+            2, CostModel(table2_entry27_as_printed=True))
         assert switched.exact
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import re
@@ -55,10 +56,6 @@ def test_verify_tables(capsys):
     code, out, _ = run(capsys, "verify", "--table", "2")
     assert code == EXIT_OK
     assert "exact = False" in out
-    code, out, _ = run(capsys, "verify", "--table", "2", "--entry27-as-printed")
-    assert code == EXIT_OK
-    assert "entry27_as_printed = True\n" in out
-    assert "exact = True" in out
 
 
 def test_verify_diff_is_sorted_by_rendered_form(capsys, tmp_path):
@@ -215,6 +212,26 @@ def test_missing_config_is_usage_error(capsys):
     code, _, err = run(capsys, "info", "--config", "/nonexistent/cfg.txt")
     assert code == EXIT_USAGE
     assert "grovekit:" in err
+
+
+def test_empty_config_path_reads_as_no_file(capsys):
+    default = run(capsys, "info")
+    assert default[0] == EXIT_OK
+    assert run(capsys, "info", "--config", "") == default
+
+
+def test_readme_and_parser_name_the_same_flags():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    registered = {flag for sub in subparsers.choices.values()
+                  for action in sub._actions for flag in action.option_strings}
+    registered -= {"-h", "--help"}
+    readme = (SRC.parent / "README.md").read_text()
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    documented -= {"--no-build-isolation"}
+    assert sorted(registered - documented) == []
+    assert sorted(documented - registered) == []
 
 
 def test_critical_quadratic(capsys, tmp_path):
@@ -497,9 +514,7 @@ _model_commands = st.one_of(
     st.tuples(st.sampled_from(FUZZ_PARTITIONS), st.booleans()).map(
         lambda pu: ["enumerate", "--partition", pu[0]]
         + ["--unpruned"] * pu[1]),
-    st.tuples(st.sampled_from(("0", "1", "2")), st.booleans()).map(
-        lambda tp: ["verify", "--table", tp[0]]
-        + ["--entry27-as-printed"] * tp[1]),
+    st.sampled_from(("0", "1", "2")).map(lambda t: ["verify", "--table", t]),
 )
 
 
@@ -691,13 +706,14 @@ def test_geodesic_step_count_above_the_bound_is_a_computation_failure(
 
 
 @pytest.mark.parametrize("dimension", [MAX_METRIC_DIMENSION + 1, 3000])
-def test_geodesic_dimension_above_the_bound_is_a_computation_failure(
+def test_geodesic_dimension_above_the_bound_is_a_usage_error(
         capsys, tmp_path, dimension):
     code, out, err = run_config(capsys, tmp_path, "geodesic",
                                 f"dimension = {dimension}\nsteps = 1\n")
-    assert (code, out) == (EXIT_FAILURE, "")
-    assert err == (f"grovekit: at most {MAX_METRIC_DIMENSION} metric "
-                   f"dimensions, got {dimension}\n")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: "
+                   f"dimension = '{dimension}': "
+                   f"must be <= {MAX_METRIC_DIMENSION}\n")
 
 
 @pytest.mark.parametrize("command,base,key,value,expected", [
@@ -886,6 +902,7 @@ VALUE_FAULTS = [
      "table2_entry27_as_printed", "ture"),
     ("critical", "functional = bogus\n", "functional", "bogus"),
     ("geodesic", "dimension = 0\n", "dimension", "0"),
+    ("geodesic", "dimension = 100\n", "dimension", "100"),
     ("geodesic", "metric = torus\n", "metric", "torus"),
     ("info", "scale = 1e200\n", "scale", "1e200"),
     ("info", "samples = 7\n", "samples", "7"),

@@ -34,8 +34,9 @@ CASES = {
     "verify-0": (["verify", "--table", "0"], {}),
     "verify-1": (["verify", "--table", "1"], {}),
     "verify-2": (["verify", "--table", "2", "--seed", "3"], {}),
-    "verify-2-entry27": (["verify", "--table", "2", "--entry27-as-printed"],
-                         {}),
+    "verify-2-entry27": (
+        ["verify", "--table", "2", "--model", "{model.txt}"],
+        {"model.txt": "table2_entry27_as_printed = true\n"}),
     "verify-2-no-exclusions": (
         ["verify", "--table", "2", "--model", "{model.txt}"],
         {"model.txt": "exclusions =\n"}),

@@ -69,7 +69,7 @@ def test_tables_verify(table):
 
 
 def test_entry27_switch_makes_table2_exact():
-    model = CostModel().with_entry27_as_printed()
+    model = CostModel(table2_entry27_as_printed=True)
     assert verify_against_table(2, model).exact
 
 
@@ -145,7 +145,7 @@ def test_situation_costs_match_order():
 
 
 def test_model_config_round_trip():
-    model = CostModel().with_entry27_as_printed()
+    model = CostModel(table2_entry27_as_printed=True)
     text = model_to_config(model)
     restored = model_from_config_text(text)
     assert restored == model
@@ -207,6 +207,11 @@ def test_load_config_comments_and_repeated_keys(tmp_path):
     with pytest.raises(GroveError) as err:
         load_config(path)
     assert str(err.value) == f"{path}:2: expected 'key = value'"
+
+
+def test_no_file_reads_as_no_keys():
+    assert load_config(None) == load_config("") == {}
+    assert model_from_config(None) == CostModel()
 
 
 def test_read_key_names_origin_key_and_value_in_the_loaders_error():

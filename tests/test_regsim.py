@@ -234,6 +234,14 @@ def test_law_validation():
         Law(1.0, enforcement=1.5)
 
 
+def test_law_rejects_nan_cap_and_penalty():
+    with pytest.raises(RegsimError, match="^permit cap must be nonnegative$"):
+        Law(math.nan)
+    with pytest.raises(RegsimError,
+                       match="^penalty multiplier must be nonnegative$"):
+        Law(1.0, penalty=math.nan)
+
+
 @pytest.mark.parametrize("theta", [(-1.0, 0.0, 1.0, 1.0), (1.0, 2.0, 1.0, 1.0),
                                    (1.0, 0.0, 1.5, 1.0), (1.0, 0.0, 1.0, -1.0)])
 def test_fixed_policy_rejects_invalid_law(theta, tmp_path):
@@ -563,6 +571,10 @@ def test_scenario_round_trip(tmp_path):
     assert policy2.theta == (0.25,)
     assert order == 2
     assert events2 == events
+
+
+def test_no_scenario_file_is_the_default_scenario():
+    assert load_scenario(None) == (GameConfig(), NO_LAW, 0, [])
 
 
 def test_scenario_theta_may_be_empty_but_not_have_empty_pieces(tmp_path):

@@ -787,9 +787,25 @@ def test_metric_dimension_is_bounded(dimension):
         FiniteGroup(group.labels, group.table, (1,) * dimension)
 
 
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_metric_dimension_is_at_least_one(dimension):
+    message = f"^metric dimension must be >= 1, got {dimension}$"
+    with pytest.raises(VariationalError, match=message):
+        euclidean_metric(dimension)
+    with pytest.raises(VariationalError, match=message):
+        MetricField(dimension, lambda p: np.eye(0))
+
+
 def test_group_order_cap():
     with pytest.raises(VariationalError, match="order"):
         cyclic_group(65)
+
+
+@pytest.mark.parametrize("make", [cyclic_group, dihedral_group],
+                         ids=lambda make: make.__name__)
+def test_group_of_order_zero_is_rejected(make):
+    with pytest.raises(VariationalError, match="^group must be nonempty$"):
+        make(0)
 
 
 def test_policy_information_nonnegative():
