@@ -22,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from . import infotheory, regsim
+from . import infotheory, regsim, variational
 from .enumeration import (
     SITUATIONS_FILE,
     TABLE_FILES,
@@ -45,7 +45,6 @@ from .model import (EXPECTED, integers, load_config, model_from_config,
 from .regsim import (DEFAULT_SEEDS, NO_LAW, OptimizationResult,
                      load_scenario, mean_welfare, optimize_slack, run_episode)
 from .variational import (
-    MAX_METRIC_DIMENSION,
     CriticalityError,
     Functional,
     VariationalError,
@@ -182,11 +181,10 @@ def _join(values) -> str:
 
 
 def _read_vector(cfg, origin, key: str, default: tuple[float, ...]):
-    """The numbers of ``key``, which must be as many as ``default`` has."""
-    expected = f"{len(default)} numbers separated by commas"
-    return read_key(cfg, origin, key, _checked(
-        numbers, lambda v: len(v) == len(default), f"expected {expected}"),
-        default, expected)
+    """The numbers of ``key``: as many finite ones as ``default`` has."""
+    d = len(default)
+    return read_key(cfg, origin, key, lambda text: variational.check_vector(
+        numbers(text), d, key), default, f"{d} numbers separated by commas")
 
 
 def cmd_critical(args) -> CommandResult:
@@ -194,11 +192,12 @@ def cmd_critical(args) -> CommandResult:
     kind = read_key(cfg, args.config, "functional", _checked(
         str, ("quadratic", "rosenbrock").__contains__,
         "expected quadratic or rosenbrock"), "quadratic")
-    tol = read_key(cfg, args.config, "tol", _checked(
-        float, lambda t: t > 0, "must be > 0"), 1e-6, "a number")
+    tol = read_key(cfg, args.config, "tol", lambda text:
+                   variational.check_tolerance(float(text)), 1e-6, "a number")
     if kind == "quadratic":
-        center = np.array(read_key(cfg, args.config, "center", numbers,
-                                   (0.0, 0.0)))
+        center = read_key(cfg, args.config, "center", lambda text: (
+            variational.check_vector(c := numbers(text), len(c), "center")),
+            (0.0, 0.0), EXPECTED[numbers])
         d = len(center)
         F = Functional(lambda t: float((t - center) @ (t - center)), d,
                        "quadratic")
@@ -229,13 +228,13 @@ def cmd_geodesic(args) -> CommandResult:
     kind = read_key(cfg, args.config, "metric", _checked(
         str, ("euclidean", "sphere").__contains__,
         "expected euclidean or sphere"), "euclidean")
-    steps = read_key(cfg, args.config, "steps", int, 1000)
-    h = read_key(cfg, args.config, "h", float, 0.001)
+    steps = read_key(cfg, args.config, "steps", lambda text:
+                     variational.check_steps(int(text)), 1000, "an integer")
+    h = read_key(cfg, args.config, "h", lambda text:
+                 variational.check_step_size(float(text)), 0.001, "a number")
     if kind == "euclidean":
-        dim = read_key(cfg, args.config, "dimension", _checked(_checked(
-            int, lambda d: d >= 1, "must be >= 1"),
-            lambda d: d <= MAX_METRIC_DIMENSION,
-            f"must be <= {MAX_METRIC_DIMENSION}"), 2, "an integer")
+        dim = read_key(cfg, args.config, "dimension", lambda text: (
+            variational.check_metric_dimension(int(text))), 2, "an integer")
         metric = euclidean_metric(dim)
         start = _read_vector(cfg, args.config, "start", (0.0,) * dim)
         velocity = _read_vector(cfg, args.config, "velocity",

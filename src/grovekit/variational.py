@@ -54,10 +54,30 @@ class Functional:
         return float(self.evaluate(self.parameters(theta)))
 
 
+def check_step_size(h: float) -> float:
+    if not 0 < h < math.inf:
+        raise VariationalError("step h must be finite and > 0")
+    return h
+
+
+def check_tolerance(tol: float) -> float:
+    if not tol > 0:
+        raise VariationalError("tol must be > 0")
+    return tol
+
+
+def check_vector(values, dimension: int, name: str) -> np.ndarray:
+    """The argument ``name`` as a vector of ``dimension`` finite floats."""
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (dimension,) or not np.isfinite(vector).all():
+        raise VariationalError(
+            f"{name} must be {dimension} finite numbers, got {vector.tolist()}")
+    return vector
+
+
 def first_variation(F: Functional, theta, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of F at theta."""
-    if h <= 0:
-        raise VariationalError("step h must be > 0")
+    h = check_step_size(h)
     theta = F.parameters(theta)
     grad = np.empty(F.dimension)
     # theta is checked, so its offset points go to F.evaluate directly
@@ -79,15 +99,19 @@ def solve_critical(F: Functional, theta0, tol: float = 1e-6,
 
     Deterministic: fixed step schedule, no randomness.  The first point
     reaching the residual tolerance is returned.  Hitting the iteration
-    cap raises CriticalityError carrying the best point seen.
+    cap raises CriticalityError carrying the best point seen, and a
+    start whose value is not finite raises VariationalError.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
+    tol = check_tolerance(tol)
+    theta = check_vector(theta0, F.dimension, "theta0").copy()
     best_theta, best_res = theta.copy(), math.inf
     step = step0
     # an overflowing evaluation is reported by first_variation or skipped
     # by the line search, so numpy's float warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore"):
         value = F(theta)
+        if not math.isfinite(value):
+            raise VariationalError(f"value {value} at theta0 is not finite")
         for it in range(max_iter):
             grad = first_variation(F, theta, h)
             res = math.sqrt(float(grad @ grad))
@@ -138,13 +162,14 @@ MIN_EIGENVALUE = 1e-9
 MAX_METRIC_DIMENSION = 64
 
 
-def _check_metric_dimension(dimension: int) -> None:
+def check_metric_dimension(dimension: int) -> int:
     if dimension < 1:
         raise VariationalError(f"metric dimension must be >= 1, "
                                f"got {dimension}")
     if dimension > MAX_METRIC_DIMENSION:
         raise VariationalError(f"at most {MAX_METRIC_DIMENSION} metric "
                                f"dimensions, got {dimension}")
+    return dimension
 
 
 def _is_diagonal(g: np.ndarray, diag: list[float]) -> bool:
@@ -176,7 +201,7 @@ class MetricField:
     constant: bool = False
 
     def __post_init__(self):
-        _check_metric_dimension(self.dimension)
+        check_metric_dimension(self.dimension)
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -210,8 +235,7 @@ class MetricField:
 
 
 def euclidean_metric(dimension: int) -> MetricField:
-    _check_metric_dimension(dimension)
-    return constant_metric(np.eye(dimension))
+    return constant_metric(np.eye(check_metric_dimension(dimension)))
 
 
 def constant_metric(matrix) -> MetricField:
@@ -270,6 +294,14 @@ def christoffel(g: MetricField, p) -> np.ndarray:
 
 #: most RK4 steps one geodesic may take; every point is kept in memory
 MAX_GEODESIC_STEPS = 100_000
+
+
+def check_steps(steps: int) -> int:
+    if steps < 1:
+        raise VariationalError("need at least one step")
+    if steps > MAX_GEODESIC_STEPS:
+        raise VariationalError(f"at most {MAX_GEODESIC_STEPS} steps, got {steps}")
+    return steps
 
 
 def _csv_columns(d: int) -> str:
@@ -354,24 +386,8 @@ def integrate_geodesic(g: MetricField, start, velocity, steps: int,
     same at every point, so the path is bit-identical to evaluating it per
     stage.
     """
-    if steps < 1:
-        raise VariationalError("need at least one step")
-    if steps > MAX_GEODESIC_STEPS:
-        raise VariationalError(
-            f"at most {MAX_GEODESIC_STEPS} steps, got {steps}")
-    if not 0 < h < math.inf:
-        raise VariationalError("step h must be finite and > 0")
-    x = np.asarray(start, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    d = g.dimension
-    if x.shape != (d,) or v.shape != (d,):
-        raise VariationalError(
-            f"start and velocity need shape ({d},), "
-            f"got {x.shape} and {v.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(v).all()):
-        raise VariationalError(
-            f"start and velocity must be finite, got {x.tolist()} and "
-            f"{v.tolist()}")
+    steps, h, d = check_steps(steps), check_step_size(h), g.dimension
+    x, v = check_vector(start, d, "start"), check_vector(velocity, d, "velocity")
     # the state y = (x, v) is rebound each step, never changed in place
     y = np.concatenate((x, v))
     states = [y]

@@ -19,7 +19,10 @@ from grovekit.model import EXCLUSION_RULES
 from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, MAX_AGENT_ROUNDS,
                              MAX_ROUNDS, PolicySpec, load_scenario,
                              mean_welfare)
-from grovekit.variational import MAX_GEODESIC_STEPS, MAX_METRIC_DIMENSION
+from grovekit.variational import (MAX_GEODESIC_STEPS, MAX_METRIC_DIMENSION,
+                                  Functional, VariationalError,
+                                  euclidean_metric, integrate_geodesic,
+                                  solve_critical)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -465,6 +468,61 @@ def test_fuzzed_numerics_configs_keep_the_exit_contract(command, data):
         assert names_the_file(err.getvalue(), path)
 
 
+#: the values a single-key `critical` or `geodesic` file draws for each
+#: key: the refused ones, and valid ones that keep every run short (a
+#: geodesic that is not refused takes at most 1000 steps, and `h = 1e308`
+#: and the large vectors fail within a step)
+SINGLE_KEY_VALUES = {
+    "functional": ("quadratic", "rosenbrock", "bogus", ""),
+    "tol": ("1e-6", "0.5", "inf", "5e-324", "0", "-1", "nan", "x"),
+    "center": ("1.5,-0.5", "2", "1,2,3", "1e200,0", "-1e308,1e308", "nan,0",
+               "inf", "1,x", ""),
+    "theta0": ("1,1", "-1.2,1", "1e200,0", "1e308,-1e308", "inf,0", "nan,1",
+               "1", "1,2,3", "x"),
+    "metric": ("euclidean", "sphere", "torus", ""),
+    "steps": ("1", "20", "50", "0", "-5", str(MAX_GEODESIC_STEPS + 1),
+              "1000000000000000000", "1e3", ""),
+    "h": ("0.001", "1e308", "-1e308", "0", "-1", "nan", "inf", "x"),
+    "dimension": ("1", "3", str(MAX_METRIC_DIMENSION), "0",
+                  str(MAX_METRIC_DIMENSION + 1), "two"),
+    "start": ("0,0", "1e308,-1e308", "0", "0,0,0", "nan,0", "inf,0", "0;0"),
+    "velocity": ("1,0", "0,0", "1e200,1e200", "-1,1e308", "1e308,1e308",
+                 "inf,0", "0,nan", "1", ""),
+}
+#: the ways a geodesic run that is not refused may fail
+GEODESIC_FAILURES = ("error = metric failed at step ",
+                     "error = path is not finite at step ",
+                     "error = energy is not finite at sample ")
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(("critical", "geodesic")), data=st.data())
+def test_single_key_numerics_files_keep_the_exit_contract(command, data):
+    key = data.draw(st.sampled_from(NUMERICS_KEYS[command]))
+    value = data.draw(st.sampled_from(SINGLE_KEY_VALUES[key]))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.txt")
+        with open(path, "w") as handle:
+            handle.write(f"{key} = {value}\n")
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", path])
+    out, err = out.getvalue(), err.getvalue()
+    assert_exit_contract(code, out, err, caught)
+    if code == EXIT_USAGE:
+        assert err.startswith(f"grovekit: {path}: {key} = {value!r}: ")
+    elif code == EXIT_FAILURE and command == "critical":
+        # a solve that ran and did not converge, or a start it refused
+        assert ("converged = False\n" in out and err == "") or (
+            out == "" and re.fullmatch(
+                r"grovekit: value \S+ at theta0 is not finite\n", err))
+    elif code == EXIT_FAILURE:
+        assert err == ""
+        assert out.splitlines()[-1].startswith(GEODESIC_FAILURES)
+
+
 #: what the scenario fuzz draws values, event rounds and event kinds from
 FUZZ_VALUES = ("nan", "inf", "-1", "0", "1e18", "1e19", "1e200",
                "1000000000000000000", "x", "")
@@ -688,21 +746,22 @@ def test_scenario_comment_after_a_value(capsys, tmp_path):
 
 @pytest.mark.parametrize("text", ["h = nan\n", "h = inf\n", "h = 0\n",
                                   "metric = sphere\nh = inf\n"])
-def test_geodesic_step_size_is_a_computation_failure(capsys, tmp_path, text):
+def test_geodesic_step_size_is_a_usage_error(capsys, tmp_path, text):
     code, out, err = run_config(capsys, tmp_path, "geodesic", text)
-    assert code == EXIT_FAILURE
-    assert err == ""
-    assert out.splitlines()[-1] == "error = step h must be finite and > 0"
+    value = text.splitlines()[-1].removeprefix("h = ")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: h = {value!r}: "
+                   "step h must be finite and > 0\n")
 
 
-def test_geodesic_step_count_above_the_bound_is_a_computation_failure(
+def test_geodesic_step_count_above_the_bound_is_a_usage_error(
         capsys, tmp_path):
     code, out, err = run_config(capsys, tmp_path, "geodesic",
                                 "steps = 1000000000000000000\n")
-    assert (code, err) == (EXIT_FAILURE, "")
-    assert out.splitlines()[-1] == (
-        f"error = at most {MAX_GEODESIC_STEPS} steps, "
-        f"got 1000000000000000000")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: "
+                   f"steps = '1000000000000000000': at most "
+                   f"{MAX_GEODESIC_STEPS} steps, got 1000000000000000000\n")
 
 
 @pytest.mark.parametrize("dimension", [MAX_METRIC_DIMENSION + 1, 3000])
@@ -712,8 +771,9 @@ def test_geodesic_dimension_above_the_bound_is_a_usage_error(
                                 f"dimension = {dimension}\nsteps = 1\n")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: {tmp_path / 'config.txt'}: "
-                   f"dimension = '{dimension}': "
-                   f"must be <= {MAX_METRIC_DIMENSION}\n")
+                   f"dimension = '{dimension}': at most "
+                   f"{MAX_METRIC_DIMENSION} metric dimensions, "
+                   f"got {dimension}\n")
 
 
 @pytest.mark.parametrize("command,base,key,value,expected", [
@@ -761,12 +821,13 @@ def test_unparsable_numerics_value_names_its_key(
 @pytest.mark.parametrize("count", ["short", "long"])
 def test_vector_of_the_wrong_length_is_a_usage_error(
         capsys, tmp_path, command, base, key, d, count):
-    value = ",".join(["0.5"] * (d - 1 if count == "short" else d + 1))
+    entries = [0.5] * (d - 1 if count == "short" else d + 1)
+    value = ",".join(map(str, entries))
     code, out, err = run_config(capsys, tmp_path, command,
                                 f"{base}{key} = {value}\n")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: {tmp_path / 'config.txt'}: {key} = {value!r}: "
-                   f"expected {d} numbers separated by commas\n")
+                   f"{key} must be {d} finite numbers, got {entries}\n")
 
 
 @pytest.mark.parametrize("dimension", [0, -1])
@@ -776,20 +837,74 @@ def test_geodesic_dimension_below_one_is_a_usage_error(
                                 f"dimension = {dimension}\n")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: {tmp_path / 'config.txt'}: "
-                   f"dimension = '{dimension}': must be >= 1\n")
+                   f"dimension = '{dimension}': metric dimension must be >= 1, "
+                   f"got {dimension}\n")
 
 
-@pytest.mark.parametrize("text", ["velocity = nan,1\n",
-                                  "start = 0,inf\n",
-                                  "metric = sphere\nvelocity = inf,0\n"],
-                         ids=["velocity-nan", "start-inf", "sphere-velocity-inf"])
-def test_geodesic_non_finite_start_or_velocity_is_a_computation_failure(
-        capsys, tmp_path, text):
+@pytest.mark.parametrize("text,key,value,entries", [
+    ("velocity = nan,1\n", "velocity", "nan,1", "[nan, 1.0]"),
+    ("start = 0,inf\n", "start", "0,inf", "[0.0, inf]"),
+    ("metric = sphere\nvelocity = inf,0\n", "velocity", "inf,0", "[inf, 0.0]"),
+], ids=["velocity-nan", "start-inf", "sphere-velocity-inf"])
+def test_geodesic_non_finite_start_or_velocity_is_a_usage_error(
+        capsys, tmp_path, text, key, value, entries):
     code, out, err = run_config(capsys, tmp_path, "geodesic", text)
-    assert code == EXIT_FAILURE
-    assert err == ""
-    assert out.splitlines()[-1].startswith(
-        "error = start and velocity must be finite")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: {key} = {value!r}: "
+                   f"{key} must be 2 finite numbers, got {entries}\n")
+
+
+def test_critical_start_whose_value_overflows_is_a_computation_failure(
+        capsys, tmp_path):
+    # every centre entry is finite, but the quadratic at the default
+    # theta0 = 1,1 overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_config(capsys, tmp_path, "critical",
+                                    "center = 1e200,0\n")
+    assert caught == []
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert err == "grovekit: value inf at theta0 is not finite\n"
+
+
+def _quadratic_at_origin():
+    """The `critical` default functional: a quadratic centred on 0,0."""
+    return Functional(lambda t: float(t @ t), 2, "quadratic")
+
+
+#: command, key and value of a numerics config, and the library call that
+#: refuses the same value
+LIBRARY_RULES = [
+    ("geodesic", "dimension", "0", lambda v: euclidean_metric(int(v))),
+    ("geodesic", "dimension", "65", lambda v: euclidean_metric(int(v))),
+    *[("geodesic", "steps", value, lambda v: integrate_geodesic(
+        euclidean_metric(2), [0.0, 0.0], [1.0, 0.0], int(v), 0.001))
+      for value in ("0", str(MAX_GEODESIC_STEPS + 1))],
+    *[("geodesic", "h", value, lambda v: integrate_geodesic(
+        euclidean_metric(2), [0.0, 0.0], [1.0, 0.0], 10, float(v)))
+      for value in ("0", "nan", "inf")],
+    *[("critical", "tol", value, lambda v: solve_critical(
+        _quadratic_at_origin(), [1.0, 1.0], tol=float(v)))
+      for value in ("0", "nan")],
+    ("critical", "theta0", "inf,0", lambda v: solve_critical(
+        _quadratic_at_origin(), [float(x) for x in v.split(",")])),
+    ("geodesic", "start", "0,inf", lambda v: integrate_geodesic(
+        euclidean_metric(2), [float(x) for x in v.split(",")], [1.0, 0.0],
+        10, 0.001)),
+]
+
+
+@pytest.mark.parametrize("command,key,value,call", LIBRARY_RULES,
+                         ids=[f"{k}-{v}" for _, k, v, _ in LIBRARY_RULES])
+def test_cli_gives_the_library_message_for_each_range_rule(
+        capsys, tmp_path, command, key, value, call):
+    code, out, err = run_config(capsys, tmp_path, command,
+                                f"{key} = {value}\n")
+    with pytest.raises(VariationalError) as library:
+        call(value)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: {key} = {value!r}: "
+                   f"{library.value}\n")
 
 
 @pytest.mark.parametrize("text", ["velocity = 1e200,1e200\n",
@@ -913,6 +1028,19 @@ VALUE_FAULTS = [
     ("critical", "tol = nan\n", "tol", "nan"),
     ("critical", "tol = 0\n", "tol", "0"),
     ("critical", "tol = -1\n", "tol", "-1"),
+    ("geodesic", "h = 0\n", "h", "0"),
+    ("geodesic", "h = nan\n", "h", "nan"),
+    ("geodesic", "h = inf\n", "h", "inf"),
+    ("geodesic", "steps = -5\n", "steps", "-5"),
+    ("geodesic", "steps = 1000000000000000000\n", "steps",
+     "1000000000000000000"),
+    ("geodesic", "start = nan,0\n", "start", "nan,0"),
+    ("geodesic", "velocity = inf,0\n", "velocity", "inf,0"),
+    ("geodesic", "metric = sphere\nstart = inf,0\n", "start", "inf,0"),
+    ("critical", "center = nan,0\n", "center", "nan,0"),
+    ("critical", "theta0 = inf,0\n", "theta0", "inf,0"),
+    ("critical", "functional = rosenbrock\ntheta0 = nan,1\n", "theta0",
+     "nan,1"),
 ]
 
 

@@ -139,8 +139,9 @@ GOLDEN = {
         "fedf25e8c4a230dfe2e99fe84f0ba8e275d7d22d299e110ec0171a1face2985c",
     "geodesic-euclidean":
         "69f2208adc782bd7e743cd0575e3746109a500bf47a7d47661e077e70a6d8b0f",
+    # a usage error naming the file and key: exit 2, no report
     "geodesic-no-steps":
-        "4e7df4665d79cf1b498a8349182b204470e20eb6d414e42a07eb5edd896674bf",
+        "1eaab40d027ab2521be09024d5fc6e575783a3d0e46fb95378d9145dd1455d90",
     "geodesic-sphere":
         "1bff8f486bb3c51fe1a0dd7189da4a63386ac718546098293c0932641f7ac6c9",
     "geodesic-sphere-pole":

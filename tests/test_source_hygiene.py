@@ -91,3 +91,15 @@ def test_frozen_dataclasses_hold_no_mutable_containers():
              for field in cls.body if isinstance(field, ast.AnnAssign)
              and _outer_name(field.annotation) in ("dict", "list", "set")]
     assert found == []
+
+
+def test_cli_restates_no_bound_of_another_module():
+    # a range rule has one home, in the module whose entry point needs it;
+    # a copy of its bound in the CLI could drift from the library's check
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    named = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    assert sorted(name for name in named if name.startswith("MAX_")) == []

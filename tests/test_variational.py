@@ -72,9 +72,11 @@ def test_first_variation_matches_analytic_on_random_polynomials():
         assert np.linalg.norm(grad - analytic) / scale < 1e-5
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-5])
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
 def test_first_variation_rejects_a_step_that_is_not_positive(h):
-    with pytest.raises(VariationalError, match="^step h must be > 0$"):
+    # the step-size rule of `integrate_geodesic`, so nan and inf fail too
+    with pytest.raises(VariationalError,
+                       match="^step h must be finite and > 0$"):
         first_variation(quadratic([0.0]), [1.0], h=h)
 
 
@@ -126,6 +128,41 @@ def test_solve_critical_cap_carries_best_point():
         solve_critical(F, [10.0], tol=1e-12, max_iter=3)
     assert err.value.best_theta.shape == (1,)
     assert math.isfinite(err.value.residual)
+
+
+@pytest.mark.parametrize("center,value", [(1e200, "inf"), (math.nan, "nan")])
+def test_solve_critical_refuses_a_start_whose_value_is_not_finite(
+        center, value):
+    calls = []
+    inner = quadratic([center, 0.0])
+    F = Functional(lambda t: calls.append(t) or inner.evaluate(t), 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(VariationalError) as err:
+            solve_critical(F, [1.0, 1.0])
+    assert type(err.value) is VariationalError
+    assert str(err.value) == f"value {value} at theta0 is not finite"
+    # the start value the solver computes anyway, and no other evaluation
+    assert len(calls) == 1
+    assert caught == []
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"tol": 0.0}, "tol must be > 0"),
+    ({"tol": -1.0}, "tol must be > 0"),
+    ({"tol": math.nan}, "tol must be > 0"),
+    ({"theta0": [math.inf, 0.0]},
+     "theta0 must be 2 finite numbers, got [inf, 0.0]"),
+    ({"theta0": [0.0]}, "theta0 must be 2 finite numbers, got [0.0]"),
+], ids=["tol-0", "tol-negative", "tol-nan", "theta0-inf", "theta0-short"])
+def test_solve_critical_checks_its_arguments_before_any_evaluation(
+        kwargs, message):
+    calls = []
+    F = Functional(lambda t: calls.append(t) or 0.0, 2)
+    with pytest.raises(VariationalError) as err:
+        solve_critical(F, **{"theta0": [1.0, 1.0], **kwargs})
+    assert str(err.value) == message
+    assert calls == []
 
 
 def test_solve_critical_is_deterministic():
@@ -281,7 +318,7 @@ def test_geodesic_step_count_is_bounded(steps):
 @pytest.mark.parametrize("start,velocity", [([0.0], [1.0, 0.0]),
                                             ([0.0, 0.0], [1.0, 0.0, 0.0])])
 def test_geodesic_rejects_wrong_dimension(start, velocity):
-    with pytest.raises(VariationalError, match=r"need shape \(2,\)"):
+    with pytest.raises(VariationalError, match="must be 2 finite numbers"):
         integrate_geodesic(euclidean_metric(2), start, velocity, 10, 0.01)
 
 
@@ -292,7 +329,7 @@ def test_geodesic_rejects_wrong_dimension(start, velocity):
 def test_geodesic_rejects_non_finite_start_or_velocity(start, velocity):
     calls = []
     metric = MetricField(2, lambda p: calls.append(p) or np.eye(2))
-    with pytest.raises(VariationalError, match="must be finite"):
+    with pytest.raises(VariationalError, match="must be 2 finite numbers"):
         integrate_geodesic(metric, start, velocity, 10, 0.01)
     assert calls == []
 
