@@ -445,14 +445,9 @@ NUMERICS_VALUES = {
 }
 
 
-@settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(sorted(NUMERICS_KEYS)), data=st.data())
-def test_fuzzed_numerics_configs_keep_the_exit_contract(command, data):
-    keys = data.draw(st.sets(st.sampled_from(NUMERICS_KEYS[command]),
-                             min_size=1))
-    values = {key: data.draw(NUMERICS_VALUES.get(key, _number))
-              for key in sorted(keys)}
-    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+def run_config_file(command, text):
+    """(code, stdout, stderr, warnings, config path) of ``command`` on a
+    config file holding ``text``; a hypothesis test has no ``tmp_path``."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.txt")
@@ -462,10 +457,22 @@ def test_fuzzed_numerics_configs_keep_the_exit_contract(command, data):
                 redirect_stdout(out), redirect_stderr(err):
             warnings.simplefilter("always")
             code = main([command, "--config", path])
-    assert_exit_contract(code, out.getvalue(), err.getvalue(), caught)
+    return code, out.getvalue(), err.getvalue(), caught, path
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(NUMERICS_KEYS)), data=st.data())
+def test_fuzzed_numerics_configs_keep_the_exit_contract(command, data):
+    keys = data.draw(st.sets(st.sampled_from(NUMERICS_KEYS[command]),
+                             min_size=1))
+    values = {key: data.draw(NUMERICS_VALUES.get(key, _number))
+              for key in sorted(keys)}
+    text = "".join(f"{key} = {value}\n" for key, value in values.items())
+    code, out, err, caught, path = run_config_file(command, text)
+    assert_exit_contract(code, out, err, caught)
     # the file is the only input, so every usage error is its fault
     if code == EXIT_USAGE:
-        assert names_the_file(err.getvalue(), path)
+        assert names_the_file(err, path)
 
 
 #: the values a single-key `critical` or `geodesic` file draws for each
@@ -500,16 +507,8 @@ GEODESIC_FAILURES = ("error = metric failed at step ",
 def test_single_key_numerics_files_keep_the_exit_contract(command, data):
     key = data.draw(st.sampled_from(NUMERICS_KEYS[command]))
     value = data.draw(st.sampled_from(SINGLE_KEY_VALUES[key]))
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.txt")
-        with open(path, "w") as handle:
-            handle.write(f"{key} = {value}\n")
-        with warnings.catch_warnings(record=True) as caught, \
-                redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main([command, "--config", path])
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err, caught, path = run_config_file(command,
+                                                   f"{key} = {value}\n")
     assert_exit_contract(code, out, err, caught)
     if code == EXIT_USAGE:
         assert err.startswith(f"grovekit: {path}: {key} = {value!r}: ")
