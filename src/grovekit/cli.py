@@ -153,18 +153,19 @@ def cmd_info(args) -> CommandResult:
     scale = read_key(cfg, args.config, "scale", _checked(
         float, lambda s: s > 0 and 0 < s * s < math.inf,
         "must be > 0 with 1/scale^2 finite and nonzero"), 1.0, "a number")
-    samples = read_key(cfg, args.config, "samples", _checked(
-        int, lambda n: n >= 8, "must be >= 8"), 256, "an integer")
     # the offset axis is 2 * span * scale + 1 wide
     span = read_key(cfg, args.config, "span", _checked(
         float, lambda s: s >= 0 and math.isfinite(2 * s * scale + 1),
         "must be >= 0 with 2 * span * scale finite"), 6.0, "a number")
-    reject_unread(cfg, args.config)
     half = span * scale
-    spec = GridSpec((
-        Axis("m", -0.5, 0.5, max(8, samples // 16)),
-        Axis("a", -half - 0.5, half + 0.5, samples),
-    ))
+
+    def grid(samples: int) -> GridSpec:
+        return GridSpec((Axis("m", -0.5, 0.5, max(8, samples // 16)),
+                         Axis("a", -half - 0.5, half + 0.5, samples)))
+    spec = read_key(cfg, args.config, "samples", lambda text: grid(int(text)),
+                    grid(256), "an integer")
+    reject_unread(cfg, args.config)
+    samples = spec.shape[1]
     dist = build_nested_distribution(
         parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
         spec, eps=scale)
@@ -234,7 +235,7 @@ def cmd_geodesic(args) -> CommandResult:
                  variational.check_step_size(float(text)), 0.001, "a number")
     if kind == "euclidean":
         dim = read_key(cfg, args.config, "dimension", lambda text: (
-            variational.check_metric_dimension(int(text))), 2, "an integer")
+            variational.check_lever_dimension(int(text))), 2, "an integer")
         metric = euclidean_metric(dim)
         start = _read_vector(cfg, args.config, "start", (0.0,) * dim)
         velocity = _read_vector(cfg, args.config, "velocity",

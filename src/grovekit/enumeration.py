@@ -30,6 +30,8 @@ from .expr import (
 from .model import EXCLUSION_RULES, CostModel, charges, rank
 
 MAX_DEPTH = 2
+#: most groves an unpruned partition may have; 3,3,3,1 has 222,264
+MAX_GROVES = 250_000
 
 #: Table 2 entry 27 as printed has decoration weight 4 while every other
 #: entry has weight 3; the weight-3 enumeration produces the second form.
@@ -192,8 +194,12 @@ def enumerate_groves(
         head_set = enumerate_topologies(parts[0] - 1, model)
         rest = tuple(base_chain(p - 1) for p in parts[1:])
         return frozenset(Grove((t,) + rest) for t in head_set)
-    pools = [enumerate_topologies(p - 1, model) for p in parts]
-    return frozenset(map(Grove, itertools.product(*pools)))
+    forms = {p: enumerate_topologies(p - 1, model) for p in set(parts)}
+    count = 1
+    for p in parts:
+        if (count := count * len(forms[p])) > MAX_GROVES:
+            raise GroveError(f"more than {MAX_GROVES} unpruned groves")
+    return frozenset(map(Grove, itertools.product(*map(forms.get, parts))))
 
 
 def count_by_rank(r: int, model: CostModel = CostModel()) -> int:

@@ -75,6 +75,13 @@ def offset_pairs(f: Callable, p: np.ndarray, h: float) -> Iterator[tuple]:
         yield f(up), f(dn)
 
 
+def check_width(eps: float) -> float:
+    """``eps`` when it is a smoothing width, 0 < eps < inf (never nan)."""
+    if not 0 < eps < math.inf:
+        raise InfoError(f"smoothing width must lie in (0, inf), got {eps!r}")
+    return eps
+
+
 def smoothed_delta(x, center, eps: float):
     """Gaussian kernel of width eps centred at ``center``; integrates to 1.
 
@@ -83,9 +90,7 @@ def smoothed_delta(x, center, eps: float):
     ``z = (x - center) / eps``, evaluated in place: at most two arrays of
     the result's shape are alive at once.
     """
-    # the comparison is false for nan as well
-    if not 0 < eps < math.inf:
-        raise InfoError(f"smoothing width must lie in (0, inf), got {eps!r}")
+    eps = check_width(eps)
     # in place for arrays; a scalar is rebound at each step instead
     z = np.asarray(x, dtype=float) - center
     z /= eps
@@ -184,9 +189,7 @@ def _checked_mass(grid: GridSpec, values: np.ndarray, eps: float) -> float:
     if values.shape != grid.shape:
         raise InfoError(
             f"value shape {values.shape} does not match grid {grid.shape}")
-    if not 0 < eps < math.inf:
-        raise InfoError(
-            f"smoothing width must lie in (0, inf), got {eps!r}")
+    check_width(eps)
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise InfoError("density values must be finite and nonnegative")
     total = values.sum() * grid.cell_volume

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Callable
 
 from .expr import ARG_MAP, ARG_POINT, GroveError, TopologyExpr, tier_name
+from .infotheory import InfoError
 from .variational import VariationalError
 
 #: the caps of depths 0, 1 and 2, in that order
@@ -178,7 +179,7 @@ def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
     KeyError of ``parse`` says what was ``expected`` (``EXPECTED[parse]``
     unless given).  A parser checks a range by building the object around
     the value or by a library's check: a `GroveError` it raises keeps its
-    class and message, and a `VariationalError` becomes a usage error."""
+    class and message; an `InfoError` or `VariationalError` is a usage error."""
     if key not in cfg:
         return default
     value = cfg.pop(key)
@@ -186,7 +187,7 @@ def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
         return parse(value)
     except (ValueError, KeyError):
         error, reason = GroveError, f"expected {expected or EXPECTED[parse]}"
-    except (GroveError, VariationalError) as exc:
+    except (GroveError, InfoError, VariationalError) as exc:
         error = type(exc) if isinstance(exc, GroveError) else GroveError
         reason = str(exc)
     raise error(f"{origin}: {key} = {value!r}: {reason}")

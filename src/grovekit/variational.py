@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .infotheory import (Axis, _central_differences, offset_pairs,
-                         smoothed_delta)
+from .infotheory import (Axis, _central_differences, check_width,
+                         offset_pairs, smoothed_delta)
 
 
 class VariationalError(Exception):
@@ -33,6 +33,21 @@ class CriticalityError(VariationalError):
         self.residual = residual
 
 
+#: most lever coordinates of a functional or a metric; `christoffel` keeps
+#: a d x d x d array, 2 MiB at this bound
+MAX_LEVER_DIMENSION = 64
+
+
+def check_lever_dimension(dimension: int) -> int:
+    if dimension < 1:
+        raise VariationalError(f"lever dimension must be >= 1, "
+                               f"got {dimension}")
+    if dimension > MAX_LEVER_DIMENSION:
+        raise VariationalError(f"at most {MAX_LEVER_DIMENSION} lever "
+                               f"dimensions, got {dimension}")
+    return dimension
+
+
 @dataclass(frozen=True)
 class Functional:
     """A real-valued payoff over a d-dimensional parameter vector."""
@@ -40,6 +55,9 @@ class Functional:
     evaluate: Callable[[np.ndarray], float]
     dimension: int
     tag: str = ""
+
+    def __post_init__(self):
+        check_lever_dimension(self.dimension)
 
     def parameters(self, theta) -> np.ndarray:
         """``theta`` as a float vector, checked to have `dimension` entries."""
@@ -67,7 +85,8 @@ def check_tolerance(tol: float) -> float:
 
 
 def check_vector(values, dimension: int, name: str) -> np.ndarray:
-    """The argument ``name`` as a vector of ``dimension`` finite floats."""
+    """``name`` as ``dimension`` finite floats, the dimension checked first."""
+    check_lever_dimension(dimension)
     vector = np.asarray(values, dtype=float)
     if vector.shape != (dimension,) or not np.isfinite(vector).all():
         raise VariationalError(
@@ -157,19 +176,6 @@ def critical_trace_csv(trace: Sequence[tuple]) -> str:
 # ---------------------------------------------------------------------------
 
 MIN_EIGENVALUE = 1e-9
-#: most lever coordinates a metric may have; `christoffel` keeps a d x d x d
-#: array, 2 MiB at this bound
-MAX_METRIC_DIMENSION = 64
-
-
-def check_metric_dimension(dimension: int) -> int:
-    if dimension < 1:
-        raise VariationalError(f"metric dimension must be >= 1, "
-                               f"got {dimension}")
-    if dimension > MAX_METRIC_DIMENSION:
-        raise VariationalError(f"at most {MAX_METRIC_DIMENSION} metric "
-                               f"dimensions, got {dimension}")
-    return dimension
 
 
 def _is_diagonal(g: np.ndarray, diag: list[float]) -> bool:
@@ -201,7 +207,7 @@ class MetricField:
     constant: bool = False
 
     def __post_init__(self):
-        check_metric_dimension(self.dimension)
+        check_lever_dimension(self.dimension)
 
     def __call__(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -235,7 +241,7 @@ class MetricField:
 
 
 def euclidean_metric(dimension: int) -> MetricField:
-    return constant_metric(np.eye(check_metric_dimension(dimension)))
+    return constant_metric(np.eye(check_lever_dimension(dimension)))
 
 
 def constant_metric(matrix) -> MetricField:
@@ -585,15 +591,12 @@ def policy_information(pcf: PolicyCostFunction, eps: float) -> float:
     along each generator direction.  The group sum uses counting measure
     weighted by 1/|G|, so a constant cost yields the single-delta
     self-information, 1/eps^2, and a cost-neutral direct factor leaves the
-    value unchanged.  Raises VariationalError when eps is not in (0, inf)
-    or the sum overflows, as its score terms, of order 1/eps^2, do for eps
-    near 1e-150 and below; InfoError when the offset grid, the cost range
-    widened by 6 eps on each side, is not finite or has no width.
+    value unchanged.  Raises InfoError when eps is not in (0, inf) or the
+    offset grid, the cost range widened by 6 eps on each side, is not
+    finite or has no width; VariationalError when the sum overflows, as
+    its score terms, of order 1/eps^2, do for eps near 1e-150 and below.
     """
-    # the comparison is false for nan as well
-    if not 0 < eps < math.inf:
-        raise VariationalError(
-            f"smoothing width must lie in (0, inf), got {eps!r}")
+    eps = check_width(eps)
     group = pcf.group
     prof = pcf.profile()
     alpha = Axis("a", float(prof.min()) - 6.0 * eps,

@@ -14,12 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from grovekit import cli, regsim
 from grovekit.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from grovekit.enumeration import MAX_GROVES
 from grovekit.infotheory import MAX_GRID_CELLS
 from grovekit.model import EXCLUSION_RULES
 from grovekit.regsim import (DEFAULT_SEEDS, EVENT_KINDS, MAX_AGENT_ROUNDS,
                              MAX_ROUNDS, PolicySpec, load_scenario,
                              mean_welfare)
-from grovekit.variational import (MAX_GEODESIC_STEPS, MAX_METRIC_DIMENSION,
+from grovekit.variational import (MAX_GEODESIC_STEPS, MAX_LEVER_DIMENSION,
                                   Functional, VariationalError,
                                   euclidean_metric, integrate_geodesic,
                                   solve_critical)
@@ -139,6 +140,14 @@ def test_unparsable_partition_names_the_flag(capsys, partition):
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: enumerate: --partition = {partition!r}: "
                    f"{PARTITION_FAULTS[partition]}\n")
+
+
+def test_unpruned_partition_above_the_grove_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--partition", "3,3,3,3",
+                         "--unpruned")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("grovekit: enumerate: --partition = '3,3,3,3': "
+                   f"more than {MAX_GROVES} unpruned groves\n")
 
 
 def test_enumerate_partition_report_has_no_depth(capsys, tmp_path):
@@ -475,23 +484,27 @@ def test_fuzzed_numerics_configs_keep_the_exit_contract(command, data):
         assert names_the_file(err, path)
 
 
-#: the values a single-key `critical` or `geodesic` file draws for each
-#: key: the refused ones, and valid ones that keep every run short (a
-#: geodesic that is not refused takes at most 1000 steps, and `h = 1e308`
-#: and the large vectors fail within a step)
+#: the values a single-key numerics file draws for each key: the refused
+#: ones, and valid ones that keep every run short (a geodesic that is not
+#: refused takes at most 1000 steps, and `h = 1e308` and the large vectors
+#: fail within a step; an `info` grid is at most 256 samples wide)
 SINGLE_KEY_VALUES = {
+    "scale": ("1.0", "0.25", "2.5e107", "1e300", "1e-200", "0", "-1", "nan",
+              "inf", "x"),
+    "samples": ("8", "64", "7", "0", "-1", "16385", "100000", "1e3", ""),
+    "span": ("0", "6", "1e300", "1e308", "-1", "nan", "inf", "x"),
     "functional": ("quadratic", "rosenbrock", "bogus", ""),
     "tol": ("1e-6", "0.5", "inf", "5e-324", "0", "-1", "nan", "x"),
     "center": ("1.5,-0.5", "2", "1,2,3", "1e200,0", "-1e308,1e308", "nan,0",
-               "inf", "1,x", ""),
+               "inf", "1,x", "", ",".join(["0"] * 65)),
     "theta0": ("1,1", "-1.2,1", "1e200,0", "1e308,-1e308", "inf,0", "nan,1",
                "1", "1,2,3", "x"),
     "metric": ("euclidean", "sphere", "torus", ""),
     "steps": ("1", "20", "50", "0", "-5", str(MAX_GEODESIC_STEPS + 1),
               "1000000000000000000", "1e3", ""),
     "h": ("0.001", "1e308", "-1e308", "0", "-1", "nan", "inf", "x"),
-    "dimension": ("1", "3", str(MAX_METRIC_DIMENSION), "0",
-                  str(MAX_METRIC_DIMENSION + 1), "two"),
+    "dimension": ("1", "3", str(MAX_LEVER_DIMENSION), "0",
+                  str(MAX_LEVER_DIMENSION + 1), "two"),
     "start": ("0,0", "1e308,-1e308", "0", "0,0,0", "nan,0", "inf,0", "0;0"),
     "velocity": ("1,0", "0,0", "1e200,1e200", "-1,1e308", "1e308,1e308",
                  "inf,0", "0,nan", "1", ""),
@@ -500,10 +513,13 @@ SINGLE_KEY_VALUES = {
 GEODESIC_FAILURES = ("error = metric failed at step ",
                      "error = path is not finite at step ",
                      "error = energy is not finite at sample ")
+#: the ways an `info` grid that is not refused may fail
+INFO_FAILURES = ("grovekit: Fisher information underflows on this grid\n",
+                 "grovekit: density has zero mass on the grid\n")
 
 
-@settings(max_examples=120, deadline=None)
-@given(command=st.sampled_from(("critical", "geodesic")), data=st.data())
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(NUMERICS_KEYS)), data=st.data())
 def test_single_key_numerics_files_keep_the_exit_contract(command, data):
     key = data.draw(st.sampled_from(NUMERICS_KEYS[command]))
     value = data.draw(st.sampled_from(SINGLE_KEY_VALUES[key]))
@@ -512,6 +528,8 @@ def test_single_key_numerics_files_keep_the_exit_contract(command, data):
     assert_exit_contract(code, out, err, caught)
     if code == EXIT_USAGE:
         assert err.startswith(f"grovekit: {path}: {key} = {value!r}: ")
+    elif code == EXIT_FAILURE and command == "info":
+        assert out == "" and err in INFO_FAILURES
     elif code == EXIT_FAILURE and command == "critical":
         # a solve that ran and did not converge, or a start it refused
         assert ("converged = False\n" in out and err == "") or (
@@ -763,7 +781,7 @@ def test_geodesic_step_count_above_the_bound_is_a_usage_error(
                    f"{MAX_GEODESIC_STEPS} steps, got 1000000000000000000\n")
 
 
-@pytest.mark.parametrize("dimension", [MAX_METRIC_DIMENSION + 1, 3000])
+@pytest.mark.parametrize("dimension", [MAX_LEVER_DIMENSION + 1, 3000])
 def test_geodesic_dimension_above_the_bound_is_a_usage_error(
         capsys, tmp_path, dimension):
     code, out, err = run_config(capsys, tmp_path, "geodesic",
@@ -771,7 +789,7 @@ def test_geodesic_dimension_above_the_bound_is_a_usage_error(
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: {tmp_path / 'config.txt'}: "
                    f"dimension = '{dimension}': at most "
-                   f"{MAX_METRIC_DIMENSION} metric dimensions, "
+                   f"{MAX_LEVER_DIMENSION} lever dimensions, "
                    f"got {dimension}\n")
 
 
@@ -836,7 +854,7 @@ def test_geodesic_dimension_below_one_is_a_usage_error(
                                 f"dimension = {dimension}\n")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: {tmp_path / 'config.txt'}: "
-                   f"dimension = '{dimension}': metric dimension must be >= 1, "
+                   f"dimension = '{dimension}': lever dimension must be >= 1, "
                    f"got {dimension}\n")
 
 
@@ -946,13 +964,15 @@ def test_info_scale_without_a_finite_square_is_a_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("samples", ["100000", "1000000000"])
-def test_info_grid_too_large_is_a_failure(capsys, tmp_path, samples):
+def test_info_grid_too_large_is_a_usage_error(capsys, tmp_path, samples):
     code, out, err = run_config(capsys, tmp_path, "info",
                                 f"samples = {samples}\n")
-    assert (code, out) == (EXIT_FAILURE, "")
-    assert err.startswith("grovekit: grid of shape ")
-    assert err.endswith(f" cells, more than {MAX_GRID_CELLS}\n")
-    assert err.count("\n") == 1
+    # the offset axis has `samples` cells and the location axis 1/16 of them
+    n = int(samples)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {tmp_path / 'config.txt'}: samples = "
+                   f"{samples!r}: grid of shape ({n // 16}, {n}) has "
+                   f"{n // 16 * n} cells, more than {MAX_GRID_CELLS}\n")
 
 
 def test_info_huge_scale_within_range_succeeds(capsys, tmp_path):
@@ -1020,6 +1040,7 @@ VALUE_FAULTS = [
     ("geodesic", "metric = torus\n", "metric", "torus"),
     ("info", "scale = 1e200\n", "scale", "1e200"),
     ("info", "samples = 7\n", "samples", "7"),
+    ("info", "samples = 16385\n", "samples", "16385"),
     ("info", "span = -1\n", "span", "-1"),
     ("info", "span = nan\n", "span", "nan"),
     ("info", "span = inf\n", "span", "inf"),
@@ -1038,6 +1059,8 @@ VALUE_FAULTS = [
     ("geodesic", "metric = sphere\nstart = inf,0\n", "start", "inf,0"),
     ("critical", "center = nan,0\n", "center", "nan,0"),
     ("critical", "theta0 = inf,0\n", "theta0", "inf,0"),
+    ("critical", f"center = {','.join(['0'] * 65)}\n", "center",
+     ",".join(["0"] * 65)),
     ("critical", "functional = rosenbrock\ntheta0 = nan,1\n", "theta0",
      "nan,1"),
 ]

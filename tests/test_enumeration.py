@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from grovekit.enumeration import (
     ENTRY27_MODEL,
     ENTRY27_PRINTED,
+    MAX_GROVES,
     PartitionSpec,
     count_by_rank,
     enumerate_groves,
@@ -114,6 +115,15 @@ def test_groves_unpruned_product_count():
     unpruned = enumerate_groves(PartitionSpec((1, 1)), pruned=False)
     assert len(unpruned) == 9  # ordered pairs of the three rank-1 forms
     assert len(pruned) == 1
+
+
+# 3^12, 11^6 and 42^4 groves; one part fewer is within the bound
+@pytest.mark.parametrize("parts", [(1,) * 12, (2,) * 6, (3, 3, 3, 3)])
+def test_unpruned_groves_are_bounded(parts):
+    with pytest.raises(GroveError,
+                       match=f"^more than {MAX_GROVES} unpruned groves$"):
+        enumerate_groves(PartitionSpec(parts), pruned=False)
+    assert len(enumerate_groves(PartitionSpec(parts))) <= 42
 
 
 def test_depth_cap_is_enforced():

@@ -103,3 +103,10 @@ def test_cli_restates_no_bound_of_another_module():
     named |= {node.attr for node in ast.walk(tree)
               if isinstance(node, ast.Attribute)}
     assert sorted(name for name in named if name.startswith("MAX_")) == []
+
+
+def test_smoothing_width_rule_has_one_home():
+    # `infotheory.check_width` words the rule; every other check calls it
+    text = "smoothing width must lie in"
+    assert sum(path.read_text().count(text)
+               for path in PACKAGE.glob("*.py")) == 1

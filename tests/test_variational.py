@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from grovekit.infotheory import InfoError
 from grovekit.variational import (
     MAX_GEODESIC_STEPS,
-    MAX_METRIC_DIMENSION,
+    MAX_LEVER_DIMENSION,
     MIN_EIGENVALUE,
     CriticalityError,
     FiniteGroup,
@@ -809,11 +809,13 @@ def test_lever_metric_needs_a_generator():
 
 # only values well above the bound: between it and a few thousand, the
 # arrays of size d^2 and d^3 fit in memory and take gigabytes to fill
-@pytest.mark.parametrize("dimension", [MAX_METRIC_DIMENSION + 1, 3000])
+@pytest.mark.parametrize("dimension", [MAX_LEVER_DIMENSION + 1, 3000])
 def test_metric_dimension_is_bounded(dimension):
-    message = f"at most {MAX_METRIC_DIMENSION} metric dimensions, got {dimension}"
+    message = f"at most {MAX_LEVER_DIMENSION} lever dimensions, got {dimension}"
     with pytest.raises(VariationalError, match=message):
         euclidean_metric(dimension)
+    with pytest.raises(VariationalError, match=message):
+        Functional(lambda t: 0.0, dimension)
     calls = []
     with pytest.raises(VariationalError, match=message):
         MetricField(dimension, lambda p: calls.append(p) or np.eye(2))
@@ -826,9 +828,11 @@ def test_metric_dimension_is_bounded(dimension):
 
 @pytest.mark.parametrize("dimension", [0, -1])
 def test_metric_dimension_is_at_least_one(dimension):
-    message = f"^metric dimension must be >= 1, got {dimension}$"
+    message = f"^lever dimension must be >= 1, got {dimension}$"
     with pytest.raises(VariationalError, match=message):
         euclidean_metric(dimension)
+    with pytest.raises(VariationalError, match=message):
+        Functional(lambda t: 0.0, dimension)
     with pytest.raises(VariationalError, match=message):
         MetricField(dimension, lambda p: np.eye(0))
 
@@ -873,7 +877,7 @@ def test_policy_information_offset_grid_is_checked(eps, message):
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
 def test_policy_information_rejects_a_bad_width_by_name(eps):
     pcf = PolicyCostFunction(cyclic_group(4), lambda a, b: 0.0)
-    with pytest.raises(VariationalError,
+    with pytest.raises(InfoError,
                        match=re.escape(f"smoothing width must lie in "
                                        f"(0, inf), got {eps!r}")):
         policy_information(pcf, eps)
