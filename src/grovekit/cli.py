@@ -32,14 +32,8 @@ from .enumeration import (
     table_path,
     verify_against_table,
 )
-from .expr import GroveError, parse, render
-from .infotheory import (
-    Axis,
-    GridSpec,
-    MetricBinding,
-    build_nested_distribution,
-    fisher_information,
-)
+from .expr import GroveError, render
+from .infotheory import fisher_information, location_family
 from .model import (EXPECTED, integers, load_config, model_from_config,
                     numbers, read_key, reject_unread)
 from .regsim import (DEFAULT_SEEDS, NO_LAW, OptimizationResult,
@@ -150,25 +144,18 @@ def _checked(parse, test, reason: str):
 
 def cmd_info(args) -> CommandResult:
     cfg = load_config(args.config)
-    scale = read_key(cfg, args.config, "scale", _checked(
-        float, lambda s: s > 0 and 0 < s * s < math.inf,
-        "must be > 0 with 1/scale^2 finite and nonzero"), 1.0, "a number")
-    # the offset axis is 2 * span * scale + 1 wide
-    span = read_key(cfg, args.config, "span", _checked(
-        float, lambda s: s >= 0 and math.isfinite(2 * s * scale + 1),
-        "must be >= 0 with 2 * span * scale finite"), 6.0, "a number")
-    half = span * scale
-
-    def grid(samples: int) -> GridSpec:
-        return GridSpec((Axis("m", -0.5, 0.5, max(8, samples // 16)),
-                         Axis("a", -half - 0.5, half + 0.5, samples)))
-    spec = read_key(cfg, args.config, "samples", lambda text: grid(int(text)),
-                    grid(256), "an integer")
+    given = {k: cfg[k] for k in ("scale", "span", "samples") if k in cfg}
+    scale = read_key(cfg, args.config, "scale", lambda text:
+                     infotheory.check_scale(float(text)), 1.0, "a number")
+    span = read_key(cfg, args.config, "span", lambda text:
+                    infotheory.check_span(float(text)), 6.0, "a number")
+    samples = read_key(cfg, args.config, "samples", int, 256)
     reject_unread(cfg, args.config)
-    samples = spec.shape[1]
-    dist = build_nested_distribution(
-        parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
-        spec, eps=scale)
+    # the grid's rules relate all three keys, so a fault names the last key
+    # given (the defaults alone give a valid grid)
+    key = next(reversed(given), "samples")
+    dist = read_key({key: given.get(key, str(samples))}, args.config, key,
+                    lambda _: location_family(scale, span, samples))
     info = fisher_information(dist, "a")
     expected = 1.0 / (scale * scale)
     fields = [("seed", args.seed), ("scale", scale), ("samples", samples),

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .expr import ARG_MAP, ARG_POINT, TopologyExpr
+from .expr import ARG_MAP, ARG_POINT, TopologyExpr, parse
 
 
 class InfoError(Exception):
@@ -357,6 +357,51 @@ def build_nested_distribution(expr: TopologyExpr, binding: MetricBinding,
     for off in offsets:  # innermost offset first
         value = smoothed_delta(value, off, eps)
     return GridDistribution(grid, value, eps)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian location family
+# ---------------------------------------------------------------------------
+
+def check_scale(scale: float) -> float:
+    """``scale`` when the information 1/scale^2 it should give is finite
+    and nonzero (so 0 < scale < inf, never nan)."""
+    if not (scale > 0 and 0 < scale * scale < math.inf):
+        raise InfoError("must be > 0 with 1/scale^2 finite and nonzero")
+    return scale
+
+
+def check_span(span: float) -> float:
+    """``span`` when it is at least 4 kernel widths, past which the kernel
+    holds less than 1e-4 of its mass (never nan)."""
+    if not span >= 4:
+        raise InfoError(f"span must be at least 4 kernel widths, got {span!r}")
+    return span
+
+
+def location_family(scale: float, span: float = 6.0,
+                    samples: int = 256) -> GridDistribution:
+    """The Gaussian location family ``sig(m1)`` with ``sigma = m``, smoothed
+    at width ``scale``: its Fisher information along the offset axis ``a``
+    is 1/scale^2.
+
+    The location axis ``m`` spans [-0.5, 0.5] in ``max(8, samples // 16)``
+    cells; the offset axis ``a`` reaches ``span * scale`` past it on each
+    side in ``samples`` cells.  A grid too short or too coarse for the
+    kernel misses that answer, so the family is built only when
+    `check_scale` and `check_span` hold, the grid passes its own checks,
+    and an offset cell, ``(2 * span * scale + 1) / samples`` wide, is no
+    wider than ``scale``.
+    """
+    half = check_span(span) * check_scale(scale)
+    spec = GridSpec((Axis("m", -0.5, 0.5, max(8, samples // 16)),
+                     Axis("a", -half - 0.5, half + 0.5, samples)))
+    cell = spec.axes[1].spacing
+    if not cell <= scale:
+        raise InfoError(f"an offset cell is (2 * span * scale + 1) / samples "
+                        f"= {cell!r} wide, more than scale = {scale!r}")
+    return build_nested_distribution(
+        parse("sig(m1)"), MetricBinding(sigma=lambda m: m), spec, eps=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -169,17 +169,22 @@ EXPECTED = {int: "an integer", float: "a number",
             numbers: "numbers separated by commas",
             integers: "integers separated by commas"}
 
+#: Longest value `read_key` quotes whole; a longer one is cut to this many
+#: characters, its last three "...", so a fault stays one short line.
+QUOTED_CHARS = 140
+
 
 def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
              default=None, expected: str | None = None):
     """``parse`` of the value of ``key``, popped from ``cfg``, or ``default``.
 
     The one way a loader takes a key, and the one place a value fault is
-    worded: ``<origin>: <key> = '<value>': <reason>``.  A ValueError or
-    KeyError of ``parse`` says what was ``expected`` (``EXPECTED[parse]``
-    unless given).  A parser checks a range by building the object around
-    the value or by a library's check: a `GroveError` it raises keeps its
-    class and message; an `InfoError` or `VariationalError` is a usage error."""
+    worded: ``<origin>: <key> = '<value>': <reason>``, a value longer than
+    `QUOTED_CHARS` cut short.  A ValueError or KeyError of ``parse`` says
+    what was ``expected`` (``EXPECTED[parse]`` unless given).  A parser
+    checks a range by building the object around the value or by a
+    library's check: a `GroveError` it raises keeps its class and message;
+    an `InfoError` or `VariationalError` is a usage error."""
     if key not in cfg:
         return default
     value = cfg.pop(key)
@@ -190,6 +195,8 @@ def read_key(cfg: dict[str, str], origin: str | Path, key: str, parse,
     except (GroveError, InfoError, VariationalError) as exc:
         error = type(exc) if isinstance(exc, GroveError) else GroveError
         reason = str(exc)
+    if len(value) > QUOTED_CHARS:
+        value = value[:QUOTED_CHARS - 3] + "..."
     raise error(f"{origin}: {key} = {value!r}: {reason}")
 
 

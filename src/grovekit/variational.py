@@ -60,12 +60,12 @@ class Functional:
         check_lever_dimension(self.dimension)
 
     def parameters(self, theta) -> np.ndarray:
-        """``theta`` as a float vector, checked to have `dimension` entries."""
+        """``theta`` as a float vector, checked to have `dimension` entries;
+        its entries may be nan or inf, as a line search's candidates are."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dimension,):
-            raise VariationalError(
-                f"{self.tag or 'functional'}: expected {self.dimension} "
-                f"parameters, got shape {theta.shape}")
+            raise _wrong_length(f"{self.tag or 'functional'} parameters",
+                                self.dimension, theta)
         return theta
 
     def __call__(self, theta) -> float:
@@ -84,11 +84,22 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
+def _wrong_length(name: str, dimension: int,
+                  vector: np.ndarray) -> VariationalError:
+    """The fault of a ``name`` vector whose shape is not ``(dimension,)``;
+    it gives the shape, not the entries, so it stays one short line."""
+    return VariationalError(f"{name} must be {dimension} finite numbers, "
+                            f"got shape {vector.shape}")
+
+
 def check_vector(values, dimension: int, name: str) -> np.ndarray:
     """``name`` as ``dimension`` finite floats, the dimension checked first."""
     check_lever_dimension(dimension)
     vector = np.asarray(values, dtype=float)
-    if vector.shape != (dimension,) or not np.isfinite(vector).all():
+    if vector.shape != (dimension,):
+        raise _wrong_length(name, dimension, vector)
+    if not np.isfinite(vector).all():
+        # at most `MAX_LEVER_DIMENSION` entries
         raise VariationalError(
             f"{name} must be {dimension} finite numbers, got {vector.tolist()}")
     return vector

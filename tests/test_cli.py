@@ -313,12 +313,17 @@ def test_failed_rename_is_usage_error_and_leaves_no_temp_file(capsys,
     assert sorted(os.listdir(tmp_path)) == ["situations-report.txt"]
 
 
-def test_info_span_zero_is_valid(capsys, tmp_path):
+def test_info_span_zero_is_a_usage_error(capsys, tmp_path):
+    # an offset axis no wider than the location axis misses the kernel's
+    # tails: its information was 85% off
     config = tmp_path / "info.txt"
     config.write_text("span = 0\n")
-    code, out, err = run(capsys, "info", "--config", str(config))
-    assert (code, err) == (EXIT_OK, "")
-    assert "span = 0.0\n" in out
+    code, out, err = run(capsys, "info", "--config", str(config),
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"grovekit: {config}: span = '0': span must be at least "
+                   "4 kernel widths, got 0.0\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("family,theta,reason", [
@@ -844,7 +849,21 @@ def test_vector_of_the_wrong_length_is_a_usage_error(
                                 f"{base}{key} = {value}\n")
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: {tmp_path / 'config.txt'}: {key} = {value!r}: "
-                   f"{key} must be {d} finite numbers, got {entries}\n")
+                   f"{key} must be {d} finite numbers, got shape "
+                   f"({len(entries)},)\n")
+
+
+def test_long_vector_fault_stays_one_short_line(capsys, tmp_path,
+                                                monkeypatch):
+    # the value is quoted cut short, and the reason gives the length
+    monkeypatch.chdir(tmp_path)
+    Path("config.txt").write_text("theta0 = " + ",".join(["0"] * 20000))
+    code, out, err = run(capsys, "critical", "--config", "config.txt")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("grovekit: config.txt: theta0 = '0,0,0,")
+    assert err.endswith("...': theta0 must be 2 finite numbers, "
+                        "got shape (20000,)\n")
+    assert err.count("\n") == 1 and len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("dimension", [0, -1])
@@ -963,6 +982,61 @@ def test_info_scale_without_a_finite_square_is_a_usage_error(capsys, tmp_path):
                    "must be > 0 with 1/scale^2 finite and nonzero\n")
 
 
+@pytest.mark.parametrize("text,named", [
+    ("scale = 1e200\nsamples = 64\n",
+     "scale = '1e200': must be > 0 with 1/scale^2 finite and nonzero"),
+    ("span = 3\nsamples = 4096\n",
+     "span = '3': span must be at least 4 kernel widths, got 3.0"),
+    ("scale = 0.001\nsamples = 512\n",
+     "samples = '512': an offset cell is (2 * span * scale + 1) / samples "
+     "= 0.0019765625 wide, more than scale = 0.001"),
+    ("span = 1000\nscale = 2\n",
+     "span = '1000': an offset cell is (2 * span * scale + 1) / samples "
+     "= 15.62890625 wide, more than scale = 2.0"),
+], ids=["scale", "span", "cells-samples", "cells-span"])
+def test_info_fault_names_a_key_its_rule_involves(capsys, tmp_path, text,
+                                                  named):
+    # a rule of one key names that key; the cell rule relates all three
+    # and names the last one the file gives
+    code, out, err = run_config(capsys, tmp_path, "info", text)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"grovekit: {tmp_path / 'config.txt'}: {named}\n"
+
+
+@pytest.mark.parametrize("text", ["span = 1000\nsamples = 4096\n",
+                                  "scale = 0.001\nsamples = 2048\n"])
+def test_info_cell_rule_reads_every_key_given(capsys, tmp_path, text):
+    # a span or scale that 256 samples cannot resolve is fine with more
+    code, out, err = run_config(capsys, tmp_path, "info", text)
+    assert (code, err) == (EXIT_OK, "")
+    assert float(_report(out)["relative_error"]) < 1e-6
+
+
+@pytest.mark.parametrize("samples", ["256", "2048"])
+@pytest.mark.parametrize("scale", ["0.5", "1.0", "2.0"])
+def test_bench_info_inputs_stay_accepted(capsys, tmp_path, scale, samples):
+    # the benchmark's cli-reports job draws scale from [0.5, 2] with
+    # span 6.0 and 256 or 2048 samples
+    code, out, err = run_config(
+        capsys, tmp_path, "info",
+        f"scale = {scale}\nsamples = {samples}\nspan = 6.0\n")
+    assert (code, err) == (EXIT_OK, "")
+    assert float(_report(out)["relative_error"]) < 0.01
+
+
+@settings(max_examples=120, deadline=None)
+@given(scale=st.floats(-3, 3).map(lambda e: 10.0 ** e),
+       span=st.floats(0, 150), samples=st.integers(8, 256))
+def test_accepted_info_configs_are_within_one_percent(scale, span, samples):
+    # criterion 5's claim, 1/scale^2 within 1%, for every grid not refused
+    code, out, err, caught, _ = run_config_file(
+        "info", f"scale = {scale!r}\nspan = {span!r}\nsamples = {samples}\n")
+    assert_exit_contract(code, out, err, caught)
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_OK:
+        assert float(_report(out)["relative_error"]) < 0.01
+
+
 @pytest.mark.parametrize("samples", ["100000", "1000000000"])
 def test_info_grid_too_large_is_a_usage_error(capsys, tmp_path, samples):
     code, out, err = run_config(capsys, tmp_path, "info",
@@ -1045,6 +1119,10 @@ VALUE_FAULTS = [
     ("info", "span = nan\n", "span", "nan"),
     ("info", "span = inf\n", "span", "inf"),
     ("info", "span = 1e308\n", "span", "1e308"),
+    # grids that exited 0 with a relative error of 1.53, 0.021 and 0.0083
+    ("info", "span = 1000\n", "span", "1000"),
+    ("info", "scale = 0.001\n", "scale", "0.001"),
+    ("info", "samples = 8\n", "samples", "8"),
     ("critical", "tol = nan\n", "tol", "nan"),
     ("critical", "tol = 0\n", "tol", "0"),
     ("critical", "tol = -1\n", "tol", "-1"),
@@ -1073,10 +1151,12 @@ def test_value_out_of_range_names_file_key_and_value(
     path = tmp_path / "input.txt"
     path.write_text(text)
     flag = "--model" if command == "enumerate" else "--config"
-    code, out, err = run(capsys, command, flag, str(path))
+    code, out, err = run(capsys, command, flag, str(path),
+                         "--out", str(tmp_path / "out"))
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith(f"grovekit: {path}: {key} = {value!r}: ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [["enumerate", "--model"],

@@ -26,6 +26,7 @@ from grovekit.infotheory import (
     fisher_information,
     grid,
     information_density,
+    location_family,
     offset_pairs,
     smoothed_delta,
     _central_differences,
@@ -396,12 +397,56 @@ def test_loads_peaks_below_its_text():
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
 def test_gaussian_location_information(scale):
-    span = 6 * scale
-    g = grid(("m", -0.5, 0.5, 16), ("a", -span - 0.5, span + 0.5, 256))
-    d = build_nested_distribution(parse("sig(m1)"),
-                                  MetricBinding(sigma=lambda m: m), g, scale)
+    d = location_family(scale)
+    assert d.grid.shape == (16, 256)
     info = fisher_information(d, "a")
     assert info == pytest.approx(1.0 / scale ** 2, rel=0.01)
+
+
+@pytest.mark.parametrize("scale,span,samples", [(1.0, 6.0, 256),
+                                                (0.8, 6.0, 2048),
+                                                (0.3, 4.0, 64),
+                                                (5.0, 9.5, 100)])
+def test_location_family_is_the_nested_build_on_its_grid(scale, span,
+                                                         samples):
+    half = span * scale
+    spec = grid(("m", -0.5, 0.5, max(8, samples // 16)),
+                ("a", -half - 0.5, half + 0.5, samples))
+    built = build_nested_distribution(
+        parse("sig(m1)"), MetricBinding(sigma=lambda m: m), spec, scale)
+    family = location_family(scale, span, samples)
+    assert family.grid == spec and family.eps == scale
+    assert family.values.tobytes() == built.values.tobytes()
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1e200,), "must be > 0 with 1/scale^2 finite and nonzero"),
+    ((0.0,), "must be > 0 with 1/scale^2 finite and nonzero"),
+    ((math.nan,), "must be > 0 with 1/scale^2 finite and nonzero"),
+    ((1.0, 0.0), "span must be at least 4 kernel widths, got 0.0"),
+    ((1.0, 3.999), "span must be at least 4 kernel widths, got 3.999"),
+    ((1.0, math.nan), "span must be at least 4 kernel widths, got nan"),
+    ((1.0, 6.0, 7), "axis a: need at least 8 samples"),
+    ((1.0, 6.0, 8), "an offset cell is (2 * span * scale + 1) / samples "
+                    "= 1.625 wide, more than scale = 1.0"),
+    ((0.001,), "an offset cell is (2 * span * scale + 1) / samples "
+               "= 0.003953125 wide, more than scale = 0.001"),
+    ((1.0, 1000.0), "an offset cell is (2 * span * scale + 1) / samples "
+                    "= 7.81640625 wide, more than scale = 1.0"),
+], ids=["scale-1e200", "scale-0", "scale-nan", "span-0", "span-3.999",
+        "span-nan", "samples-7", "samples-8", "scale-0.001", "span-1000"])
+def test_location_family_refuses_a_grid_that_misses_the_answer(args,
+                                                               message):
+    with pytest.raises(InfoError) as err:
+        location_family(*args)
+    assert str(err.value) == message
+
+
+def test_location_family_accepts_a_cell_as_wide_as_the_kernel():
+    # 13 samples make cells of exactly scale = 1; 12 make them wider
+    assert location_family(1.0, 6.0, 13).grid.axes[1].spacing == 1.0
+    with pytest.raises(InfoError, match="an offset cell"):
+        location_family(1.0, 6.0, 12)
 
 
 def test_information_nonnegative_on_random_distributions():

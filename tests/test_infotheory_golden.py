@@ -29,6 +29,7 @@ from grovekit.infotheory import (
     fisher_information,
     grid,
     information_density,
+    location_family,
     smoothed_delta,
 )
 
@@ -47,10 +48,7 @@ def _bench_grid(scale):
 
 def _cli_grid(scale, samples, span):
     # `grovekit info`: samples along a, samples // 16 along m
-    half = span * scale
-    return _nested("sig(m1)", MetricBinding(sigma=lambda m: m),
-                   grid(("m", -0.5, 0.5, max(8, samples // 16)),
-                        ("a", -half - 0.5, half + 0.5, samples)), scale)
+    return lambda: location_family(scale, span, samples)
 
 
 def _with_negative_zeros():

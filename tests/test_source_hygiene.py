@@ -110,3 +110,18 @@ def test_smoothing_width_rule_has_one_home():
     text = "smoothing width must lie in"
     assert sum(path.read_text().count(text)
                for path in PACKAGE.glob("*.py")) == 1
+
+
+def test_cli_builds_no_information_grid():
+    # `infotheory.location_family` owns the `info` grid and its rules
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    bound = {name for name, _ in _imported(tree)}
+    assert bound & {"Axis", "GridSpec", "MetricBinding",
+                    "build_nested_distribution"} == set()
+
+
+def test_information_scale_rule_has_one_home():
+    # `infotheory.check_scale` words the rule; `info` reads scale through it
+    text = "1/scale^2 finite and nonzero"
+    assert sum(path.read_text().count(text)
+               for path in PACKAGE.glob("*.py")) == 1

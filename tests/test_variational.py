@@ -83,8 +83,10 @@ def test_first_variation_rejects_a_step_that_is_not_positive(h):
 @pytest.mark.parametrize("theta", [[], [0.0, 1.0]])
 def test_first_variation_rejects_wrong_length(theta):
     F = Functional(lambda t: float(t[0]), 1, "line")
-    with pytest.raises(VariationalError, match="line: expected 1 parameters"):
+    with pytest.raises(VariationalError) as err:
         first_variation(F, theta)
+    assert str(err.value) == (f"line parameters must be 1 finite numbers, "
+                              f"got shape ({len(theta)},)")
 
 
 def test_first_variation_reports_nonfinite():
@@ -153,7 +155,7 @@ def test_solve_critical_refuses_a_start_whose_value_is_not_finite(
     ({"tol": math.nan}, "tol must be > 0"),
     ({"theta0": [math.inf, 0.0]},
      "theta0 must be 2 finite numbers, got [inf, 0.0]"),
-    ({"theta0": [0.0]}, "theta0 must be 2 finite numbers, got [0.0]"),
+    ({"theta0": [0.0]}, "theta0 must be 2 finite numbers, got shape (1,)"),
 ], ids=["tol-0", "tol-negative", "tol-nan", "theta0-inf", "theta0-short"])
 def test_solve_critical_checks_its_arguments_before_any_evaluation(
         kwargs, message):
