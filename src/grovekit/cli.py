@@ -90,8 +90,10 @@ CommandResult = tuple[int, list[tuple[str, object]], dict[str, str], list[str]]
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> CommandResult:
+    if args.unpruned and args.partition is None:
+        raise GroveError("enumerate: --unpruned needs --partition")
     model = model_from_config(args.model)
-    if args.partition:
+    if args.partition is not None:
         groves = read_key({"--partition": args.partition}, "enumerate",
                           "--partition", lambda text: enumerate_groves(
                               integers(text), model, pruned=not args.unpruned),
@@ -207,7 +209,7 @@ def cmd_critical(args) -> CommandResult:
     else:
         code = EXIT_OK
         fields += [("converged", True), ("theta", _join(theta)),
-                   ("value", F(theta)), ("iterations", len(trace))]
+                   ("value", trace[-1][2]), ("iterations", len(trace))]
     return code, fields, {"critical-trace.csv": critical_trace_csv(trace)}, []
 
 

@@ -203,16 +203,12 @@ def enumerate_groves(
 
 
 def count_by_rank(r: int, model: CostModel = CostModel()) -> int:
-    """Number of allowed topologies whose rank is r (r in 1..3)."""
-    if r not in (1, 2, 3):
-        raise GroveError(f"rank must be 1, 2 or 3, got {r}")
+    """Number of allowed topologies of rank r, the chains of depth r - 1."""
     return len(enumerate_topologies(r - 1, model))
 
 
 def total_multiplicity(depth: int, model: CostModel = CostModel()) -> int:
     """Total pruned description size over all partitions of depth + 1."""
-    if depth not in (1, 2):
-        raise GroveError(f"total_multiplicity is defined for depths 1 and 2, got {depth}")
     return sum(len(enumerate_groves(part, model))
                for part in partitions_of(depth + 1))
 
@@ -323,37 +319,28 @@ class SituationExpr:
         return self.render()
 
 
-def _situation_valid(s: SituationExpr) -> bool:
-    # Fitted grammar rules; see the package docs for the fit caveat.
-    if not s.is_tensor:
-        return True
-    if s.cost() < 2:
-        return False  # tensor pairs only arise at meta-policy order
-    if any(j > 1 for j in s.operands):
-        return False
-    if any(s.operands):
-        return len(s.pow_lifts) == 1
-    return not any(s.pow_lifts)
-
-
 def enumerate_situations(order: int) -> frozenset[SituationExpr]:
-    """All situation expressions of the given order (1, 2 or 3)."""
+    """All situation expressions of the given order (1, 2 or 3).
+
+    A chain of ``n`` Pows spends ``n - 1`` plus its lifts, and its plain
+    form's operand is lifted by what is left of the order.  From order 2
+    on, two families of tensor pairs join: under one Pow, operands lifted
+    at most once each that share what it leaves; under ``order`` bare
+    Pows, the unlifted pair, whose forming costs the unit left.  These
+    rules are a fit to the shipped order-2 reference, not derived ones.
+    """
     if order not in (1, 2, 3):
         raise GroveError(f"order must be 1, 2 or 3, got {order}")
     found = set()
     for n in range(1, order + 2):
         for lifts in _compositions(order - n + 1, n):
-            # the operands spend what the chain leaves of the order
             left = order - n + 1 - sum(lifts)
-            candidates = [(left,)]
-            if left == 1:
-                candidates.append((0, 0))  # forming the pair costs the one
-            if left:
-                candidates += [(a, left - a) for a in range(left + 1)]
-            for operands in candidates:
-                cand = SituationExpr(lifts, operands)
-                if _situation_valid(cand):
-                    found.add(cand)
+            found.add(SituationExpr(lifts, (left,)))
+            if order >= 2 and n == 1:
+                found.update(SituationExpr(lifts, pair) for pair in
+                             ((0, 1), (1, 0), (1, 1)) if sum(pair) == left)
+            if order >= 2 and n == order and not any(lifts):
+                found.add(SituationExpr(lifts, (0, 0)))
     return frozenset(found)
 
 

@@ -127,7 +127,8 @@ def test_enumerate_depth_and_partition_are_exclusive(capsys, depth):
 
 
 #: each --partition that enumerate refuses, with the reason it gives
-PARTITION_FAULTS = {"x": "expected integers separated by commas",
+PARTITION_FAULTS = {"": "expected integers separated by commas",
+                    "x": "expected integers separated by commas",
                     "2,,1": "expected integers separated by commas",
                     "1,2": "partition parts must be non-increasing",
                     "0": "partition parts must be positive",
@@ -140,6 +141,16 @@ def test_unparsable_partition_names_the_flag(capsys, partition):
     assert (code, out) == (EXIT_USAGE, "")
     assert err == (f"grovekit: enumerate: --partition = {partition!r}: "
                    f"{PARTITION_FAULTS[partition]}\n")
+
+
+@pytest.mark.parametrize("argv", [["--unpruned"],
+                                  ["--depth", "1", "--unpruned"]],
+                         ids=["alone", "with-depth"])
+def test_unpruned_without_partition_is_a_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, "enumerate", *argv, "--out", str(tmp_path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "grovekit: enumerate: --unpruned needs --partition\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_unpruned_partition_above_the_grove_bound_is_a_usage_error(capsys):
@@ -254,6 +265,23 @@ def test_critical_quadratic(capsys, tmp_path):
     assert code == EXIT_OK
     assert "converged = True" in out
     assert (tmp_path / "critical-trace.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["", "functional = rosenbrock\n"],
+                         ids=["quadratic", "rosenbrock"])
+def test_critical_evaluates_only_in_the_solve(capsys, tmp_path, monkeypatch,
+                                              text):
+    """The reported value is the solve's last; nothing is evaluated after."""
+    calls, after_solve = [], []
+    evaluate, solve = Functional.__call__, cli.solve_critical
+    monkeypatch.setattr(Functional, "__call__", lambda self, theta: (
+        calls.append(theta), evaluate(self, theta))[1])
+    monkeypatch.setattr(cli, "solve_critical", lambda *a, **kw: (
+        solve(*a, **kw), after_solve.append(len(calls)))[0])
+    config = tmp_path / "crit.txt"
+    config.write_text(text)
+    assert run(capsys, "critical", "--config", str(config))[0] == EXIT_OK
+    assert after_solve == [len(calls)]
 
 
 def test_critical_unknown_functional(capsys, tmp_path):

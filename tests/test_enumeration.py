@@ -44,6 +44,19 @@ def test_totals():
     assert total_multiplicity(2) == 54
 
 
+@pytest.mark.parametrize("count,value,depth", [
+    (count_by_rank, 0, -1), (count_by_rank, 4, 3), (total_multiplicity, 3, 3)])
+def test_rank_and_total_take_the_topology_depth_range(count, value, depth):
+    with pytest.raises(GroveError) as err:
+        count(value)
+    assert str(err.value) == (f"unsupported depth {depth}; "
+                              "shipped build caps at 2")
+
+
+def test_total_of_depth_zero_is_the_rank_one_count():
+    assert total_multiplicity(0) == count_by_rank(1) == 3
+
+
 def test_partitions_of_three():
     parts = {p.parts for p in partitions_of(3)}
     assert parts == {(3,), (2, 1), (1, 1, 1)}
