@@ -137,6 +137,14 @@ def _chains(depth: int, m: CostModel) -> Iterator[TopologyExpr]:
             yield TopologyExpr(levels, args)
 
 
+def _check_depth(depth: int) -> int:
+    """``depth`` when the shipped build enumerates chains of that depth,
+    0 <= depth <= `MAX_DEPTH`."""
+    if depth not in range(MAX_DEPTH + 1):
+        raise GroveError(f"unsupported depth {depth}; shipped build caps at {MAX_DEPTH}")
+    return depth
+
+
 def enumerate_topologies(depth: int,
                          model: CostModel = CostModel()) -> frozenset[TopologyExpr]:
     """All allowed decorated chains of the given depth.
@@ -147,9 +155,7 @@ def enumerate_topologies(depth: int,
     canonical form.  Multi-part partitions describe groves; see
     :func:`enumerate_groves`.
     """
-    if depth not in range(MAX_DEPTH + 1):
-        raise GroveError(f"unsupported depth {depth}; shipped build caps at {MAX_DEPTH}")
-    caps = model.caps[depth]
+    caps = model.caps[_check_depth(depth)]
     rules = [rule for name, rule in EXCLUSION_RULES.items()
              if name in model.exclusions]
     produced = set()
@@ -210,7 +216,7 @@ def count_by_rank(r: int, model: CostModel = CostModel()) -> int:
 def total_multiplicity(depth: int, model: CostModel = CostModel()) -> int:
     """Total pruned description size over all partitions of depth + 1."""
     return sum(len(enumerate_groves(part, model))
-               for part in partitions_of(depth + 1))
+               for part in partitions_of(_check_depth(depth) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,17 @@ LOG_FLOOR_RATIO = 1e-12
 NORMALISED_REL_TOL = 1e-9
 
 #: Most cells a grid may hold: one float64 array over it takes 128 MiB.
-#: Building a distribution and its Fisher information holds at most three
-#: such arrays at once, 384 MiB at the bound.
+#: Building a distribution and its Fisher information holds at most two
+#: such arrays at once, 256 MiB at the bound.
 MAX_GRID_CELLS = 2 ** 24
 
 #: Cells `GridDistribution.dumps` renders per step; one ``str`` per cell of
 #: a whole grid would weigh several times the text it makes.
 _DUMPS_CHUNK = 4096
+
+#: Cells `fisher_information` takes the logarithm and the gradient of per
+#: step; a grid of more cells is walked in slabs of about this many.
+_FISHER_SLAB = 1 << 16
 
 #: Characters of text `GridDistribution.loads` splits into lines per step,
 #: rounded up to the next newline: the cells are parsed into one array, and
@@ -408,12 +412,6 @@ def location_family(scale: float, span: float = 6.0,
 # information functionals
 # ---------------------------------------------------------------------------
 
-def _log_with_floor(values: np.ndarray) -> np.ndarray:
-    floor = LOG_FLOOR_RATIO * float(values.max())
-    logf = np.maximum(values, floor)
-    return np.log(logf, out=logf)
-
-
 def _central_differences(f: np.ndarray, dx: float, axis: int) -> np.ndarray:
     """``np.gradient(f, dx, axis=axis)`` for a float array f and a scalar
     spacing dx, bit for bit, written into one new array: central
@@ -430,23 +428,45 @@ def _central_differences(f: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return out
 
 
+def _slabs(shape: tuple[int, ...], axis: int) -> Iterator[tuple[slice, ...]]:
+    """Indices of the slabs of about `_FISHER_SLAB` cells that cover a grid
+    of ``shape``, cut along its first axis other than ``axis``, so that
+    each holds whole lines along ``axis``; a 1-D grid is one slab."""
+    if len(shape) == 1:
+        yield (slice(None),)
+        return
+    cut = 1 if axis == 0 else 0
+    step = max(1, _FISHER_SLAB * shape[cut] // math.prod(shape))
+    for start in range(0, shape[cut], step):
+        yield (slice(None),) * cut + (slice(start, start + step),)
+
+
 def fisher_information(dist: GridDistribution, axis: int | str) -> float:
     """Quadrature of f * (d ln f / dx)^2 along the given axis; >= 0.
 
-    Holds two arrays of the grid's shape besides the density.  Raises
-    InfoError when a term underflows, as on a grid whose density is so
-    small that the sum would read 0 or lose its leading digits.
+    Holds one array of the grid's shape besides the density: the terms,
+    written one slab of whole lines along the axis at a time from that
+    slab's floored logarithm and its gradient, then summed at once, so
+    the result has the bits of the whole-grid formula.  Raises InfoError
+    when a term underflows, as on a grid whose density is so small that
+    the sum would read 0 or lose its leading digits.
     """
     i = dist.grid.axis_index(axis)
-    logf = _log_with_floor(dist.values)
-    dlogf = _central_differences(logf, dist.grid.axes[i].spacing, i)
-    try:
-        with np.errstate(under="raise"):
-            # (f * dlogf) * dlogf, in the buffer of the logarithm
-            terms = np.multiply(dist.values, dlogf, out=logf)
-            terms *= dlogf
-    except FloatingPointError:
-        raise InfoError("Fisher information underflows on this grid") from None
+    dx = dist.grid.axes[i].spacing
+    floor = LOG_FLOOR_RATIO * float(dist.values.max())
+    terms = np.empty(dist.grid.shape)
+    for slab in _slabs(dist.grid.shape, i):
+        f = dist.values[slab]
+        logf = np.maximum(f, floor)
+        dlogf = _central_differences(np.log(logf, out=logf), dx, i)
+        try:
+            with np.errstate(under="raise"):
+                # (f * dlogf) * dlogf
+                out = np.multiply(f, dlogf, out=terms[slab])
+                out *= dlogf
+        except FloatingPointError:
+            raise InfoError(
+                "Fisher information underflows on this grid") from None
     return float(np.sum(terms) * dist.grid.cell_volume)
 
 

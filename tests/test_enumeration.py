@@ -45,7 +45,8 @@ def test_totals():
 
 
 @pytest.mark.parametrize("count,value,depth", [
-    (count_by_rank, 0, -1), (count_by_rank, 4, 3), (total_multiplicity, 3, 3)])
+    (count_by_rank, 0, -1), (count_by_rank, 4, 3), (total_multiplicity, 3, 3),
+    (total_multiplicity, -1, -1), (total_multiplicity, -2, -2)])
 def test_rank_and_total_take_the_topology_depth_range(count, value, depth):
     with pytest.raises(GroveError) as err:
         count(value)

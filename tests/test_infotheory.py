@@ -19,6 +19,7 @@ from grovekit.infotheory import (
     GridSpec,
     InfoError,
     InfoTensorBinding,
+    LOG_FLOOR_RATIO,
     MAX_GRID_CELLS,
     MetricBinding,
     build_nested_distribution,
@@ -148,7 +149,7 @@ def test_meshes_are_read_only_views():
         meshes[0][0, 0] = 1.0
 
 
-def test_build_and_fisher_hold_three_grid_arrays():
+def test_build_and_fisher_hold_two_grid_arrays():
     def build_and_fisher():
         dist = build_nested_distribution(
             parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
@@ -157,7 +158,7 @@ def test_build_and_fisher_hold_three_grid_arrays():
 
     infos, peak = _peak_above_start(build_and_fisher)
     assert infos[0] == pytest.approx(1.0, rel=0.01)
-    assert peak <= 3 * _GRID_ARRAY + 2 ** 20
+    assert peak <= 2 * _GRID_ARRAY + 2 ** 21
 
 
 def test_dumps_peaks_below_two_and_a_half_times_its_text():
@@ -447,6 +448,67 @@ def test_location_family_accepts_a_cell_as_wide_as_the_kernel():
     assert location_family(1.0, 6.0, 13).grid.axes[1].spacing == 1.0
     with pytest.raises(InfoError, match="an offset cell"):
         location_family(1.0, 6.0, 12)
+
+
+def _fisher_whole_grid(dist, axis):
+    """The Fisher information over the whole grid at once, the plain
+    formula the slab walk must match bit for bit."""
+    i = dist.grid.axis_index(axis)
+    floor = LOG_FLOOR_RATIO * float(dist.values.max())
+    dlogf = np.gradient(np.log(np.maximum(dist.values, floor)),
+                        dist.grid.axes[i].spacing, axis=i)
+    try:
+        with np.errstate(under="raise"):
+            terms = dist.values * dlogf * dlogf
+    except FloatingPointError:
+        return "underflow"
+    return repr(float(np.sum(terms) * dist.grid.cell_volume))
+
+
+def _fisher_or_underflow(dist, axis):
+    try:
+        return repr(fisher_information(dist, axis))
+    except InfoError as err:
+        assert str(err) == "Fisher information underflows on this grid"
+        return "underflow"
+
+
+@given(array_shapes(min_dims=1, max_dims=3, min_side=8, max_side=13)
+       .flatmap(lambda shape: st.tuples(
+           arrays(float, shape, elements=st.one_of(
+               st.just(0.0), st.floats(1e-6, 1e6))),
+           st.integers(0, len(shape) - 1))),
+       st.sampled_from([1, 7, 64, 100]))
+@example((np.arange(1.0, 73.0).reshape(8, 9), 0), 64)
+def test_slab_walk_matches_the_whole_grid_formula(data, slab):
+    values, axis = data
+    spec = GridSpec(tuple(Axis(f"x{k}", -1.0, 2.0, n)
+                          for k, n in enumerate(values.shape)))
+    if not values.any():
+        values[(0,) * values.ndim] = 1.0
+    dist = GridDistribution(spec, values, 0.1)
+    expected = _fisher_whole_grid(dist, axis)
+    with mock.patch.object(infotheory, "_FISHER_SLAB", slab):
+        assert _fisher_or_underflow(dist, axis) == expected
+
+
+@pytest.mark.parametrize("width,underflows", [(1e200, True), (1.0, False)])
+def test_underflow_in_a_later_slab_is_reported(width, underflows):
+    # 16 slabs of one row each; only the last row varies along x, and on
+    # the wide grid its terms, near 1e-400, underflow
+    spec = grid(("y", 0.0, 1.0, 16), ("x", 0.0, width, 8))
+    values = np.ones(spec.shape)
+    values[-1] = np.arange(1.0, 9.0)
+    dist = GridDistribution(spec, values, 0.1)
+    with mock.patch.object(infotheory, "_FISHER_SLAB", 8):
+        if underflows:
+            with pytest.raises(InfoError) as err:
+                fisher_information(dist, "x")
+            assert str(err.value) == (
+                "Fisher information underflows on this grid")
+        else:
+            assert fisher_information(dist, "x") > 0.0
+    assert (_fisher_whole_grid(dist, "x") == "underflow") == underflows
 
 
 def test_information_nonnegative_on_random_distributions():
