@@ -53,6 +53,11 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
+#: Characters `write_atomic` hands the file per write: a text file encodes
+#: each write's whole argument at once, so one write of a long text would
+#: hold its bytes besides it.
+_WRITE_CHUNK = 1 << 16
+
 
 def table_digests() -> list[tuple[str, str]]:
     """The ``digest.<table>`` report fields of the shipped table files."""
@@ -67,7 +72,8 @@ def write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-grovekit-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _WRITE_CHUNK):
+                handle.write(text[start:start + _WRITE_CHUNK])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

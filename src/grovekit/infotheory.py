@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from operator import add
 from typing import Callable, Iterator, Sequence
@@ -33,16 +33,18 @@ LOG_FLOOR_RATIO = 1e-12
 NORMALISED_REL_TOL = 1e-9
 
 #: Most cells a grid may hold: one float64 array over it takes 128 MiB.
-#: Building a distribution and its Fisher information holds at most two
-#: such arrays at once, 256 MiB at the bound.
+#: Building a nested distribution and taking its Fisher information holds
+#: one such array, the density, 128 MiB at the bound, besides temporaries
+#: of about `_FISHER_SLAB` cells.
 MAX_GRID_CELLS = 2 ** 24
 
 #: Cells `GridDistribution.dumps` renders per step; one ``str`` per cell of
 #: a whole grid would weigh several times the text it makes.
 _DUMPS_CHUNK = 4096
 
-#: Cells `fisher_information` takes the logarithm and the gradient of per
-#: step; a grid of more cells is walked in slabs of about this many.
+#: Cells the grid walks handle per step: `smoothed_delta` exponentiates
+#: slabs of about this many cells, and `_pairwise_sum` sums leaves of at
+#: most this many (or 128, numpy's own smallest block).
 _FISHER_SLAB = 1 << 16
 
 #: Characters of text `GridDistribution.loads` splits into lines per step,
@@ -91,21 +93,25 @@ def smoothed_delta(x, center, eps: float):
 
     ``x`` and ``center`` broadcast; a scalar result is an ``np.float64``.
     The kernel is ``exp((-0.5 * z) * z) / (eps * sqrt(2 pi))`` with
-    ``z = (x - center) / eps``, evaluated in place: at most two arrays of
-    the result's shape are alive at once.
+    ``z = (x - center) / eps``.  One array of the result's shape is made,
+    ``z``; the exponent and its ``exp`` are computed into it a slab of
+    about `_FISHER_SLAB` cells at a time, each cell seeing the operations
+    of the plain expression, so the result has its bits.
     """
     eps = check_width(eps)
-    # in place for arrays; a scalar is rebound at each step instead
-    z = np.asarray(x, dtype=float) - center
+    # a 0-d array where x and center are scalars, so every step is in place
+    z = np.asarray(np.asarray(x, dtype=float) - center)
     z /= eps
+    rows = z if z.ndim else z[np.newaxis]
+    step = max(1, _FISHER_SLAB * len(rows) // max(1, rows.size))
     # a far-out z squares to inf, and exp(-inf) is exactly the 0 it should be
     with np.errstate(over="ignore"):
-        t = -0.5 * z
-        t *= z
-        del z
-        t = np.exp(t, out=t if t.ndim else None)
-    t /= eps * math.sqrt(2.0 * math.pi)
-    return t
+        for start in range(0, len(rows), step):
+            slab = rows[start:start + step]
+            np.multiply(-0.5 * slab, slab, out=slab)
+            np.exp(slab, out=slab)
+    z /= eps * math.sqrt(2.0 * math.pi)
+    return z if z.ndim else z[()]
 
 
 @dataclass(frozen=True)
@@ -215,6 +221,17 @@ class GridDistribution:
         self.values = values
         self.eps = eps
 
+    @classmethod
+    def _owning(cls, grid: GridSpec, values: np.ndarray, eps: float,
+                mass: float) -> "GridDistribution":
+        """A distribution over ``values``, an array no other code holds,
+        divided in place by ``mass``: the bits `__init__`'s division gives,
+        without a second grid array."""
+        values /= mass
+        dist = cls.__new__(cls)
+        dist._hold(grid, values, eps)
+        return dist
+
     @property
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
@@ -223,18 +240,39 @@ class GridDistribution:
     def from_function(cls, grid: GridSpec, fn: Callable[..., np.ndarray],
                       eps: float) -> "GridDistribution":
         values = np.asarray(fn(*grid.meshes()), dtype=float)
+        # a copy: ``fn`` may return a read-only mesh or an array it keeps
         values = np.broadcast_to(values, grid.shape).copy()
-        return cls(grid, values, eps)
+        return cls._owning(grid, values, eps,
+                           _checked_mass(grid, values, eps))
 
     def marginal_moments(self, axis: int | str) -> tuple[float, float]:
-        """Mean and variance of the marginal along one axis."""
+        """Mean and variance of the marginal along one axis.
+
+        They are ``np.sum(w * x)`` and ``np.sum(w * (x - mean) ** 2)`` for
+        the normalised marginal weights ``w`` and the axis's centres ``x``,
+        to the bit, but each sum walks numpy's pairwise tree with
+        `_pairwise_sum` (a run of more than 128 cells splits after half
+        its length, rounded down to a multiple of 8), making ``w`` and
+        ``x`` for one leaf at a time: numpy adds the same operands in the
+        same order, and a 1-D grid holds no array of its size besides the
+        density.
+        """
         i = self.grid.axis_index(axis)
+        ax = self.grid.axes[i]
         other = tuple(j for j in range(len(self.grid.axes)) if j != i)
         weights = self.values.sum(axis=other) if other else self.values
-        weights = weights / weights.sum()
-        x = self.grid.axes[i].centers()
-        mean = float(np.sum(weights * x))
-        var = float(np.sum(weights * (x - mean) ** 2))
+        total = weights.sum()
+
+        def centres(lo, hi):  # the bits of ax.centers()[lo:hi]
+            return ax.lo + (np.arange(lo, hi) + 0.5) * ax.spacing
+
+        mean = float(_pairwise_sum(
+            lambda lo, hi: weights[lo:hi] / total * centres(lo, hi),
+            0, ax.count))
+        var = float(_pairwise_sum(
+            lambda lo, hi: (weights[lo:hi] / total
+                            * (centres(lo, hi) - mean) ** 2),
+            0, ax.count))
         return mean, var
 
     # -- serialisation -----------------------------------------------------
@@ -284,14 +322,11 @@ class GridDistribution:
         values = values.reshape(spec.shape)
         total = _checked_mass(spec, values, eps)
         # Dumped values are normalised already, and dividing them by their
-        # mass once more would move their last bits: keep them as stored.
-        # Any other text is normalised in place, to the bits `__init__`'s
-        # division gives.
-        if not math.isclose(total, 1.0, rel_tol=NORMALISED_REL_TOL):
-            values /= total
-        dist = cls.__new__(cls)
-        dist._hold(spec, values, eps)
-        return dist
+        # mass once more would move their last bits: keep them as stored
+        # (dividing by 1 keeps every bit).
+        if math.isclose(total, 1.0, rel_tol=NORMALISED_REL_TOL):
+            total = 1.0
+        return cls._owning(spec, values, eps, total)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +395,9 @@ def build_nested_distribution(expr: TopologyExpr, binding: MetricBinding,
     value = inner
     for off in offsets:  # innermost offset first
         value = smoothed_delta(value, off, eps)
-    return GridDistribution(grid, value, eps)
+    # every offset mesh has the grid's shape, so value is a new grid array
+    return GridDistribution._owning(grid, value, eps,
+                                    _checked_mass(grid, value, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -428,46 +465,115 @@ def _central_differences(f: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return out
 
 
-def _slabs(shape: tuple[int, ...], axis: int) -> Iterator[tuple[slice, ...]]:
-    """Indices of the slabs of about `_FISHER_SLAB` cells that cover a grid
-    of ``shape``, cut along its first axis other than ``axis``, so that
-    each holds whole lines along ``axis``; a 1-D grid is one slab."""
-    if len(shape) == 1:
-        yield (slice(None),)
-        return
-    cut = 1 if axis == 0 else 0
-    step = max(1, _FISHER_SLAB * shape[cut] // math.prod(shape))
-    for start in range(0, shape[cut], step):
-        yield (slice(None),) * cut + (slice(start, start + step),)
+def _floored_log(f: np.ndarray, floor: float) -> np.ndarray:
+    """``log(max(f, floor))``, computed in one new array."""
+    out = np.maximum(f, floor)
+    return np.log(out, out=out)
+
+
+def _pairwise_sum(leaf: Callable[[int, int], np.ndarray], lo: int,
+                  hi: int) -> np.float64:
+    """``np.sum`` of cells ``lo:hi`` of a C-order array whose cells ``a:b``
+    ``leaf(a, b)`` makes on demand, to the bit.
+
+    numpy sums a contiguous array along one pairwise tree (``pairwise_sum``
+    in ``_core/src/umath/loops_utils.h.src``): a run of more than 128 cells
+    is split after ``n // 2`` cells rounded down to a multiple of 8, and a
+    shorter run is added with 8 accumulators.  This walk splits exactly
+    there down to runs of at most ``max(_FISHER_SLAB, 128)`` cells and sums
+    each with ``np.add.reduce``, so every addition is one numpy makes, with
+    the same operands in the same order.
+    """
+    n = hi - lo
+    if n <= max(_FISHER_SLAB, 128):
+        return np.add.reduce(leaf(lo, hi))
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(leaf, lo, lo + half)
+            + _pairwise_sum(leaf, lo + half, hi))
+
+
+def _cuts(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
+    """``lo:hi`` cut at the multiples of ``width``: the rest of one run of
+    ``width`` cells, whole runs, the start of one run (empty parts left
+    out); when no multiple falls inside, ``lo:hi`` itself."""
+    head = min(-(-lo // width) * width, hi)
+    tail = max(hi // width * width, head)
+    return [(a, b) for a, b in ((lo, head), (head, tail), (tail, hi))
+            if a < b]
+
+
+def _log_gradients(cells: np.ndarray, floor: float, dx: float, lo: int,
+                   hi: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(a, b, d)`` for consecutive parts ``a:b`` of the C-order cells
+    ``lo:hi`` of ``cells``, a grid viewed as (lines, n, width) with the
+    differentiated axis in the middle: ``d`` is `_central_differences` of
+    ``log(max(f, floor))`` along that axis over those cells, with the bits
+    of the whole grid's, computed from a window of the cells they need.
+
+    Whole lines are differentiated as they are.  In part of a line, the
+    window holds its rows (``width`` cells each) and one more row on each
+    side inside the line; part of a row keeps only its own columns.
+    """
+    _, n, width = cells.shape
+    line = n * width
+    for a, b in _cuts(lo, hi, line):
+        if a % line == 0 and b % line == 0:
+            d = _central_differences(
+                _floored_log(cells[a // line:b // line], floor), dx, 1)
+            yield a, b, d.reshape(-1)
+            continue
+        base = a - a % line
+        rows = cells[a // line]
+        for c, e in _cuts(a - base, b - base, width):
+            r0, c0 = divmod(c, width)
+            r1, c1 = -(-e // width), min(width, c0 + e - c)
+            w0 = max(r0 - 1, 0)
+            d = _central_differences(
+                _floored_log(rows[w0:min(r1 + 1, n), c0:c1], floor), dx, 0)
+            yield base + c, base + e, d[r0 - w0:r1 - w0].reshape(-1)
+
+
+def _fisher_terms(cells: np.ndarray, floor: float, dx: float, lo: int,
+                  hi: int) -> np.ndarray:
+    """``(f * dlogf) * dlogf`` over the C-order cells ``lo:hi`` of
+    ``cells``, shaped as `_log_gradients` takes it."""
+    f = cells.reshape(-1)
+    parts = []
+    for a, b, dlogf in _log_gradients(cells, floor, dx, lo, hi):
+        with np.errstate(under="raise"):
+            terms = f[a:b] * dlogf
+            terms *= dlogf
+        parts.append(terms)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def fisher_information(dist: GridDistribution, axis: int | str) -> float:
     """Quadrature of f * (d ln f / dx)^2 along the given axis; >= 0.
 
-    Holds one array of the grid's shape besides the density: the terms,
-    written one slab of whole lines along the axis at a time from that
-    slab's floored logarithm and its gradient, then summed at once, so
-    the result has the bits of the whole-grid formula.  Raises InfoError
-    when a term underflows, as on a grid whose density is so small that
-    the sum would read 0 or lose its leading digits.
+    The result has the bits of the whole-grid formula, ``np.sum`` of
+    ``f * dlogf * dlogf`` with ``dlogf`` the `_central_differences` of the
+    floored logarithm, but holds no array of the grid's shape besides the
+    density: `_pairwise_sum` splits the C-order cells where numpy's own
+    pairwise sum splits them (a run of more than 128 cells after half its
+    length, rounded down to a multiple of 8), so numpy adds the same
+    operands in the same order, and makes the terms of one leaf of at most
+    `_FISHER_SLAB` cells at a time, each from a window of just the cells
+    its differences read.  Raises InfoError when a term underflows, as on
+    a grid whose density is so small that the sum would read 0 or lose
+    its leading digits.
     """
     i = dist.grid.axis_index(axis)
-    dx = dist.grid.axes[i].spacing
+    shape = dist.grid.shape
+    cells = dist.values.reshape(math.prod(shape[:i]), shape[i],
+                                math.prod(shape[i + 1:]))
     floor = LOG_FLOOR_RATIO * float(dist.values.max())
-    terms = np.empty(dist.grid.shape)
-    for slab in _slabs(dist.grid.shape, i):
-        f = dist.values[slab]
-        logf = np.maximum(f, floor)
-        dlogf = _central_differences(np.log(logf, out=logf), dx, i)
-        try:
-            with np.errstate(under="raise"):
-                # (f * dlogf) * dlogf
-                out = np.multiply(f, dlogf, out=terms[slab])
-                out *= dlogf
-        except FloatingPointError:
-            raise InfoError(
-                "Fisher information underflows on this grid") from None
-    return float(np.sum(terms) * dist.grid.cell_volume)
+    leaf = partial(_fisher_terms, cells, floor, dist.grid.axes[i].spacing)
+    try:
+        total = _pairwise_sum(leaf, 0, dist.values.size)
+    except FloatingPointError:
+        raise InfoError("Fisher information underflows on this grid") from None
+    return float(total * dist.grid.cell_volume)
 
 
 @dataclass(frozen=True)

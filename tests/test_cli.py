@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -328,6 +329,20 @@ def test_outputs_byte_identical_across_runs(capsys, tmp_path):
 def test_no_stray_temp_files(capsys, tmp_path):
     run(capsys, "enumerate", "--depth", "0", "--out", str(tmp_path))
     assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
+
+
+def test_write_atomic_holds_a_slice_of_a_long_text(tmp_path):
+    # 4 MiB of report lines; one write would hold all of its bytes at once
+    text = "information = 0.9999999999999998\n" * (1 << 17)
+    path = tmp_path / "long.txt"
+    tracemalloc.start()
+    try:
+        cli.write_atomic(str(path), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == text.encode()
+    assert peak < 2 ** 20
 
 
 def test_failed_rename_is_usage_error_and_leaves_no_temp_file(capsys,

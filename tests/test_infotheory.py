@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -31,6 +33,7 @@ from grovekit.infotheory import (
     offset_pairs,
     smoothed_delta,
     _central_differences,
+    _pairwise_sum,
 )
 
 
@@ -74,10 +77,12 @@ _kernel_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
            st.one_of(arrays(float, s.input_shapes[1], elements=_kernel_floats),
                      _kernel_floats))),
        st.one_of(st.sampled_from((5e-324, 1e-300, 0.5, 1.0, 1e300)),
-                 st.floats(min_value=5e-324, max_value=1e308)))
-def test_smoothed_delta_is_bit_equal_to_the_expression(args, eps):
+                 st.floats(min_value=5e-324, max_value=1e308)),
+       st.sampled_from([1, 5, 1 << 16]))
+def test_smoothed_delta_is_bit_equal_to_the_expression(args, eps, slab):
     x, center = args
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), \
+            mock.patch.object(infotheory, "_FISHER_SLAB", slab):
         got = smoothed_delta(x, center, eps)
         expected = _smoothed_delta_reference(x, center, eps)
     # a scalar stays an np.float64, an array an array of the same shape
@@ -149,7 +154,7 @@ def test_meshes_are_read_only_views():
         meshes[0][0, 0] = 1.0
 
 
-def test_build_and_fisher_hold_two_grid_arrays():
+def test_build_and_fisher_hold_one_grid_array():
     def build_and_fisher():
         dist = build_nested_distribution(
             parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
@@ -158,7 +163,49 @@ def test_build_and_fisher_hold_two_grid_arrays():
 
     infos, peak = _peak_above_start(build_and_fisher)
     assert infos[0] == pytest.approx(1.0, rel=0.01)
-    assert peak <= 2 * _GRID_ARRAY + 2 ** 21
+    assert peak <= _GRID_ARRAY + 2 ** 21
+
+
+def test_from_function_and_cramer_rao_hold_two_line_arrays():
+    # the bench's Cramer-Rao line: 2 MiB per array
+    line = grid(("a", -7.0, 7.0, 64 * 4096))
+
+    def build_and_report():
+        dist = GridDistribution.from_function(
+            line, lambda a: smoothed_delta(a, 0.0, 1.0), 1.0)
+        return cramer_rao_report(dist)
+
+    report, peak = _peak_above_start(build_and_report)
+    assert 0.99 <= report.products[0] <= 1.01
+    assert peak <= 2 * 8 * 64 * 4096 + 2 ** 21
+
+
+def test_constructor_leaves_the_callers_values_alone():
+    values = np.arange(1.0, 73.0).reshape(8, 9)
+    before = values.tobytes()
+    dist = GridDistribution(grid(("y", 0.0, 1.0, 8), ("x", 0.0, 1.0, 9)),
+                            values, 0.1)
+    assert values.tobytes() == before
+    assert values.flags.writeable
+    assert not dist.values.flags.writeable
+    assert not np.shares_memory(values, dist.values)
+
+
+def test_walks_leave_no_cycle_holding_the_density():
+    # with the cyclic collector off, only reference counts free the density
+    gc.disable()
+    try:
+        dist = build_nested_distribution(
+            parse("sig(m1)"), MetricBinding(sigma=lambda m: m),
+            grid(("m", -0.5, 0.5, 64), ("a", -6.5, 6.5, 4096)), 1.0)
+        held = weakref.ref(dist.values)
+        for axis in ("m", "a"):
+            fisher_information(dist, axis)
+            dist.marginal_moments(axis)
+        del dist
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_dumps_peaks_below_two_and_a_half_times_its_text():
@@ -492,15 +539,79 @@ def test_slab_walk_matches_the_whole_grid_formula(data, slab):
         assert _fisher_or_underflow(dist, axis) == expected
 
 
+def _moments_whole_grid(dist, axis):
+    """The marginal moments by the plain formulas over whole arrays, which
+    the leaf walk must match bit for bit."""
+    i = dist.grid.axis_index(axis)
+    other = tuple(j for j in range(dist.values.ndim) if j != i)
+    weights = dist.values.sum(axis=other) if other else dist.values
+    weights = weights / weights.sum()
+    x = dist.grid.axes[i].centers()
+    mean = float(np.sum(weights * x))
+    return mean, float(np.sum(weights * (x - mean) ** 2))
+
+
+@st.composite
+def _walked_densities(draw):
+    """Densities on 1-D to 3-D grids of 129 to about 20,000 cells, spread
+    over twelve decades, some with most of their cells zero."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(129, 20000)),
+        st.tuples(st.integers(8, 141), st.integers(8, 141))
+        .filter(lambda s: math.prod(s) >= 129),
+        st.tuples(st.integers(8, 27), st.integers(8, 27),
+                  st.integers(8, 27))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = 10.0 ** rng.uniform(-6.0, 6.0, shape)
+    values[rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    return values
+
+
+@given(_walked_densities(), st.sampled_from([128, 129, 200, 1000, 4096]))
+@example(np.arange(1.0, 129.0).reshape(16, 8), 128)
+@example(np.linspace(0.0, 1.0, 129), 128)
+def test_leaf_walk_matches_numpys_whole_grid_sums(values, leaf):
+    spec = GridSpec(tuple(Axis(f"x{k}", -1.0, 2.0, n)
+                          for k, n in enumerate(values.shape)))
+    if not values.any():
+        values[(0,) * values.ndim] = 1.0
+    dist = GridDistribution(spec, values, 0.1)
+    with mock.patch.object(infotheory, "_FISHER_SLAB", leaf):
+        for axis in range(values.ndim):
+            assert (_fisher_or_underflow(dist, axis)
+                    == _fisher_whole_grid(dist, axis))
+            assert (repr(dist.marginal_moments(axis))
+                    == repr(_moments_whole_grid(dist, axis)))
+
+
+@given(st.integers(1, 20000), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 128, 129, 200, 1000, 4096]))
+@example(128, 0, 128)
+@example(129, 0, 128)
+def test_pairwise_sum_is_np_sum(n, seed, leaf):
+    x = np.random.default_rng(seed).standard_normal(n)
+    with mock.patch.object(infotheory, "_FISHER_SLAB", leaf):
+        got = _pairwise_sum(lambda lo, hi: x[lo:hi], 0, n)
+    assert repr(float(got)) == repr(float(np.sum(x)))
+
+
 @pytest.mark.parametrize("width,underflows", [(1e200, True), (1.0, False)])
 def test_underflow_in_a_later_slab_is_reported(width, underflows):
-    # 16 slabs of one row each; only the last row varies along x, and on
-    # the wide grid its terms, near 1e-400, underflow
-    spec = grid(("y", 0.0, 1.0, 16), ("x", 0.0, width, 8))
+    # 64 rows of 8 cells in 4 leaves of 128 cells; only the last row varies
+    # along x, and on the wide grid its terms, near 1e-400, underflow
+    spec = grid(("y", 0.0, 1.0, 64), ("x", 0.0, width, 8))
     values = np.ones(spec.shape)
     values[-1] = np.arange(1.0, 9.0)
     dist = GridDistribution(spec, values, 0.1)
-    with mock.patch.object(infotheory, "_FISHER_SLAB", 8):
+    leaves = []
+    terms = infotheory._fisher_terms
+
+    def counted(cells, floor, dx, lo, hi):
+        leaves.append((lo, hi))
+        return terms(cells, floor, dx, lo, hi)
+
+    with mock.patch.object(infotheory, "_FISHER_SLAB", 128), \
+            mock.patch.object(infotheory, "_fisher_terms", counted):
         if underflows:
             with pytest.raises(InfoError) as err:
                 fisher_information(dist, "x")
@@ -508,6 +619,7 @@ def test_underflow_in_a_later_slab_is_reported(width, underflows):
                 "Fisher information underflows on this grid")
         else:
             assert fisher_information(dist, "x") > 0.0
+    assert leaves == [(0, 128), (128, 256), (256, 384), (384, 512)]
     assert (_fisher_whole_grid(dist, "x") == "underflow") == underflows
 
 
