@@ -42,9 +42,8 @@ MAX_GRID_CELLS = 2 ** 24
 #: a whole grid would weigh several times the text it makes.
 _DUMPS_CHUNK = 4096
 
-#: Cells the grid walks handle per step: `smoothed_delta` exponentiates
-#: slabs of about this many cells, and `_pairwise_sum` sums leaves of at
-#: most this many (or 128, numpy's own smallest block).
+#: Most cells `_pairwise_sum` sums in one leaf (or 128, numpy's own
+#: smallest block, if that is more).
 _FISHER_SLAB = 1 << 16
 
 #: Characters of text `GridDistribution.loads` splits into lines per step,
@@ -94,22 +93,20 @@ def smoothed_delta(x, center, eps: float):
     ``x`` and ``center`` broadcast; a scalar result is an ``np.float64``.
     The kernel is ``exp((-0.5 * z) * z) / (eps * sqrt(2 pi))`` with
     ``z = (x - center) / eps``.  One array of the result's shape is made,
-    ``z``; the exponent and its ``exp`` are computed into it a slab of
-    about `_FISHER_SLAB` cells at a time, each cell seeing the operations
-    of the plain expression, so the result has its bits.
+    ``z``, and every step is computed into it.  The exponent is taken as
+    ``-0.5 * (z * z)``: scaling by -0.5 is exact wherever ``z * z`` is a
+    normal float, and where it is not, both forms exponentiate to the same
+    1.0 or 0.0, so the result has the bits of the plain expression.
     """
     eps = check_width(eps)
     # a 0-d array where x and center are scalars, so every step is in place
     z = np.asarray(np.asarray(x, dtype=float) - center)
     z /= eps
-    rows = z if z.ndim else z[np.newaxis]
-    step = max(1, _FISHER_SLAB * len(rows) // max(1, rows.size))
     # a far-out z squares to inf, and exp(-inf) is exactly the 0 it should be
     with np.errstate(over="ignore"):
-        for start in range(0, len(rows), step):
-            slab = rows[start:start + step]
-            np.multiply(-0.5 * slab, slab, out=slab)
-            np.exp(slab, out=slab)
+        np.square(z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
     z /= eps * math.sqrt(2.0 * math.pi)
     return z if z.ndim else z[()]
 
@@ -135,8 +132,14 @@ class Axis:
     def spacing(self) -> float:
         return (self.hi - self.lo) / self.count
 
-    def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.count) + 0.5) * self.spacing
+    def centers(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The centres of cells ``lo:hi`` (all cells by default), made in
+        one float array."""
+        c = np.arange(lo, self.count if hi is None else hi, dtype=float)
+        c += 0.5
+        c *= self.spacing
+        c += self.lo
+        return c
 
 
 @dataclass(frozen=True)
@@ -182,10 +185,10 @@ class GridSpec:
         """Each axis's cell centres broadcast over the grid, "ij" order.
 
         The meshes are read-only views of one vector each: they have the
-        grid's shape and allocate no grid-sized array.
+        grid's shape and allocate nothing besides the centres.
         """
         sparse = np.meshgrid(*[a.centers() for a in self.axes],
-                             indexing="ij", sparse=True)
+                             indexing="ij", sparse=True, copy=False)
         return [np.broadcast_to(m, self.shape) for m in sparse]
 
 
@@ -200,7 +203,8 @@ def _checked_mass(grid: GridSpec, values: np.ndarray, eps: float) -> float:
         raise InfoError(
             f"value shape {values.shape} does not match grid {grid.shape}")
     check_width(eps)
-    if np.any(values < 0) or not np.all(np.isfinite(values)):
+    # two reductions, not boolean grids: a nan makes both of them nan
+    if not (values.min() >= 0 and math.isfinite(values.max())):
         raise InfoError("density values must be finite and nonnegative")
     total = values.sum() * grid.cell_volume
     if total <= 0:
@@ -262,16 +266,12 @@ class GridDistribution:
         other = tuple(j for j in range(len(self.grid.axes)) if j != i)
         weights = self.values.sum(axis=other) if other else self.values
         total = weights.sum()
-
-        def centres(lo, hi):  # the bits of ax.centers()[lo:hi]
-            return ax.lo + (np.arange(lo, hi) + 0.5) * ax.spacing
-
         mean = float(_pairwise_sum(
-            lambda lo, hi: weights[lo:hi] / total * centres(lo, hi),
+            lambda lo, hi: weights[lo:hi] / total * ax.centers(lo, hi),
             0, ax.count))
         var = float(_pairwise_sum(
             lambda lo, hi: (weights[lo:hi] / total
-                            * (centres(lo, hi) - mean) ** 2),
+                            * (ax.centers(lo, hi) - mean) ** 2),
             0, ax.count))
         return mean, var
 
@@ -383,13 +383,13 @@ def build_nested_distribution(expr: TopologyExpr, binding: MetricBinding,
     else:
         inner = binding.sigma(*points)
     inner = np.asarray(inner, dtype=float)
-    if not np.all(np.isfinite(inner)):
+    if not (math.isfinite(inner.min()) and math.isfinite(inner.max())):
         idx = np.unravel_index(int(np.argmin(np.isfinite(inner))), grid.shape)
         loc = tuple(float(m[idx]) for m in meshes)
         raise InfoError(f"non-finite sigma/tau evaluation at grid point {loc}")
     if depth >= 1:
         inner = np.asarray(binding.tau(inner), dtype=float)
-        if not np.all(np.isfinite(inner)):
+        if not (math.isfinite(inner.min()) and math.isfinite(inner.max())):
             raise InfoError("non-finite tau evaluation")
 
     value = inner

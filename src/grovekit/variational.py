@@ -491,9 +491,9 @@ class FiniteGroup:
         if bad.any():
             raise VariationalError(
                 f"element {self.labels[int(np.argmax(bad))]} has no inverse")
-        # exhaustive associativity check: (a*b)*c == a*(b*c)
-        if not np.array_equal(t[t[:, :, None], np.arange(n)[None, None, :]],
-                              t[np.arange(n)[:, None, None], t[None, :, :]]):
+        # exhaustive associativity check, one row a at a time:
+        # (a*b)*c == a*(b*c) for every b, c
+        if not all(np.array_equal(t[t[a]], t[a][t]) for a in range(n)):
             raise VariationalError("composition table is not associative")
         for x in self.generators:
             if not 0 <= x < n:

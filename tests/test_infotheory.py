@@ -77,12 +77,10 @@ _kernel_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
            st.one_of(arrays(float, s.input_shapes[1], elements=_kernel_floats),
                      _kernel_floats))),
        st.one_of(st.sampled_from((5e-324, 1e-300, 0.5, 1.0, 1e300)),
-                 st.floats(min_value=5e-324, max_value=1e308)),
-       st.sampled_from([1, 5, 1 << 16]))
-def test_smoothed_delta_is_bit_equal_to_the_expression(args, eps, slab):
+                 st.floats(min_value=5e-324, max_value=1e308)))
+def test_smoothed_delta_is_bit_equal_to_the_expression(args, eps):
     x, center = args
-    with np.errstate(all="ignore"), \
-            mock.patch.object(infotheory, "_FISHER_SLAB", slab):
+    with np.errstate(all="ignore"):
         got = smoothed_delta(x, center, eps)
         expected = _smoothed_delta_reference(x, center, eps)
     # a scalar stays an np.float64, an array an array of the same shape
@@ -140,6 +138,21 @@ def _peak_above_start(fn):
 _BENCH_GRID = grid(("m", -0.5, 0.5, 256), ("a", -6.5, 6.5, 4096))
 _GRID_ARRAY = 8 * 256 * 4096
 
+#: the bench's Cramer-Rao line, 262,144 cells: one float64 array is 2 MiB
+_LINE = grid(("a", -7.0, 7.0, 64 * 4096))
+_LINE_ARRAY = 8 * 64 * 4096
+
+
+@pytest.mark.parametrize("axis", [_LINE.axes[0], *_BENCH_GRID.axes,
+                                  Axis("y", 1e-3, 2.5e7, 9),
+                                  Axis("z", -1e300, 1e300, 8)],
+                         ids=lambda axis: f"{axis.name}{axis.count}")
+def test_axis_centres_have_the_formulas_bits(axis):
+    expected = axis.lo + (np.arange(axis.count) + 0.5) * axis.spacing
+    assert axis.centers().tobytes() == expected.tobytes()
+    for lo, hi in ((0, 1), (3, 8), (axis.count - 5, axis.count)):
+        assert axis.centers(lo, hi).tobytes() == expected[lo:hi].tobytes()
+
 
 def test_meshes_are_read_only_views():
     meshes, peak = _peak_above_start(_BENCH_GRID.meshes)
@@ -152,6 +165,20 @@ def test_meshes_are_read_only_views():
         assert not mesh.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         meshes[0][0, 0] = 1.0
+
+
+def test_line_meshes_hold_one_line_array():
+    # the centres themselves, viewed by the mesh without a copy
+    meshes, peak = _peak_above_start(_LINE.meshes)
+    assert meshes[0].tobytes() == _LINE.axes[0].centers().tobytes()
+    assert peak <= _LINE_ARRAY + 2 ** 16
+
+
+def test_nested_build_holds_only_its_density():
+    dist, peak = _peak_above_start(lambda: build_nested_distribution(
+        parse("sig(m1)"), MetricBinding(sigma=lambda m: m), _BENCH_GRID, 1.0))
+    assert dist.values.shape == _BENCH_GRID.shape
+    assert peak <= _GRID_ARRAY + 2 ** 16
 
 
 def test_build_and_fisher_hold_one_grid_array():
@@ -167,17 +194,16 @@ def test_build_and_fisher_hold_one_grid_array():
 
 
 def test_from_function_and_cramer_rao_hold_two_line_arrays():
-    # the bench's Cramer-Rao line: 2 MiB per array
-    line = grid(("a", -7.0, 7.0, 64 * 4096))
-
+    # from_function holds the kernel's values and their copy; the report
+    # then holds at most half a line array besides the density
     def build_and_report():
         dist = GridDistribution.from_function(
-            line, lambda a: smoothed_delta(a, 0.0, 1.0), 1.0)
+            _LINE, lambda a: smoothed_delta(a, 0.0, 1.0), 1.0)
         return cramer_rao_report(dist)
 
     report, peak = _peak_above_start(build_and_report)
     assert 0.99 <= report.products[0] <= 1.01
-    assert peak <= 2 * 8 * 64 * 4096 + 2 ** 21
+    assert peak <= 2 * _LINE_ARRAY + 2 ** 16
 
 
 def test_constructor_leaves_the_callers_values_alone():
@@ -266,6 +292,28 @@ def test_distribution_rejects_negative_values():
     g = grid(("x", -1.0, 1.0, 16))
     with pytest.raises(InfoError):
         GridDistribution(g, -np.ones(g.shape), 0.1)
+
+
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf, -1e-300,
+                                  -0.0])
+@pytest.mark.parametrize("make", ["constructor", "from_function", "loads"])
+def test_density_values_must_be_finite_and_nonnegative(make, cell):
+    g = grid(("x", 0.0, 1.0, 8))
+    values = np.ones(8)
+    values[3] = cell
+    build = {
+        "constructor": lambda: GridDistribution(g, values, 0.1),
+        "from_function": lambda: GridDistribution.from_function(
+            g, lambda x: values, 0.1),
+        "loads": lambda: GridDistribution.loads("\n".join(
+            [_GOOD_HEAD, *map(repr, values.tolist())])),
+    }[make]
+    if cell == 0.0:  # a negative zero is a zero density
+        assert np.signbit(build().values[3])
+    else:
+        with pytest.raises(InfoError, match="^density values must be "
+                           "finite and nonnegative$"):
+            build()
 
 
 def test_serialization_round_trip():
@@ -700,6 +748,23 @@ def test_nonfinite_sigma_is_reported():
         build_nested_distribution(
             parse("sig(m1)"),
             MetricBinding(sigma=lambda m: np.where(m > 0, m, np.inf)), g, 0.2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sigma_and_tau_are_reported(bad):
+    g = grid(("m", -1.0, 1.0, 16), ("a", -1.5, 1.5, 16))
+    m, a = (axis.centers() for axis in g.axes)
+    sigma = MetricBinding(sigma=lambda x: np.where(x == m[5], bad, x))
+    with pytest.raises(InfoError) as raised:
+        build_nested_distribution(parse("sig(m1)"), sigma, g, 0.2)
+    # the first bad cell in C order
+    assert str(raised.value) == ("non-finite sigma/tau evaluation at grid "
+                                 f"point {(float(m[5]), float(a[0]))}")
+    g1 = grid(("m", -1.0, 1.0, 16), ("b", -1.5, 1.5, 16), ("a", -1.5, 1.5, 16))
+    tau = MetricBinding(sigma=lambda x: x,
+                        tau=lambda s: np.where(s == m[5], bad, s))
+    with pytest.raises(InfoError, match="^non-finite tau evaluation$"):
+        build_nested_distribution(parse("sig tau(m1)"), tau, g1, 0.2)
 
 
 def test_wrong_axis_count_is_reported():

@@ -1,12 +1,14 @@
-"""Every name a grovekit module imports is used in that module, and
-every input key is taken by `model.read_key`."""
+"""Every name a grovekit module imports is used in that module, every
+input key is taken by `model.read_key`, and every source file parses as
+the oldest Python the project supports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "grovekit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "grovekit"
 
 
 def _imported(tree):
@@ -39,6 +41,15 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported(tree) if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(path for part in ("src", "tests", "bench", "demos")
+                   for path in (ROOT / part).rglob("*.py")),
+    ids=lambda path: str(path.relative_to(ROOT)))
+def test_every_module_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python = ">=3.10"
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
 def _pops(tree):

@@ -37,6 +37,8 @@ from grovekit.variational import (
     word_distance_cost,
 )
 
+from test_infotheory import _peak_above_start
+
 
 def quadratic(center):
     center = np.asarray(center, dtype=float)
@@ -753,6 +755,21 @@ def test_group_rejects_bad_table():
 NON_ASSOCIATIVE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                    [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
+#: a loop whose rows 0-2 associate, (a b) c = a (b c) for every b and c,
+#: and whose rows 3-5 do not.  The rows that associate form a subloop (the
+#: left nucleus), at most half the table when it is not all of it, so no
+#: table fails in its last row alone: this one fails as late as any can.
+LATE_NON_ASSOCIATIVE = [[0, 1, 2, 3, 4, 5], [1, 2, 0, 4, 5, 3],
+                        [2, 0, 1, 5, 3, 4], [3, 4, 5, 0, 2, 1],
+                        [4, 5, 3, 1, 0, 2], [5, 3, 4, 2, 1, 0]]
+
+
+def test_late_table_fails_only_in_its_second_half():
+    t = LATE_NON_ASSOCIATIVE
+    assert [all(t[t[a][b]][c] == t[a][t[b][c]]
+                for b in range(6) for c in range(6))
+            for a in range(6)] == [True] * 3 + [False] * 3
+
 
 @pytest.mark.parametrize("table,generators,message", [
     ([[0, 1, 2], [1, 2, 0]], (1,), "malformed composition table"),
@@ -764,12 +781,25 @@ NON_ASSOCIATIVE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
     ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], (-1,),
      "generator index -1 out of range"),
     (NON_ASSOCIATIVE, (1,), "composition table is not associative"),
+    (LATE_NON_ASSOCIATIVE, (1,), "composition table is not associative"),
 ], ids=["short", "entry-above-order", "negative-entry", "fractional-entry",
-        "no-identity", "generator-above", "generator-below", "not-associative"])
+        "no-identity", "generator-above", "generator-below", "not-associative",
+        "not-associative-in-late-rows"])
 def test_group_rejects_each_table_fault_by_name(table, generators, message):
-    labels = tuple("eabcd"[:len(table[0])])
+    labels = tuple("eabcdf"[:len(table[0])])
     with pytest.raises(VariationalError, match=f"^{re.escape(message)}$"):
         FiniteGroup(labels, table, generators)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dihedral_group(32),
+    lambda: direct_product(cyclic_group(8), cyclic_group(8))],
+    ids=["dihedral-32", "cyclic-8-x-cyclic-8"])
+def test_order_64_group_checks_hold_no_cube(make):
+    # one 64^3 array of int64 indices would take 2 MiB
+    group, peak = _peak_above_start(make)
+    assert group.order == 64
+    assert peak <= 2 ** 18
 
 
 def test_group_keeps_the_table_it_checked():
